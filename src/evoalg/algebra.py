@@ -217,10 +217,6 @@ class EvolutionAlgebra:
         return f"EvolutionAlgebra({self.field.descriptor()}, n={self.n})"
 
 
-def make_algebra(field: Field, entries: Sequence[Sequence]) -> EvolutionAlgebra:
-    return EvolutionAlgebra(field, entries)
-
-
 def transport_structure(algebra: EvolutionAlgebra, p: MonomialMap) -> EvolutionAlgebra:
     """Structure matrix of the same algebra after the natural-basis change by
     the monomial matrix P: returns B = P * A * (P entrywise-squared)^{-1}.

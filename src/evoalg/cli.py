@@ -37,7 +37,6 @@ from .groups import (
     SemidirectCyclic,
     Symmetric,
     Trivial,
-    close_generators,
     recognize,
 )
 from .solver import (
@@ -76,21 +75,6 @@ def _say(message: str) -> None:
 def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
     field = parse_field(field_text) if field_text else None
     return EvolutionAlgebra.load(path, field)
-
-
-def _group_generators(group: MonomialGroup) -> list[dict]:
-    """A small generating set found greedily; fine at these orders."""
-    from .groups import MonomialMap
-
-    gens: list = []
-    have = {MonomialMap.identity(group.field, group.n)}
-    for element in group.elements:
-        if element not in have:
-            gens.append(element)
-            have = set(close_generators(gens).elements)
-            if len(have) == group.order:
-                break
-    return [g.to_json() for g in gens]
 
 
 def _recognized_names(group: MonomialGroup) -> list[str]:
@@ -133,7 +117,7 @@ def cmd_aut(args) -> int:
         "order": group.order,
         "complete": group.complete,
         "recognized": _recognized_names(group),
-        "generators": _group_generators(group) if group.complete else [],
+        "generators": [g.to_json() for g in group.generators],
         "diagonal_order": lattice.order,
         "t_A": alg.min_transversal_order,
         "graph_automorphism_count": graph_count,

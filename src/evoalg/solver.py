@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fields import PrimeField, Scalar
 from .groups import MonomialGroup, MonomialMap
-from .snf import solve_homogeneous_mod
+from .snf import CongruenceSolution, solve_homogeneous_mod
 
 MATERIALIZE_CAP = 10**6
 ORACLE_PRIME_CAP = 13
@@ -217,16 +217,6 @@ class DiagonalLattice:
         cyclotomic field can be strictly bigger."""
         return self.modulus % (2**self.min_transversal_order - 1) == 0
 
-    def exponent_vectors(self):
-        import itertools as _it
-
-        for combo in _it.product(*(range(o) for o in self.generator_orders)):
-            x = [0] * self.n
-            for gen, c in zip(self.exponent_generators, combo):
-                for i in range(self.n):
-                    x[i] = (x[i] + c * gen[i]) % self.modulus
-            yield tuple(x)
-
     def maps(self) -> tuple[MonomialMap, ...]:
         if self.order > MATERIALIZE_CAP:
             raise CapExceededError(
@@ -235,14 +225,18 @@ class DiagonalLattice:
         powers = [self.field.one]
         for _ in range(self.modulus - 1):
             powers.append(powers[-1] * self.generator)
+        solution = CongruenceSolution(
+            self.modulus,
+            self.n,
+            self.exponent_generators,
+            self.generator_orders,
+            self.order,
+        )
         out = [
             MonomialMap.diagonal(tuple(powers[e] for e in vec))
-            for vec in self.exponent_vectors()
+            for vec in solution.elements()
         ]
         return tuple(sorted(set(out), key=MonomialMap.sort_key))
-
-    def group(self) -> MonomialGroup:
-        return MonomialGroup(self.field, self.n, self.maps(), verify_closed=False)
 
 
 def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
@@ -305,10 +299,7 @@ def automorphism_group(a: EvolutionAlgebra, threads: int = 1) -> MonomialGroup:
             complete = False
         else:
             elements.extend(outcome.maps)
-    group = MonomialGroup(a.field, a.n, elements, complete=complete)
-    if complete and not group.closed:
-        raise RuntimeError("automorphism set failed closure verification")
-    return group
+    return MonomialGroup(a.field, a.n, elements, complete=complete)
 
 
 # ---------------------------------------------------------------------------

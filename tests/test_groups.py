@@ -5,6 +5,7 @@ import pytest
 from evoalg.algebra import mat_equal, mat_mul
 from evoalg.digraph import Permutation
 from evoalg.errors import CapExceededError, ParseError, UnclosedGroupError
+from evoalg.families import complete_graph_algebra
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
 from evoalg.groups import (
     Cyclic,
@@ -14,9 +15,11 @@ from evoalg.groups import (
     SemidirectCyclic,
     Symmetric,
     Trivial,
+    _normal_in,
     close_generators,
     recognize,
 )
+from evoalg.solver import automorphism_group
 
 Q = RationalField()
 Z3 = CyclotomicField(3)
@@ -151,6 +154,64 @@ class TestClosure:
         grp = close_generators(gens)
         assert MonomialGroup(grp.field, grp.n, grp.elements).closed
 
+    def test_set_without_identity_rejected(self):
+        z = Z3.zeta
+        with pytest.raises(UnclosedGroupError):
+            MonomialGroup(Z3, 2, [MonomialMap.diagonal((z, z * z))])
+
+    def test_set_missing_a_power_rejected(self):
+        # {id, g} with g of order 3 lacks g^2
+        z = Z3.zeta
+        g = MonomialMap.diagonal((z, z * z))
+        with pytest.raises(UnclosedGroupError):
+            MonomialGroup(Z3, 2, [MonomialMap.identity(Z3, 2), g])
+
+    def test_generators_generate_the_group(self):
+        rng = random.Random(18)
+        groups = [
+            automorphism_group(complete_graph_algebra(4, Q)),
+            TestRecognition().s3_over_zeta3(),
+            close_generators([random_monomial(PrimeField(5), 3, rng) for _ in range(2)]),
+        ]
+        for grp in groups:
+            assert close_generators(list(grp.generators)).elements == grp.elements
+
+    def test_golden_generators_k5(self):
+        # the greedy rule: each sorted element not generated by the ones before
+        grp = automorphism_group(complete_graph_algebra(5, Q))
+        assert [g.to_json() for g in grp.generators] == [
+            {"sigma": list(images), "d": ["1"] * 5}
+            for images in (
+                [1, 2, 3, 5, 4],
+                [1, 2, 4, 3, 5],
+                [1, 3, 2, 4, 5],
+                [2, 1, 3, 4, 5],
+            )
+        ]
+
+    def test_golden_generators_s3_over_zeta3(self):
+        grp = TestRecognition().s3_over_zeta3()
+        assert [g.to_json() for g in grp.generators] == [
+            {"sigma": [1, 2], "d": ["-1 - z", "z"]},
+            {"sigma": [2, 1], "d": ["-1 - z", "z"]},
+        ]
+
+    def test_closure_work_is_linear_in_order(self, monkeypatch):
+        # Dimino's closure costs at most |G| * (|S| + 1) products; checking
+        # every pair of K6's 720 automorphisms would take 518,400
+        calls = 0
+        product = MonomialMap.__mul__
+
+        def counted(g, h):
+            nonlocal calls
+            calls += 1
+            return product(g, h)
+
+        monkeypatch.setattr(MonomialMap, "__mul__", counted)
+        grp = automorphism_group(complete_graph_algebra(6, Q))
+        assert grp.order == 720
+        assert 0 < calls <= grp.order * (len(grp.generators) + 1)
+
 
 class TestRecognition:
     def s3_over_zeta3(self):
@@ -180,8 +241,21 @@ class TestRecognition:
 
     def test_unclosed_rejected(self):
         grp = MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2)], complete=False)
+        assert grp.generators == ()
         with pytest.raises(UnclosedGroupError):
             recognize(grp, Trivial())
+
+    def test_non_normal_subgroup_rejected(self):
+        def perm(*cycle):
+            return MonomialMap(Permutation.from_cycles(3, cycle), (Q.one,) * 3)
+
+        grp = close_generators([perm(0, 1), perm(0, 1, 2)])
+        assert grp.order == 6
+        ident = MonomialMap.identity(Q, 3)
+        # each {id, swap} is normalized by its own swap, a possible generator
+        for swap in (perm(0, 1), perm(0, 2), perm(1, 2)):
+            assert not _normal_in(grp, {ident, swap})
+        assert _normal_in(grp, {ident, perm(0, 1, 2), perm(0, 2, 1)})
 
     def test_unknown_target(self):
         with pytest.raises(ParseError):
@@ -196,3 +270,8 @@ class TestProfile:
         assert not profile.is_abelian
         assert profile.diagonal_order == 3
         assert profile.quotient_order == 2
+
+    def test_cyclic_diagonal_group_is_abelian(self):
+        z = Z3.zeta
+        grp = close_generators([MonomialMap.diagonal((z, z * z))])
+        assert grp.profile().is_abelian
