@@ -17,7 +17,6 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import EvolutionAlgebra
 from .digraph import graph_automorphisms
@@ -55,7 +54,6 @@ EXIT_NEGATIVE = 4
 EXIT_CAP = 5
 
 CENSUS_EXHAUSTIVE_CAP = 10**8
-CENSUS_CHUNK = 64
 DIAG_ELEMENT_REPORT_CAP = 128
 
 
@@ -241,15 +239,101 @@ def cmd_verify(args) -> int:
     return EXIT_INDETERMINATE if result.any_indeterminate else EXIT_NEGATIVE
 
 
-def _census_entry(field: Field, n: int, flat: tuple[int, ...]):
-    alg = EvolutionAlgebra(
-        field, [[flat[i * n + j] for j in range(n)] for i in range(n)]
-    )
+def _census_algebra(field: Field, n: int, flat) -> EvolutionAlgebra:
+    return EvolutionAlgebra(field, [flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _census_entry(alg: EvolutionAlgebra):
+    """(|Aut|, |D|, whether Aut is complete) for a nonsingular algebra, or
+    None for a singular one."""
     if not alg.is_idempotent:
         return None
     group = automorphism_group(alg)
-    lattice = diagonal_subgroup(alg)
-    return group.order, lattice.order
+    return group.order, diagonal_subgroup(alg).order, group.complete
+
+
+def _unit_vectors(p: int, n: int):
+    """Every d in (GF(p)^*)^n, lazily and in itertools.product order.
+
+    itertools.product copies its input into a tuple first, and for n = 1 the
+    p - 1 units can number 10^8.
+    """
+    units = range(1, p)
+    return ((u,) for u in units) if n == 1 else itertools.product(units, repeat=n)
+
+
+def _orbit_census(field: PrimeField, n: int, tally) -> int:
+    """Exhaustive census of the n x n matrices over GF(p), one solve per
+    orbit of the monomial group M; returns the number of nonsingular orbits,
+    that is, of isomorphism classes of idempotent algebras.
+
+    Every isomorphism of idempotent evolution algebras is monomial, so |Aut|,
+    |D| and singularity are constant on an orbit of M, of order n!(p-1)^n.
+    (sigma, d) carries A to B[sigma k][sigma j] = d_k a_kj d_j^-2. Codes are
+    base-p numbers in itertools.product order, and a bitmap marks those seen.
+    `tally(entry, weight)` receives each class entry weighted by its orbit
+    size. An incomplete group's order is no invariant, so then every member
+    is solved and tallied on its own, as a per-matrix scan would.
+
+    Self-checks, exact: |orbit| * |Aut(A)| = |M| for every nonsingular class
+    with a complete group (orbit-stabilizer), and the orbits cover all
+    p^(n^2) matrices. A failure raises RuntimeError.
+    """
+    p, cells = field.p, n * n
+    total = p**cells
+    place = [p ** (cells - 1 - i) for i in range(cells)]
+    perms = list(itertools.permutations(range(n)))
+    monomial_order = len(perms) * (p - 1) ** n
+    seen = bytearray((total + 7) // 8)
+
+    def decode(code):
+        digits = [0] * cells
+        for i in range(cells - 1, -1, -1):
+            code, digits[i] = divmod(code, p)
+        return digits
+
+    classes = covered = 0
+    for code in range(total):
+        if seen[code >> 3] >> (code & 7) & 1:
+            continue
+        seen[code >> 3] |= 1 << (code & 7)
+        flat = decode(code)
+        entry = _census_entry(_census_algebra(field, n, flat))
+        classes += entry is not None
+        per_member = entry is not None and not entry[2]
+        size = 1
+        support = [
+            (k, j, flat[k * n + j]) for k in range(n) for j in range(n) if flat[k * n + j]
+        ]
+        weights = [[place[s[k] * n + s[j]] for k, j, _ in support] for s in perms]
+        for d in _unit_vectors(p, n):
+            inv_sq = [pow(x, -2, p) for x in d]
+            values = [d[k] * a * inv_sq[j] % p for k, j, a in support]
+            for w in weights:
+                image = sum(map(int.__mul__, values, w))
+                byte, bit = image >> 3, 1 << (image & 7)
+                if seen[byte] & bit:
+                    continue
+                seen[byte] |= bit
+                size += 1
+                if per_member:
+                    tally(_census_entry(_census_algebra(field, n, decode(image))), 1)
+        if per_member:
+            tally(entry, 1)
+        elif entry is not None:
+            if size * entry[0] != monomial_order:
+                raise RuntimeError(
+                    f"orbit-stabilizer fails for the class of {list(flat)} over "
+                    f"{field.descriptor()}: |orbit| {size} * |Aut| {entry[0]} "
+                    f"!= {monomial_order}"
+                )
+            tally(entry, size)
+        covered += size
+    if covered != total:
+        raise RuntimeError(
+            f"census orbits cover {covered} of {total} matrices over {field.descriptor()}"
+        )
+    return classes
 
 
 def cmd_census(args) -> int:
@@ -262,14 +346,27 @@ def cmd_census(args) -> int:
     p = field.p
     mode = args.mode
     t0 = time.monotonic()
+    aut_hist: dict[int, int] = {}
+    diag_hist: dict[int, int] = {}
+    nonsingular = 0
+
+    def tally(entry, weight):
+        nonlocal nonsingular
+        if entry is None:
+            return
+        nonsingular += weight
+        aut_order, diag_order, _ = entry
+        aut_hist[aut_order] = aut_hist.get(aut_order, 0) + weight
+        diag_hist[diag_order] = diag_hist.get(diag_order, 0) + weight
+
     if mode == "exhaustive":
-        total = p ** (n * n)
-        if total > CENSUS_EXHAUSTIVE_CAP:
+        scanned = p ** (n * n)
+        if scanned > CENSUS_EXHAUSTIVE_CAP:
             raise CapExceededError(
-                f"exhaustive census of {total} matrices exceeds the cap"
+                f"exhaustive census of {scanned} matrices exceeds the cap"
             )
-        source = itertools.product(range(p), repeat=n * n)
         samples = None
+        classes = _orbit_census(field, n, tally)
     else:
         if not mode.startswith("random:"):
             raise ParseError("census --mode must be exhaustive or random:<k>")
@@ -282,38 +379,15 @@ def cmd_census(args) -> int:
         def random_nonsingular():
             # rejection sampling keeps exactly `samples` nonsingular matrices
             while True:
-                flat = tuple(rng.randrange(p) for _ in range(n * n))
-                alg = EvolutionAlgebra(
-                    field, [[flat[i * n + j] for j in range(n)] for i in range(n)]
-                )
+                flat = [rng.randrange(p) for _ in range(n * n)]
+                alg = _census_algebra(field, n, flat)
                 if alg.is_idempotent:
-                    return flat
+                    return alg
 
-        source = (random_nonsingular() for _ in range(samples))
-
-    flats = [tuple(flat) for flat in source]
-    chunks = [flats[i : i + CENSUS_CHUNK] for i in range(0, len(flats), CENSUS_CHUNK)]
-
-    def work(chunk):
-        return [_census_entry(field, n, flat) for flat in chunk]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunk_results = list(pool.map(work, chunks))
-    else:
-        chunk_results = [work(chunk) for chunk in chunks]
-
-    aut_hist: dict[int, int] = {}
-    diag_hist: dict[int, int] = {}
-    nonsingular = 0
-    for chunk in chunk_results:
-        for entry in chunk:
-            if entry is None:
-                continue
-            nonsingular += 1
-            aut_order, diag_order = entry
-            aut_hist[aut_order] = aut_hist.get(aut_order, 0) + 1
-            diag_hist[diag_order] = diag_hist.get(diag_order, 0) + 1
+        scanned = samples
+        for _ in range(samples):
+            tally(_census_entry(random_nonsingular()), 1)
+        classes = None
 
     report = {
         "command": "census",
@@ -321,7 +395,7 @@ def cmd_census(args) -> int:
         "field": field.descriptor(),
         "n": n,
         "mode": "exhaustive" if mode == "exhaustive" else "random",
-        "scanned": len(flats),
+        "scanned": scanned,
         "nonsingular": nonsingular,
         "aut_histogram": {str(k): v for k, v in sorted(aut_hist.items())},
         "diag_histogram": {str(k): v for k, v in sorted(diag_hist.items())},
@@ -330,9 +404,10 @@ def cmd_census(args) -> int:
         report["samples"] = samples
         report["seed"] = args.seed
     _emit(report, args)
+    in_classes = "" if classes is None else f" in {classes} classes"
     _say(
-        f"census: {nonsingular} algebras over {field.descriptor()}, n = {n} "
-        f"[{time.monotonic() - t0:.2f}s, {args.threads} threads]"
+        f"census: {nonsingular} algebras{in_classes} over {field.descriptor()}, "
+        f"n = {n} [{time.monotonic() - t0:.2f}s, {args.threads} threads]"
     )
     return EXIT_OK
 
@@ -393,7 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--n", type=int, required=True)
     p_census.add_argument("--mode", default="exhaustive", help="exhaustive | random:<k>")
     p_census.add_argument("--seed", type=int, default=0)
-    p_census.add_argument("--threads", type=int, default=1)
+    p_census.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and echoed on stderr; the census runs in one thread and "
+        "its output never depends on this value",
+    )
     p_census.add_argument("--out", help="also write the JSON report to this file")
     p_census.set_defaults(func=cmd_census)
 

@@ -254,6 +254,8 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Field) and self._key() == other._key()
 
     def __hash__(self):

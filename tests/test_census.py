@@ -1,0 +1,117 @@
+"""The exhaustive census solves one algebra per monomial orbit; these tests
+hold it to a per-matrix scan and to its orbit-stabilizer self-check."""
+
+import itertools
+import json
+import types
+
+import pytest
+
+from evoalg import cli
+from evoalg.fields import PrimeField
+
+
+def per_matrix_census(p, n):
+    """Reference: one solve for every matrix, as the census did before orbits."""
+    field = PrimeField(p)
+    aut, diag, nonsingular = {}, {}, 0
+    for flat in itertools.product(range(p), repeat=n * n):
+        entry = cli._census_entry(cli._census_algebra(field, n, flat))
+        if entry is None:
+            continue
+        nonsingular += 1
+        aut[entry[0]] = aut.get(entry[0], 0) + 1
+        diag[entry[1]] = diag.get(entry[1], 0) + 1
+    return {
+        "nonsingular": nonsingular,
+        "aut_histogram": {str(k): v for k, v in sorted(aut.items())},
+        "diag_histogram": {str(k): v for k, v in sorted(diag.items())},
+    }
+
+
+def census(capsys, p, n):
+    code = cli.main(["census", "--field", f"GF({p})", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 0
+    return json.loads(captured.out), captured.err
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
+def test_orbit_sweep_matches_per_matrix_scan(capsys, p, n):
+    report, _ = census(capsys, p, n)
+    expected = per_matrix_census(p, n)
+    assert {key: report[key] for key in expected} == expected
+    assert report["scanned"] == p ** (n * n)
+
+
+def test_gf3_n3_golden(capsys):
+    report, err = census(capsys, 3, 3)
+    assert report["nonsingular"] == 11232  # |GL_3(F_3)|
+    assert report["aut_histogram"] == {"1": 10656, "2": 504, "3": 48, "6": 24}
+    assert report["diag_histogram"] == {"1": 11232}
+    assert "census: 11232 algebras in 249 classes over GF(3), n = 3" in err
+
+
+def test_one_automorphism_solve_per_class(monkeypatch, capsys):
+    real = cli.automorphism_group
+    calls = []
+
+    def counted(alg, *args, **kwargs):
+        calls.append(alg)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "automorphism_group", counted)
+    census(capsys, 3, 3)
+    assert len(calls) == 249  # a per-matrix scan solves all 11232
+
+
+def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
+    real = cli.automorphism_group
+
+    def doubled(alg, *args, **kwargs):
+        group = real(alg, *args, **kwargs)
+        return types.SimpleNamespace(order=2 * group.order, complete=True)
+
+    monkeypatch.setattr(cli, "automorphism_group", doubled)
+    with pytest.raises(RuntimeError, match="orbit-stabilizer fails"):
+        cli.main(["census", "--field", "GF(3)", "--n", "2"])
+
+
+def test_incomplete_group_is_solved_per_member(monkeypatch, capsys):
+    real = cli.automorphism_group
+
+    def undecided(alg, *args, **kwargs):
+        # an undecided group's order need not be constant on an orbit
+        group = real(alg, *args, **kwargs)
+        return types.SimpleNamespace(
+            order=group.order + alg.rows[0][0].value, complete=False
+        )
+
+    monkeypatch.setattr(cli, "automorphism_group", undecided)
+    report, _ = census(capsys, 3, 2)
+    expected = per_matrix_census(3, 2)
+    assert {key: report[key] for key in expected} == expected
+    assert len(expected["aut_histogram"]) > 1
+
+
+def test_random_sample_builds_each_algebra_once(monkeypatch, capsys):
+    built, solved = [], []
+
+    class Recorded(cli.EvolutionAlgebra):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    real = cli.automorphism_group
+
+    def recorded(alg, *args, **kwargs):
+        solved.append(alg)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "EvolutionAlgebra", Recorded)
+    monkeypatch.setattr(cli, "automorphism_group", recorded)
+    code = cli.main(["census", "--field", "GF(3)", "--n", "2", "--mode", "random:40"])
+    assert code == 0
+    capsys.readouterr()
+    assert len(solved) == 40
+    assert [alg for alg in built if alg.is_idempotent] == solved
