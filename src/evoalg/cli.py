@@ -44,7 +44,7 @@ from .solver import (
     diagonal_subgroup,
     isomorphism,
 )
-from .suites import SUITES, run_suite
+from .suites import SUITES, random_idempotent, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -104,7 +104,7 @@ def _recognized_names(group: MonomialGroup) -> list[str]:
 def cmd_aut(args) -> int:
     alg = _load_algebra(args.infile, args.field).require_idempotent()
     t0 = time.monotonic()
-    group = automorphism_group(alg, threads=args.threads)
+    group = automorphism_group(alg)
     lattice = diagonal_subgroup(alg)
     graph_count = len(graph_automorphisms(alg.digraph))
     report = {
@@ -272,12 +272,12 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
     (sigma, d) carries A to B[sigma k][sigma j] = d_k a_kj d_j^-2. Codes are
     base-p numbers in itertools.product order, and a bitmap marks those seen.
     `tally(entry, weight)` receives each class entry weighted by its orbit
-    size. An incomplete group's order is no invariant, so then every member
-    is solved and tallied on its own, as a per-matrix scan would.
+    size.
 
-    Self-checks, exact: |orbit| * |Aut(A)| = |M| for every nonsingular class
-    with a complete group (orbit-stabilizer), and the orbits cover all
-    p^(n^2) matrices. A failure raises RuntimeError.
+    Self-checks, exact: every nonsingular class has a complete group (kth_roots
+    decides every equation the cap admits: x^1 = c at n = 1, p <= 100 above),
+    |orbit| * |Aut(A)| = |M| for it (orbit-stabilizer), and the orbits cover
+    all p^(n^2) matrices. A failure raises RuntimeError.
     """
     p, cells = field.p, n * n
     total = p**cells
@@ -300,13 +300,18 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
         flat = decode(code)
         entry = _census_entry(_census_algebra(field, n, flat))
         classes += entry is not None
-        per_member = entry is not None and not entry[2]
+        if entry is not None and not entry[2]:
+            raise RuntimeError(
+                f"automorphism group of the class of {list(flat)} over "
+                f"{field.descriptor()} is incomplete"
+            )
         size = 1
         support = [
             (k, j, flat[k * n + j]) for k in range(n) for j in range(n) if flat[k * n + j]
         ]
         weights = [[place[s[k] * n + s[j]] for k, j, _ in support] for s in perms]
-        for d in _unit_vectors(p, n):
+        # the zero matrix (empty support) is its own orbit
+        for d in _unit_vectors(p, n) if support else ():
             inv_sq = [pow(x, -2, p) for x in d]
             values = [d[k] * a * inv_sq[j] % p for k, j, a in support]
             for w in weights:
@@ -316,11 +321,7 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
                     continue
                 seen[byte] |= bit
                 size += 1
-                if per_member:
-                    tally(_census_entry(_census_algebra(field, n, decode(image))), 1)
-        if per_member:
-            tally(entry, 1)
-        elif entry is not None:
+        if entry is not None:
             if size * entry[0] != monomial_order:
                 raise RuntimeError(
                     f"orbit-stabilizer fails for the class of {list(flat)} over "
@@ -375,18 +376,9 @@ def cmd_census(args) -> int:
         except ValueError as exc:
             raise ParseError(f"bad sample count in {mode!r}") from exc
         rng = random.Random(args.seed)
-
-        def random_nonsingular():
-            # rejection sampling keeps exactly `samples` nonsingular matrices
-            while True:
-                flat = [rng.randrange(p) for _ in range(n * n)]
-                alg = _census_algebra(field, n, flat)
-                if alg.is_idempotent:
-                    return alg
-
         scanned = samples
         for _ in range(samples):
-            tally(_census_entry(random_nonsingular()), 1)
+            tally(_census_entry(random_idempotent(field, n, rng)), 1)
         classes = None
 
     report = {
@@ -433,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_aut = sub.add_parser("aut", help="automorphism group of an algebra")
     add_common(p_aut)
-    p_aut.add_argument("--threads", type=int, default=1)
+    p_aut.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored; the search runs in one thread",
+    )
     p_aut.set_defaults(func=cmd_aut)
 
     p_diag = sub.add_parser("diag", help="diagonal automorphism subgroup")

@@ -167,9 +167,6 @@ class Digraph:
                     rows[sigma(i)] |= 1 << sigma(j)
         return Digraph(self.n, rows)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[self.rows[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
-
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self.rows == other.rows
 
@@ -238,13 +235,6 @@ def _as_pattern(source) -> Digraph:
     if digraph is not None:
         return digraph
     raise ParseError(f"expected a Digraph or an algebra, got {type(source).__name__}")
-
-
-def graph_of(source) -> Digraph:
-    """Zero-pattern digraph of an algebra, a digraph, or raw scalar rows."""
-    if isinstance(source, (list, tuple)):
-        return Digraph.from_scalar_rows(source)
-    return _as_pattern(source)
 
 
 def transversals(source) -> Iterator[Permutation]:

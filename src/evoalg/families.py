@@ -1,5 +1,5 @@
 """Constructors for the concrete algebra families the library ships, plus the
-scaling recurrence that normalizes cycle-patterned algebras."""
+diagonal maps that normalize cycle-patterned algebras."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import EvolutionAlgebra
+from .digraph import Permutation
 from .errors import ParseError, SingularMatrixError
-from .fields import Field, Scalar, parse_field
-from .groups import MonomialMap
-from .solver import SolveOutcome, SolveStatus
+from .fields import Field
+from .solver import SolveOutcome, solve_monomial
 
 
 def complete_graph_algebra(n: int, field: Field) -> EvolutionAlgebra:
@@ -196,30 +196,10 @@ def cycle_normalizer(b: Sequence, field: Field) -> SolveOutcome:
     by b: the first scaling solves (prod_i b_i^(2^(n-i))) x^(2^n - 1) = 1 and
     the rest follow the doubling recurrence d_{j+1} = b_j d_j^2. Every
     returned map D satisfies B D^(2) = D P_sigma for B = P_sigma diag(b)."""
-    values = [field.scalar(x) for x in b]
-    n = len(values)
-    if n < 1:
-        raise ParseError("b-vector must be nonempty")
-    if any(x.is_zero for x in values):
-        raise SingularMatrixError("cycle normalizer needs every b entry nonzero")
-    constant = field.one
-    for i, bi in enumerate(values):
-        constant = constant * bi ** (2 ** (n - 1 - i))
-    k = 2**n - 1
-    roots = field.kth_roots(field.one / constant, k)
-    if not roots.complete:
-        return SolveOutcome(
-            SolveStatus.INDETERMINATE,
-            unsolved=(roots.equation or f"x^{k} = {field.one / constant}",),
-        )
-    maps = []
-    for d1 in roots.roots:
-        d = [d1]
-        for j in range(n - 1):
-            d.append(values[j] * d[j] * d[j])
-        maps.append(MonomialMap.diagonal(tuple(d)))
-    maps.sort(key=MonomialMap.sort_key)
-    return SolveOutcome(SolveStatus.COMPLETE, tuple(maps))
+    n = len(b)
+    return solve_monomial(
+        cycle_algebra(n, field), cycle_algebra(n, field, b), Permutation.identity(n)
+    )
 
 
 # ---------------------------------------------------------------------------

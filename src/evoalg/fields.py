@@ -8,7 +8,9 @@ equality of representations:
   * Q(zeta_m)      -> tuple of Fractions of length deg(Phi_m), reduced modulo
                       the m-th cyclotomic polynomial Phi_m
 
-Q(zeta_1) is the rationals and constructing it yields the rational field.
+Fields are interned: constructing one twice yields the same object, so
+field equality is identity. Q(zeta_1) is the rationals and constructing it
+yields the rational field.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatchError(
                     f"cannot mix {self.field.descriptor()} and {other.field.descriptor()}"
                 )
@@ -205,7 +207,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
+            return self.field is other.field and self.value == other.value
         if isinstance(other, (int, Fraction)):
             try:
                 return self.value == self.field.scalar(other).value
@@ -247,19 +249,24 @@ class KthRoots(NamedTuple):
 # fields
 
 
-class Field:
+_FIELDS: dict = {}
+
+
+class _Interned(type):
+    """Builds each field once per class and constructor arguments."""
+
+    def __call__(cls, *args):
+        key = (cls, args, tuple(map(type, args)))
+        field = _FIELDS.get(key)
+        if field is None:
+            field = _FIELDS[key] = super().__call__(*args)
+        return field
+
+
+class Field(metaclass=_Interned):
     """Common interface; concrete classes fill in the raw-value arithmetic."""
 
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Field) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    _dlog: Optional[dict] = None
 
     def __repr__(self):
         return f"<field {self.descriptor()}>"
@@ -278,7 +285,7 @@ class Field:
     def scalar(self, value) -> Scalar:
         """Coerce an int, Fraction, string, or same-field Scalar."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatchError(
                     f"scalar from {value.field.descriptor()} used in {self.descriptor()}"
                 )
@@ -314,18 +321,17 @@ class Field:
                 t //= q
         return t
 
-    def _unity_dlog(self, x: Scalar) -> Optional[int]:
-        """Exponent e with generator**e == x, or None when x is not in mu_N."""
-        table = getattr(self, "_unity_table", None)
+    def _unity_dlog(self, value) -> Optional[int]:
+        """Exponent e with generator**e == value, a raw value, or None when
+        value is not in mu_N. The table of all N powers is built on first use."""
+        table = self._dlog
         if table is None:
-            table = {}
-            g = self.unity_group().generator
-            cur = self.one
+            table, g, cur = {}, self._unity_generator(), self._convert(1)
             for e in range(self._unity_order()):
                 table[cur] = e
-                cur = cur * g
-            self._unity_table = table
-        return table.get(self.scalar(x))
+                cur = self._mul(cur, g)
+            self._dlog = table
+        return table.get(value)
 
     def kth_roots(self, c: Scalar, k: int) -> KthRoots:
         """All field solutions of x**k = c, when decidable.
@@ -411,9 +417,6 @@ class Field:
 class RationalField(Field):
     """The rational numbers."""
 
-    def _key(self):
-        return ("Q",)
-
     def descriptor(self) -> str:
         return "Q"
 
@@ -474,21 +477,15 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """GF(p) for a prime p < 2**31; the discrete-log table is built once at
-    construction for p <= 10**6 and powers kth_roots."""
+    """GF(p) for a prime p < 2**31. kth_roots decides x**k = c exactly when
+    gcd(k, p - 1) = 1, and otherwise through the discrete-log table, which
+    is built on first use for p <= 10**6."""
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= PRIME_LIMIT or not is_prime(p):
             raise ParseError(f"GF modulus must be a prime below 2**31, got {p!r}")
         self.p = p
         self.generator = self._find_primitive_root()
-        self._dlog: Optional[dict[int, int]] = None
-        if p <= DLOG_TABLE_LIMIT:
-            table, cur = {}, 1
-            for e in range(p - 1):
-                table[cur] = e
-                cur = cur * self.generator % p
-            self._dlog = table
 
     def _find_primitive_root(self) -> int:
         if self.p == 2:
@@ -499,9 +496,6 @@ class PrimeField(Field):
             if all(pow(g, n // q, self.p) != 1 for q in qs):
                 return g
         raise RuntimeError("no primitive root found")  # unreachable for prime p
-
-    def _key(self):
-        return ("GF", self.p)
 
     def descriptor(self) -> str:
         return f"GF({self.p})"
@@ -552,10 +546,13 @@ class PrimeField(Field):
         return self.generator if self.p > 2 else 1
 
     def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
-        if self._dlog is None:
+        n = self.p - 1
+        if math.gcd(k, n) == 1:
+            # x -> x**k permutes GF(p)^*, so the one root is c**(k^-1 mod p-1)
+            return KthRoots(True, (c ** pow(k, -1, n),))
+        if self.p > DLOG_TABLE_LIMIT:
             return KthRoots(False, (), f"x^{k} = {c} over {self.descriptor()}")
-        a = self._dlog[c.value]
-        roots = self._solve_unity_power(k, a)
+        roots = self._solve_unity_power(k, self._unity_dlog(c.value))
         return KthRoots(True, tuple(sorted(roots, key=Scalar.sort_key)))
 
     def format(self, value) -> str:
@@ -583,8 +580,6 @@ class CyclotomicField(Field):
         return super().__new__(cls)
 
     def __init__(self, m: int):
-        if m == 1:
-            return
         if not isinstance(m, int) or m < 1:
             raise ParseError(f"cyclotomic conductor must be a positive int, got {m!r}")
         self.m = m
@@ -600,9 +595,6 @@ class CyclotomicField(Field):
                 shifted = [s + top * r for s, r in zip(shifted, red[0])]
             red.append(tuple(shifted))
         self._red = red
-
-    def _key(self):
-        return ("cyclo", self.m)
 
     def descriptor(self) -> str:
         return f"Q(zeta_{self.m})"
@@ -811,7 +803,7 @@ def _char0_kth_roots(field: Field, c: Scalar, k: int) -> KthRoots:
             raise RuntimeError("rational c**N must be a perfect N-th power")
         return KthRoots(False, (), equation)
     u = c / field.scalar(w)
-    e = field._unity_dlog(u)
+    e = field._unity_dlog(u.value)
     if e is None:
         # c = u*w with u**N = 1 by construction, so u must lie in mu_N
         raise RuntimeError("unity part missing from the root-of-unity table")

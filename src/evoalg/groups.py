@@ -127,14 +127,6 @@ class MonomialMap:
         return f"MonomialMap({self.sigma.to_json()}, [{', '.join(map(str, self.d))}])"
 
 
-def compose(g: MonomialMap, h: MonomialMap) -> MonomialMap:
-    return g * h
-
-
-def inverse(g: MonomialMap) -> MonomialMap:
-    return g.inverse()
-
-
 @dataclass(frozen=True)
 class GroupProfile:
     order: int
@@ -196,9 +188,6 @@ class MonomialGroup:
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
         return tuple(g for g in self.elements if g.is_diagonal)
-
-    def permutation_image(self) -> tuple[Permutation, ...]:
-        return tuple(sorted({g.sigma for g in self.elements}))
 
     def profile(self) -> GroupProfile:
         if not self.closed:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -274,27 +273,20 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 # full automorphism group
 
 
-def automorphism_group(a: EvolutionAlgebra, threads: int = 1) -> MonomialGroup:
+def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     """The group of all monomial self-maps of E(A); every automorphism is one.
 
-    Fans the per-permutation solves out over a thread pool when asked; the
-    merge sorts, so the result does not depend on the thread count. When some
-    solve is undecided the group is returned partial and unclosed.
+    When some solve is undecided the group is returned partial and unclosed.
     """
     a.require_idempotent()
     if a.n > SEARCH_DIMENSION_CAP:
         raise DimensionCapError(
             f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}"
         )
-    sigmas = graph_automorphisms(a.digraph)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda s: solve_monomial(a, a, s), sigmas))
-    else:
-        outcomes = [solve_monomial(a, a, s) for s in sigmas]
     elements: list[MonomialMap] = []
     complete = True
-    for outcome in outcomes:
+    for sigma in graph_automorphisms(a.digraph):
+        outcome = solve_monomial(a, a, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
             complete = False
         else:

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from evoalg import cli
+from evoalg import cli, suites
 from evoalg.fields import PrimeField
 
 
@@ -77,27 +77,37 @@ def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
         cli.main(["census", "--field", "GF(3)", "--n", "2"])
 
 
-def test_incomplete_group_is_solved_per_member(monkeypatch, capsys):
+def test_incomplete_group_fails_self_check(monkeypatch):
     real = cli.automorphism_group
 
     def undecided(alg, *args, **kwargs):
         # an undecided group's order need not be constant on an orbit
         group = real(alg, *args, **kwargs)
-        return types.SimpleNamespace(
-            order=group.order + alg.rows[0][0].value, complete=False
-        )
+        return types.SimpleNamespace(order=group.order, complete=False)
 
     monkeypatch.setattr(cli, "automorphism_group", undecided)
-    report, _ = census(capsys, 3, 2)
-    expected = per_matrix_census(3, 2)
-    assert {key: report[key] for key in expected} == expected
-    assert len(expected["aut_histogram"]) > 1
+    with pytest.raises(RuntimeError, match="is incomplete"):
+        cli.main(["census", "--field", "GF(3)", "--n", "2"])
+
+
+def test_zero_matrix_orbit_is_not_walked(monkeypatch, capsys):
+    real = cli._unit_vectors
+    walks = []
+
+    def counted(p, n):
+        walks.append((p, n))
+        return real(p, n)
+
+    monkeypatch.setattr(cli, "_unit_vectors", counted)
+    report, _ = census(capsys, 5, 1)
+    assert report["aut_histogram"] == {"1": 4}
+    assert walks == [(5, 1)]  # the class of [1]; the zero matrix needs none
 
 
 def test_random_sample_builds_each_algebra_once(monkeypatch, capsys):
     built, solved = [], []
 
-    class Recorded(cli.EvolutionAlgebra):
+    class Recorded(suites.EvolutionAlgebra):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
@@ -108,7 +118,7 @@ def test_random_sample_builds_each_algebra_once(monkeypatch, capsys):
         solved.append(alg)
         return real(alg, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "EvolutionAlgebra", Recorded)
+    monkeypatch.setattr(suites, "EvolutionAlgebra", Recorded)
     monkeypatch.setattr(cli, "automorphism_group", recorded)
     code = cli.main(["census", "--field", "GF(3)", "--n", "2", "--mode", "random:40"])
     assert code == 0

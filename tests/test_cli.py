@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import evoalg
 from evoalg.cli import main
 
 
@@ -104,6 +108,14 @@ class TestAut:
         )
         code, report = run_json(capsys, "aut", "--in", str(path))
         assert code == 3 and report["status"] == "indeterminate"
+
+    def test_large_prime_1x1_is_decided(self, tmp_path, capsys):
+        # x^1 = c needs no discrete-log table, whatever the prime
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"field": "GF(1000003)", "n": 1, "entries": [["5"]]}))
+        code, report = run_json(capsys, "aut", "--in", str(path))
+        assert code == 0
+        assert report["order"] == 1 and report["status"] == "ok"
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -235,3 +247,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert path.read_text() == out
+
+
+def test_cli_import_loads_no_thread_pool():
+    # every CLI run pays for what `import evoalg.cli` loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
+    probe = "import sys, evoalg.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -39,6 +39,16 @@ class TestDescriptors:
         for text in ["Q", "GF(7)", "Q(zeta_7)"]:
             assert parse_field(text).descriptor() == text
 
+    def test_fields_are_interned(self):
+        assert parse_field("GF(7)") is PrimeField(7) is GF7
+        assert parse_field("Q") is RationalField() is Q
+        assert parse_field("Q(zeta_3)") is CyclotomicField(3) is Z3
+        assert CyclotomicField(1) is RationalField()
+        fields = [Q, PrimeField(5), GF7, Z3, CyclotomicField(4), CyclotomicField(7)]
+        for i, one in enumerate(fields):
+            for other in fields[i + 1 :]:
+                assert one != other and one is not other
+
     def test_cyclotomic_1_is_q(self):
         assert CyclotomicField(1) == Q
         assert parse_field("Q(zeta_1)") == Q
@@ -253,6 +263,13 @@ class TestKthRoots:
         big = PrimeField(1000003)
         out = big.kth_roots(big.scalar(2), 3)
         assert not out.complete and out.equation
+
+    def test_large_prime_coprime_exponent_has_one_root(self):
+        # gcd(7, 1000002) = 1, so x -> x^7 permutes the units
+        big = PrimeField(1000003)
+        out = big.kth_roots(big.scalar(2), 7)
+        assert out.complete and len(out.roots) == 1
+        assert out.roots[0] ** 7 == big.scalar(2)
 
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.descriptor())
     def test_ratio_between_roots_is_unity(self, field):
