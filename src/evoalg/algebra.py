@@ -9,9 +9,10 @@ the column one.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, transversals
 from .errors import FieldMismatchError, ParseError, SingularMatrixError
 from .fields import Field, Scalar, parse_field
 from .groups import MonomialMap
@@ -98,6 +99,23 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero for row in a for x in row)
 
 
+class SolvePlan(NamedTuple):
+    """The part of solving d_k * a_kj = d_j^2 * b_{sigma k sigma j} that does
+    not depend on sigma or on the target B, as raw field values.
+
+    An edge (j, k) stands for a nonzero entry a_kj. `components` lists the
+    weakly connected components of the edges, each with its transversal
+    cycles in ascending order and its edges in row-major order of (k, j),
+    leaving out the transversal's own edges: the cycle solve satisfies those
+    by construction.
+    """
+
+    support: tuple[tuple[int, ...], ...]  # per row k, the columns j with a_kj != 0
+    inverses: tuple[tuple, ...]  # raw a_kj^-1, None where a_kj = 0
+    cycles: tuple[tuple[int, ...], ...]  # cycles of the first transversal
+    components: tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]
+
+
 class EvolutionAlgebra:
     """An evolution algebra with its structure matrix, cached determinant,
     and cached zero-pattern digraph. Immutable."""
@@ -134,6 +152,51 @@ class EvolutionAlgebra:
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.rows[i][j] for i in range(self.n))
+
+    @cached_property
+    def raw_rows(self) -> tuple[tuple, ...]:
+        """The structure matrix as raw field values."""
+        return tuple(tuple(x.value for x in row) for row in self.rows)
+
+    @cached_property
+    def solve_plan(self) -> SolvePlan:
+        """Built on first use, once per algebra; needs a nonsingular matrix,
+        which always has a transversal."""
+        n, field = self.n, self.field
+        support = tuple(
+            tuple(j for j in range(n) if self.digraph.edge(k, j)) for k in range(n)
+        )
+        inverses = tuple(
+            tuple(None if field._is_zero(x) else field._inv(x) for x in row)
+            for row in self.raw_rows
+        )
+        tau = next(transversals(self.digraph))
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for k, cols in enumerate(support):
+            for j in cols:
+                parent[find(k)] = find(j)
+        # Permutation.cycles() lists cycles by their least vertex, so each
+        # component's cycles come out sorted
+        parts: dict[int, tuple[list, list]] = {}
+        for cycle in tau.cycles():
+            parts.setdefault(find(cycle[0]), ([], []))[0].append(cycle)
+        for k, cols in enumerate(support):
+            for j in cols:
+                if tau(j) != k:
+                    parts[find(j)][1].append((j, k))
+        return SolvePlan(
+            support,
+            inverses,
+            tau.cycles(),
+            tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values()),
+        )
 
     @property
     def min_transversal_order(self) -> int:

@@ -349,7 +349,7 @@ def cmd_census(args) -> int:
     t0 = time.monotonic()
     aut_hist: dict[int, int] = {}
     diag_hist: dict[int, int] = {}
-    nonsingular = 0
+    nonsingular = incomplete = 0
 
     def tally(entry, weight):
         nonlocal nonsingular
@@ -378,12 +378,17 @@ def cmd_census(args) -> int:
         rng = random.Random(args.seed)
         scanned = samples
         for _ in range(samples):
-            tally(_census_entry(random_idempotent(field, n, rng)), 1)
+            entry = _census_entry(random_idempotent(field, n, rng))
+            if entry is not None and not entry[2]:
+                # a partial group's order is not |Aut|: count, never tally
+                incomplete += 1
+            else:
+                tally(entry, 1)
         classes = None
 
     report = {
         "command": "census",
-        "status": "ok",
+        "status": "indeterminate" if incomplete else "ok",
         "field": field.descriptor(),
         "n": n,
         "mode": "exhaustive" if mode == "exhaustive" else "random",
@@ -395,13 +400,17 @@ def cmd_census(args) -> int:
     if samples is not None:
         report["samples"] = samples
         report["seed"] = args.seed
+    if incomplete:
+        report["incomplete"] = incomplete
     _emit(report, args)
     in_classes = "" if classes is None else f" in {classes} classes"
+    left_out = f", {incomplete} undecided left out" if incomplete else ""
     _say(
-        f"census: {nonsingular} algebras{in_classes} over {field.descriptor()}, "
-        f"n = {n} [{time.monotonic() - t0:.2f}s, {args.threads} threads]"
+        f"census: {nonsingular} algebras{in_classes}{left_out} over "
+        f"{field.descriptor()}, n = {n} "
+        f"[{time.monotonic() - t0:.2f}s, {args.threads} threads]"
     )
-    return EXIT_OK
+    return EXIT_INDETERMINATE if incomplete else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -336,15 +336,18 @@ class Field(metaclass=_Interned):
     def kth_roots(self, c: Scalar, k: int) -> KthRoots:
         """All field solutions of x**k = c, when decidable.
 
-        Roots of unity and rational-times-root-of-unity right-hand sides are
-        always decided exactly; a genuinely irrational cyclotomic c comes back
-        as an incomplete outcome carrying the equation text.
+        x^1 = c is decided in every field, by its one root c. Roots of unity
+        and rational-times-root-of-unity right-hand sides are always decided
+        exactly; a genuinely irrational cyclotomic c with k > 1 comes back as
+        an incomplete outcome carrying the equation text.
         """
         c = self.scalar(c)
         if c.is_zero:
             raise ZeroDivisionError("kth_roots requires c != 0")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if k == 1:
+            return KthRoots(True, (c,))
         return self._kth_roots(c, k)
 
     def _solve_unity_power(self, k: int, e: int) -> list[Scalar]:

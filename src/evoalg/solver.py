@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     EvolutionAlgebra,
@@ -33,7 +33,6 @@ from .digraph import (
     SEARCH_DIMENSION_CAP,
     graph_automorphisms,
     pattern_isomorphisms,
-    transversals,
 )
 from .errors import (
     CapExceededError,
@@ -87,6 +86,12 @@ def solve_monomial(
     candidates inside each weakly-connected constraint component, checking
     every remaining constraint; multiply the components out. Output is sorted
     by scaling vector, so it is deterministic.
+
+    What does not depend on sigma (the transversal, the components, the
+    inverses of A's entries) is A's `solve_plan`, built once per algebra.
+    Each call works on raw field values, computes a ratio r_kj only when a
+    cycle or a check reaches it, and boxes only the kth_roots arguments and
+    the scaling vectors it returns.
     """
     _check_pair(a, b)
     n = a.n
@@ -94,44 +99,37 @@ def solve_monomial(
     if sigma.n != n:
         raise ParseError("permutation size mismatch")
 
-    ratio: dict[tuple[int, int], Scalar] = {}
-    for k in range(n):
-        for j in range(n):
-            a_kj = a.rows[k][j]
-            b_im = b.rows[sigma(k)][sigma(j)]
-            if a_kj.is_zero != b_im.is_zero:
-                return SolveOutcome(SolveStatus.NO_SOLUTION)
-            if not a_kj.is_zero:
-                ratio[(j, k)] = b_im / a_kj  # d_k = d_j^2 * ratio
+    plan = a.solve_plan
+    s = sigma.images
+    b_pattern = b.digraph.rows
+    for k, cols in enumerate(plan.support):
+        image = 0
+        for j in cols:
+            image |= 1 << s[j]
+        if image != b_pattern[s[k]]:
+            return SolveOutcome(SolveStatus.NO_SOLUTION)
 
-    # weakly-connected components of the constraint digraph
-    parent = list(range(n))
+    mul = field._mul
+    b_raw = b.raw_rows
+    inverses = plan.inverses
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def ratio(j, k):
+        # d_k = d_j^2 * ratio(j, k)
+        return mul(b_raw[s[k]][s[j]], inverses[k][j])
 
-    for j, k in ratio:
-        rj, rk = find(j), find(k)
-        if rj != rk:
-            parent[rk] = rj
-    comp_of = [find(v) for v in range(n)]
-
-    tau = next(transversals(a.digraph))
     indeterminate: list[str] = []
-    cycle_candidates: dict[tuple[int, ...], list[dict[int, Scalar]]] = {}
-    for cycle in tau.cycles():
-        length = len(cycle)
-        coeff = {cycle[0]: field.one}
-        for idx in range(length - 1):
-            v, w = cycle[idx], cycle[idx + 1]
-            coeff[w] = ratio[(v, w)] * coeff[v] * coeff[v]
-        last = cycle[-1]
-        closing = ratio[(last, cycle[0])] * coeff[last] * coeff[last]
-        k_exp = 2**length - 1
-        roots = field.kth_roots(field.one / closing, k_exp)
+    cycle_candidates: dict[tuple[int, ...], list[list[tuple[int, object]]]] = {}
+    for cycle in plan.cycles:
+        # d at the idx-th cycle vertex is coeff[idx] * root^(2^idx); coeff[0]
+        # is one (None here), and the edge back to the start closes the cycle
+        # as root = closing * root^(2^L), that is root^(2^L - 1) = 1 / closing
+        coeff = [None]
+        for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+            r, c = ratio(v, w), coeff[-1]
+            coeff.append(r if c is None else mul(r, mul(c, c)))
+        closing = coeff.pop()
+        k_exp = 2 ** len(cycle) - 1
+        roots = field.kth_roots(Scalar(field, field._inv(closing)), k_exp)
         if not roots.complete:
             indeterminate.append(roots.equation or f"x^{k_exp} = ?")
             continue
@@ -141,12 +139,11 @@ def solve_monomial(
             return SolveOutcome(SolveStatus.COMPLETE, ())
         options = []
         for root in roots.roots:
-            # d at the idx-th cycle vertex is coeff[v] * root^(2^idx)
-            values = {}
-            t_pow = root
-            for v in cycle:
-                values[v] = coeff[v] * t_pow
-                t_pow = t_pow * t_pow
+            t_pow = root.value
+            values = [(cycle[0], t_pow)]
+            for v, c in zip(cycle[1:], coeff[1:]):
+                t_pow = mul(t_pow, t_pow)
+                values.append((v, mul(c, t_pow)))
             options.append(values)
         cycle_candidates[cycle] = options
 
@@ -155,27 +152,20 @@ def solve_monomial(
             SolveStatus.INDETERMINATE, unsolved=tuple(sorted(set(indeterminate)))
         )
 
-    comps: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in tau.cycles():
-        comps.setdefault(comp_of[cycle[0]], []).append(cycle)
-    comp_edges: dict[int, list[tuple[int, int]]] = {}
-    for (j, k), r in ratio.items():
-        comp_edges.setdefault(comp_of[j], []).append((j, k))
-
-    component_solutions: list[list[dict[int, Scalar]]] = []
-    for root in sorted(comps):
-        cycles = sorted(comps[root])
+    component_solutions: list[list[dict]] = []
+    for cycles, edges in plan.components:
+        ratios = [None] * len(edges)
         solutions = []
         for combo in itertools.product(*(cycle_candidates[c] for c in cycles)):
-            merged: dict[int, Scalar] = {}
-            for part in combo:
-                merged.update(part)
-            ok = True
-            for j, k in comp_edges.get(root, ()):
-                if merged[k] != merged[j] * merged[j] * ratio[(j, k)]:
-                    ok = False
+            merged = dict(itertools.chain.from_iterable(combo))
+            for idx, (j, k) in enumerate(edges):
+                r = ratios[idx]
+                if r is None:
+                    r = ratios[idx] = ratio(j, k)
+                d_j = merged[j]
+                if merged[k] != mul(mul(d_j, d_j), r):
                     break
-            if ok:
+            else:
                 solutions.append(merged)
         if not solutions:
             return SolveOutcome(SolveStatus.COMPLETE, ())
@@ -186,7 +176,8 @@ def solve_monomial(
         merged = {}
         for part in combo:
             merged.update(part)
-        maps.append(MonomialMap(sigma, tuple(merged[v] for v in range(n))))
+        d = tuple(Scalar(field, merged[v]) for v in range(n))
+        maps.append(MonomialMap(sigma, d))
     maps = sorted(set(maps), key=MonomialMap.sort_key)
     return SolveOutcome(SolveStatus.COMPLETE, tuple(maps))
 
@@ -386,9 +377,15 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
 # brute-force oracle over small prime fields
 
 
+def _mat_mul_mod(x, y, p: int) -> list[list[int]]:
+    cols = tuple(zip(*y))
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in x]
+
+
 def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
     """Oracle: enumerate every nonsingular monomial matrix G over GF(p) and
-    keep those with A G^(2) = G A, checking the identities literally.
+    keep those with A G^(2) = G A, checking the identity literally on int
+    matrices mod p; only the maps that pass are built as MonomialMaps.
 
     For n <= 2 and p <= 3 additionally sweeps every invertible matrix with
     the full automorphism conditions and confirms that nothing non-monomial
@@ -400,16 +397,20 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
         raise CapExceededError("oracle runs over GF(p) with p <= 13 only")
     if a.n > ORACLE_DIMENSION_CAP:
         raise CapExceededError("oracle capped at n <= 4")
-    n = a.n
-    units = [field.scalar(v) for v in range(1, field.p)]
+    n, p = a.n, field.p
+    rows = a.raw_rows
     found = []
     for images in itertools.permutations(range(n)):
-        sigma = Permutation(images)
-        for d in itertools.product(units, repeat=n):
-            g = MonomialMap(sigma, d)
-            p_mat = g.matrix()
-            if mat_equal(mat_mul(a.rows, entrywise_square(p_mat)), mat_mul(p_mat, a.rows)):
-                found.append(g)
+        for d in itertools.product(range(1, p), repeat=n):
+            g = [[0] * n for _ in range(n)]
+            g_sq = [[0] * n for _ in range(n)]
+            for i, x in enumerate(d):
+                g[images[i]][i] = x
+                g_sq[images[i]][i] = x * x
+            if _mat_mul_mod(rows, g_sq, p) == _mat_mul_mod(g, rows, p):
+                found.append(
+                    MonomialMap(Permutation(images), tuple(Scalar(field, x) for x in d))
+                )
 
     if n <= 2 and field.p <= 3:
         monomial_matrices = {g.matrix() for g in found}

@@ -174,6 +174,22 @@ class TestIso:
         assert report["status"] == "non-isomorphic"
         assert report["sigma_candidates_exhausted"] == 24
 
+    def test_first_power_cycle_is_decided(self, tmp_path, capsys):
+        # the 1-cycle closes to x^1 = 1 / (2z^3 + z^5), which is no rational
+        # times a root of unity; it has the one root c all the same
+        paths = []
+        for name, entry in (("one.json", "1"), ("c.json", "2*z^3 + z^5")):
+            path = tmp_path / name
+            path.write_text(
+                json.dumps({"field": "Q(zeta_7)", "n": 1, "entries": [[entry]]})
+            )
+            paths.append(str(path))
+        code, report = run_json(capsys, "iso", "--in", paths[0], "--b", paths[1])
+        assert code == 0 and report["status"] == "isomorphic"
+        assert "unsolved" not in report
+        cert = report["certificate"]
+        assert cert["checked"] == {"BP2_eq_PA": True, "B_PstarP_zero": True}
+
     def test_self_isomorphism(self, k4_file, capsys):
         code, report = run_json(capsys, "iso", "--in", k4_file, "--b", k4_file)
         assert code == 0 and report["certificate"]["sigma"] == [1, 2, 3, 4]
@@ -196,6 +212,7 @@ class TestCensus:
         )
         assert code == 0
         assert report["seed"] == 42
+        assert report["status"] == "ok" and "incomplete" not in report
         assert sum(report["aut_histogram"].values()) == 200
         assert sum(report["diag_histogram"].values()) == 200
 

@@ -271,6 +271,16 @@ class TestKthRoots:
         assert out.complete and len(out.roots) == 1
         assert out.roots[0] ** 7 == big.scalar(2)
 
+    def test_first_power_is_decided_in_every_field(self):
+        # c = 10/43 + ... is no rational times a root of unity, so the
+        # characteristic-zero extractor alone would leave x^1 = c undecided
+        z7 = CyclotomicField(7)
+        c = z7.parse("2*z^3 + z^5").inverse()
+        assert z7.kth_roots(c, 1) == (True, (c,), None)
+        for field in ALL_FIELDS:
+            c = field.scalar(3)
+            assert field.kth_roots(c, 1).roots == (c,)
+
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.descriptor())
     def test_ratio_between_roots_is_unity(self, field):
         rng = random.Random(5150)

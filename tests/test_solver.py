@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -114,6 +115,54 @@ class TestSolveMonomial:
         )
         out = solve_monomial(a, b, Permutation.identity(4))
         assert out.status is SolveStatus.COMPLETE and out.maps == ()
+
+    def test_empty_cycle_beats_indeterminate_in_either_order(self):
+        # the decisively empty cycle x^3 = 1/4 comes first here, the
+        # undecidable one second
+        f = CyclotomicField(5)
+        a = EvolutionAlgebra(
+            f, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        )
+        b = EvolutionAlgebra(
+            f, [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, "1 + z", 0]]
+        )
+        out = solve_monomial(a, b, Permutation.identity(4))
+        assert out.status is SolveStatus.COMPLETE and out.maps == ()
+
+    def test_indeterminate_cycle_is_reported_before_edge_checks(self):
+        # the 2-cycle on {0, 1} closes to an undecidable equation; in the
+        # other component the loops force d_2 = d_3 = 1, and the edge 2 -> 3
+        # then needs 1 = 1 * 2. The undecided cycle still wins: no edge is
+        # checked while a cycle equation is open.
+        f = CyclotomicField(5)
+        a = EvolutionAlgebra(
+            f, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
+        )
+        b = EvolutionAlgebra(
+            f, [[0, 1, 0, 0], ["1 + z", 0, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]]
+        )
+        out = solve_monomial(a, b, Permutation.identity(4))
+        assert out.status is SolveStatus.INDETERMINATE
+        assert len(out.unsolved) == 1 and out.unsolved[0].startswith("x^3 = ")
+
+    def test_plan_is_built_once_per_algebra(self, monkeypatch):
+        # the first transversal does not depend on sigma, so the 720 pattern
+        # maps of the search need it once per algebra
+        from evoalg import algebra, digraph, solver
+
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return digraph.transversals(source)
+
+        for module in (algebra, solver):
+            monkeypatch.setattr(module, "transversals", counted, raising=False)
+        a, b = two_param(6, 1, 2), two_param(6, 1, 3)
+        result = isomorphism(a, b)
+        assert result.status is IsoStatus.NOT_ISOMORPHIC
+        assert result.candidates_exhausted == 720
+        assert len(calls) <= 2
 
     def test_singular_rejected(self):
         singular = EvolutionAlgebra(Q, [[1, 1], [1, 1]])
@@ -247,6 +296,19 @@ class TestOracle:
             brute_force_automorphisms(complete_algebra(2, PrimeField(17)))
         with pytest.raises(CapExceededError):
             brute_force_automorphisms(complete_algebra(5, PrimeField(3)))
+
+    def test_each_sigma_agrees_with_solver(self):
+        # one solve per permutation, pattern automorphism or not, against
+        # the oracle's elements with that permutation
+        rng = random.Random(54)
+        for _ in range(12):
+            field = rng.choice([PrimeField(3), PrimeField(5)])
+            alg = random_idempotent(field, rng.randint(1, 3), rng)
+            oracle = brute_force_automorphisms(alg).elements
+            for images in itertools.permutations(range(alg.n)):
+                sigma = Permutation(images)
+                maps = solve_monomial(alg, alg, sigma).maps
+                assert maps == tuple(m for m in oracle if m.sigma == sigma)
 
     def test_agrees_with_solver(self):
         rng = random.Random(53)
