@@ -112,7 +112,6 @@ class SolvePlan(NamedTuple):
 
     support: tuple[tuple[int, ...], ...]  # per row k, the columns j with a_kj != 0
     inverses: tuple[tuple, ...]  # raw a_kj^-1, None where a_kj = 0
-    cycles: tuple[tuple[int, ...], ...]  # cycles of the first transversal
     components: tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]
 
 
@@ -194,7 +193,6 @@ class EvolutionAlgebra:
         return SolvePlan(
             support,
             inverses,
-            tau.cycles(),
             tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values()),
         )
 

@@ -4,8 +4,9 @@ Machine-readable JSON goes to standard output (and to --out when given);
 human summaries go to standard error, so stdout stays parseable. Reports are
 byte-identical for identical inputs, seeds, and flags other than --threads.
 
-Exit codes: 0 success, 1 parse error, 2 singular input, 3 indeterminate,
-4 negative decision (non-isomorphic or failed verification), 5 cap exceeded.
+Exit codes: 0 success, 1 parse or usage error, 2 singular input,
+3 indeterminate, 4 negative decision (non-isomorphic or failed
+verification), 5 cap exceeded.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
 
 
 def _recognized_names(group: MonomialGroup) -> list[str]:
-    if not group.closed:
+    if not group.complete:
         return []
     names = []
     order = group.order
@@ -144,7 +145,7 @@ def cmd_diag(args) -> int:
         "generator": str(lattice.generator),
         "exponent_generators": [
             {"exponents": list(vec), "order": order}
-            for vec, order in zip(lattice.exponent_generators, lattice.generator_orders)
+            for vec, order in zip(lattice.exponents.generators, lattice.exponents.orders)
         ],
         "t_A": alg.min_transversal_order,
         "conductor_sufficient": lattice.conductor_sufficient,
@@ -416,8 +417,17 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE: argparse's own code 2 means a singular
+    structure matrix here. Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evoalg",
         description=(
             "Exact automorphism groups, diagonal subgroups, and isomorphism "

@@ -186,7 +186,9 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[Permutation]:
     emitted in lexicographic image order.
 
     Backtracking over partial maps, pruned by (out-degree, in-degree, loop)
-    vertex invariants.
+    vertex invariants. At each level the edges between v and the vertices
+    already placed fix which placed images w must reach and be reached from;
+    a candidate w is compared with them as two bitmasks.
     """
     if g.n != h.n:
         return
@@ -196,31 +198,32 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[Permutation]:
     gi, hi = _invariants(g), _invariants(h)
     if sorted(gi) != sorted(hi):
         return
+    h_cols = [sum((r >> w & 1) << i for i, r in enumerate(h.rows)) for w in range(n)]
     images = [-1] * n
-    used = [False] * n
 
-    def place(v: int) -> Iterator[Permutation]:
+    def place(v: int, placed: int) -> Iterator[Permutation]:
         if v == n:
             yield Permutation(tuple(images))
             return
+        want_out = want_in = 0
+        for u in range(v):
+            bit = 1 << images[u]
+            if g.rows[v] >> u & 1:
+                want_out |= bit
+            if g.rows[u] >> v & 1:
+                want_in |= bit
         for w in range(n):
-            if used[w] or gi[v] != hi[w]:
-                continue
-            ok = True
-            for u in range(v):
-                iu = images[u]
-                if g.edge(u, v) != h.edge(iu, w) or g.edge(v, u) != h.edge(w, iu):
-                    ok = False
-                    break
-            if not ok:
+            if (
+                placed >> w & 1
+                or gi[v] != hi[w]
+                or h.rows[w] & placed != want_out
+                or h_cols[w] & placed != want_in
+            ):
                 continue
             images[v] = w
-            used[w] = True
-            yield from place(v + 1)
-            images[v] = -1
-            used[w] = False
+            yield from place(v + 1, placed | 1 << w)
 
-    yield from place(0)
+    yield from place(0, 0)
 
 
 def graph_automorphisms(g: Digraph) -> list[Permutation]:
@@ -228,21 +231,11 @@ def graph_automorphisms(g: Digraph) -> list[Permutation]:
     return list(pattern_isomorphisms(g, g))
 
 
-def _as_pattern(source) -> Digraph:
-    if isinstance(source, Digraph):
-        return source
-    digraph = getattr(source, "digraph", None)
-    if digraph is not None:
-        return digraph
-    raise ParseError(f"expected a Digraph or an algebra, got {type(source).__name__}")
-
-
-def transversals(source) -> Iterator[Permutation]:
+def transversals(g: Digraph) -> Iterator[Permutation]:
     """All permutations tau with entry (tau(j), j) nonzero for every column j,
     i.e. the perfect matchings of the bipartite support, in lexicographic
     image order. Pruned by a one-shot Hall condition on the remaining columns.
     """
-    g = _as_pattern(source)
     n = g.n
     col_masks = [0] * n
     for i in range(n):
@@ -271,13 +264,12 @@ def transversals(source) -> Iterator[Permutation]:
     yield from place(0, 0)
 
 
-def min_transversal_order(source) -> int:
+def min_transversal_order(g: Digraph) -> int:
     """The least permutation order among the transversals of the pattern.
 
     Branch-and-bound over the transversal search tree: a branch dies as soon
     as the lcm of its already-closed cycles reaches the best known order.
     """
-    g = _as_pattern(source)
     n = g.n
     if all(g.has_loop(i) for i in range(n)):
         return 1

@@ -3,8 +3,11 @@ recognition against the handful of named targets this library cares about."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Optional, Sequence
 
@@ -84,34 +87,26 @@ class MonomialMap:
         return MonomialMap(inv, d)
 
     def order(self) -> int:
-        """Exact order: with m the permutation order, the m-th power is
-        diagonal, so the order is m times the lcm of the entry orders."""
-        m = self.sigma.order()
-        power = self
-        for _ in range(m - 1):
-            power = power * self
+        """Exact order from the cycles of sigma. On the span of a cycle C of
+        length L, the L-th power acts as the scalar pi_C, the product of the
+        d_v over C, so the order there is L * ord(pi_C); the order of the map
+        is the lcm of these over the cycles."""
         total = 1
-        for x in power.d:
-            k = x.multiplicative_order()
+        for cycle in self.sigma.cycles():
+            pi = functools.reduce(operator.mul, (self.d[v] for v in cycle))
+            k = pi.multiplicative_order()
             if k is None:
                 raise CapExceededError(
-                    "a scaling entry is not a root of unity; infinite order"
+                    "a cycle product of scalings is not a root of unity; infinite order"
                 )
-            total = math.lcm(total, k)
-        return m * total
+            total = math.lcm(total, len(cycle) * k)
+        return total
 
     def sort_key(self):
         return (self.sigma.images, tuple(x.sort_key() for x in self.d))
 
     def to_json(self) -> dict:
         return {"sigma": self.sigma.to_json(), "d": [str(x) for x in self.d]}
-
-    @classmethod
-    def from_json(cls, data: dict, field: Field) -> "MonomialMap":
-        if not isinstance(data, dict) or "sigma" not in data or "d" not in data:
-            raise ParseError(f"bad monomial map JSON {data!r}")
-        sigma = Permutation.from_json(data["sigma"])
-        return cls(sigma, tuple(field.parse(s) for s in data["d"]))
 
     def __eq__(self, other):
         return (
@@ -141,11 +136,12 @@ class MonomialGroup:
     deterministic serialization.
 
     ``complete`` is False when the construction had to stop early (some
-    solve came back undecided), in which case ``closed`` is not claimed.
-    A complete set is proven closed by a Dimino closure of its sorted
-    elements that must stay inside the set; ``generators`` is the greedy
-    generating set that closure keeps (each sorted element not generated by
-    the ones before it), and ``()`` for an incomplete group.
+    solve came back undecided), in which case the set is not claimed to be
+    a group. A complete set is proven closed by a Dimino closure of its
+    sorted elements that must stay inside the set, or the constructor raises
+    UnclosedGroupError. ``generators`` is the greedy generating set that
+    closure keeps (each sorted element not generated by the ones before it),
+    and ``()`` for an incomplete group.
     """
 
     def __init__(
@@ -164,7 +160,6 @@ class MonomialGroup:
         for g in self.elements:
             if g.n != n or g.field != field:
                 raise FieldMismatchError("group elements disagree on n or field")
-        self.closed = False
         self.generators: tuple[MonomialMap, ...] = ()
         if complete:
             # the closure lies inside the finite set and contains all of it,
@@ -173,28 +168,19 @@ class MonomialGroup:
             if closure is None:
                 raise UnclosedGroupError("element set is not closed under the group laws")
             self.generators = closure[1]
-            self.closed = True
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g):
-        return g in set(self.elements)
 
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
         return tuple(g for g in self.elements if g.is_diagonal)
 
     def profile(self) -> GroupProfile:
-        if not self.closed:
+        if not self.complete:
             raise UnclosedGroupError("profile requires a closed group")
-        hist: dict[int, int] = {}
-        for g in self.elements:
-            hist[g.order()] = hist.get(g.order(), 0) + 1
+        hist = Counter(g.order() for g in self.elements)
         abelian = all(
             g * h == h * g for g, h in itertools.combinations(self.generators, 2)
         )
@@ -374,8 +360,14 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
     exponent of the conjugation action. Symmetric groups are matched either
     through a faithful full image in the permutation quotient or through the
     exact element-order histogram.
+
+    Facts that follow from the order are not re-checked: a rotation subgroup
+    of index 2 is normal; a flip that inverts a rotation of order k >= 3
+    does not commute with it, so it lies outside the rotations; the diagonal
+    part is normal as the kernel of g -> sigma; and a trivial kernel with
+    |G| = k! on k letters forces the image to be all of S_k.
     """
-    if not group.closed:
+    if not group.complete:
         raise UnclosedGroupError("recognition requires a closed group")
     if group.order > RECOGNITION_CAP:
         raise CapExceededError(f"recognition capped at order {RECOGNITION_CAP}")
@@ -394,16 +386,9 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
     if isinstance(target, Symmetric):
         if group.order != math.factorial(target.k):
             return RecognitionReport(target, False)
-        if target.k == group.n:
-            kernel = [g for g in group.elements if g.is_diagonal]
-            image = {g.sigma for g in group.elements}
-            if len(kernel) == 1 and len(image) == math.factorial(target.k):
-                return RecognitionReport(target, True, {"method": "faithful image"})
-        hist = {
-            order: cnt
-            for order, cnt in group.profile().element_order_histogram.items()
-        }
-        if hist == _symmetric_histogram(target.k):
+        if target.k == group.n and len(group.diagonal_part()) == 1:
+            return RecognitionReport(target, True, {"method": "faithful image"})
+        if group.profile().element_order_histogram == _symmetric_histogram(target.k):
             return RecognitionReport(target, True, {"method": "order histogram"})
         return RecognitionReport(target, False)
 
@@ -414,18 +399,9 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         for rot in group.elements:
             if rot.order() != k:
                 continue
-            cyc = {MonomialMap.identity(group.field, group.n)}
-            cur = rot
-            while cur not in cyc:
-                cyc.add(cur)
-                cur = cur * rot
-            if not _normal_in(group, cyc):
-                continue
             rot_inv = rot.inverse()
             for flip in group.elements:
-                if flip in cyc or flip.order() != 2:
-                    continue
-                if flip * rot * flip.inverse() == rot_inv:
+                if flip.order() == 2 and flip * rot * flip == rot_inv:
                     return RecognitionReport(
                         target,
                         True,
@@ -437,39 +413,30 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         m, k = target.m, target.k
         if group.order != m * k:
             return RecognitionReport(target, False)
-        diag = set(group.diagonal_part())
+        diag = group.diagonal_part()
         if len(diag) != m:
             return RecognitionReport(target, False)
         gen = next((g for g in diag if g.order() == m), None)
-        if gen is None or not _normal_in(group, diag):
+        if gen is None:
             return RecognitionReport(target, False)
+        gen_powers = [MonomialMap.identity(group.field, group.n)]
+        while len(gen_powers) < m:
+            gen_powers.append(gen_powers[-1] * gen)
         for comp in group.elements:
-            if comp.order() != k:
+            # comp^j is diagonal exactly when sigma^j is the identity, so
+            # <comp> meets the diagonal part trivially iff sigma has order k
+            if comp.order() != k or comp.sigma.order() != k:
                 continue
-            powers = {MonomialMap.identity(group.field, group.n)}
-            cur = comp
-            while cur not in powers:
-                powers.add(cur)
-                cur = cur * comp
-            if len(powers & diag) != 1:
-                continue
-            # conjugation action of the complement on the normal generator
+            # conjugation action of the complement on the normal generator;
+            # the conjugate is diagonal, so it is a power of gen
             conj = comp * gen * comp.inverse()
-            exponent, cur = None, MonomialMap.identity(group.field, group.n)
-            for e in range(m):
-                if cur == conj:
-                    exponent = e
-                    break
-                cur = cur * gen
-            if exponent is None or conj not in diag:
-                continue
             return RecognitionReport(
                 target,
                 True,
                 {
                     "normal_generator": gen.to_json(),
                     "complement_generator": comp.to_json(),
-                    "action_exponent": exponent,
+                    "action_exponent": gen_powers.index(conj),
                 },
             )
         return RecognitionReport(target, False)
@@ -502,27 +469,33 @@ class QuotientEmbeddingReport:
 def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbeddingReport:
     """Confirm that the diagonal maps form the kernel of the permutation
     quotient, that they are normal, and that the quotient lands inside the
-    pattern automorphisms of the algebra."""
-    from .digraph import graph_automorphisms
+    pattern automorphisms of the algebra.
+
+    Each image sigma is tested directly: it is a pattern automorphism when
+    relabelling the pattern by sigma gives the pattern back. Closure is
+    checked on the generators: every element is a word in them, so the
+    image lies in the subgroup their permutations generate, and an image
+    that holds the identity and is mapped into itself by each of those
+    permutations contains that subgroup; |image| * |generators| products.
+    """
     from .solver import diagonal_subgroup
 
-    if not group.closed:
+    if not group.complete:
         raise UnclosedGroupError("quotient check requires a closed group")
     kernel = set(group.diagonal_part())
     lattice = diagonal_subgroup(algebra)
-    diag_maps = set(lattice.maps())
     image = {g.sigma for g in group.elements}
-    graph_auts = set(graph_automorphisms(algebra.digraph))
-    image_subgroup = all(
-        a * b.inverse() in image for a in image for b in image
+    pattern = algebra.digraph
+    image_subgroup = Permutation.identity(group.n) in image and all(
+        s * g.sigma in image for g in group.generators for s in image
     )
     return QuotientEmbeddingReport(
         kernel_order=len(kernel),
         diagonal_order=lattice.order,
-        kernel_equals_diagonal=kernel == diag_maps,
+        kernel_equals_diagonal=kernel == set(lattice.maps()),
         kernel_normal=_normal_in(group, kernel),
         image_order=len(image),
-        image_in_graph_automorphisms=image <= graph_auts,
+        image_in_graph_automorphisms=all(pattern.relabel(s) == pattern for s in image),
         image_is_subgroup=image_subgroup,
         counts_consistent=group.order == len(kernel) * len(image),
     )

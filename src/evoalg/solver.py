@@ -61,10 +61,6 @@ class SolveOutcome:
     maps: tuple[MonomialMap, ...] = ()
     unsolved: tuple[str, ...] = ()
 
-    @property
-    def is_complete(self) -> bool:
-        return self.status is SolveStatus.COMPLETE
-
 
 def _check_pair(a: EvolutionAlgebra, b: EvolutionAlgebra) -> None:
     if a.n != b.n:
@@ -81,11 +77,17 @@ def solve_monomial(
     """All scaling vectors d making (sigma, d) a map of E(A) onto E(B).
 
     Steps: reject on zero-pattern mismatch; read off the multiplicative
-    constraints d_k = d_j^2 * r_kj at nonzero entries; root every cycle of one
-    transversal and solve its closing equation with kth_roots; combine cycle
-    candidates inside each weakly-connected constraint component, checking
-    every remaining constraint; multiply the components out. Output is sorted
-    by scaling vector, so it is deterministic.
+    constraints d_k = d_j^2 * r_kj at nonzero entries; then, for each
+    weakly-connected constraint component, root every cycle of one
+    transversal inside it, solve its closing equation with kth_roots, and
+    combine the cycle candidates, checking every remaining constraint of the
+    component; multiply the components out. Output is sorted by scaling
+    vector, so it is deterministic.
+
+    Components are independent. One with an undecided cycle equation is
+    skipped and its equation reported; the solve is INDETERMINATE only if no
+    component settles it. An unsatisfiable cycle, or a decided component
+    with no solution, settles it as COMPLETE with no maps.
 
     What does not depend on sigma (the transversal, the components, the
     inverses of A's entries) is A's `solve_plan`, built once per algebra.
@@ -118,45 +120,43 @@ def solve_monomial(
         return mul(b_raw[s[k]][s[j]], inverses[k][j])
 
     indeterminate: list[str] = []
-    cycle_candidates: dict[tuple[int, ...], list[list[tuple[int, object]]]] = {}
-    for cycle in plan.cycles:
-        # d at the idx-th cycle vertex is coeff[idx] * root^(2^idx); coeff[0]
-        # is one (None here), and the edge back to the start closes the cycle
-        # as root = closing * root^(2^L), that is root^(2^L - 1) = 1 / closing
-        coeff = [None]
-        for v, w in zip(cycle, cycle[1:] + cycle[:1]):
-            r, c = ratio(v, w), coeff[-1]
-            coeff.append(r if c is None else mul(r, mul(c, c)))
-        closing = coeff.pop()
-        k_exp = 2 ** len(cycle) - 1
-        roots = field.kth_roots(Scalar(field, field._inv(closing)), k_exp)
-        if not roots.complete:
-            indeterminate.append(roots.equation or f"x^{k_exp} = ?")
-            continue
-        if not roots.roots:
-            # one unsatisfiable cycle settles the whole solve, even if some
-            # other cycle equation was left undecided
-            return SolveOutcome(SolveStatus.COMPLETE, ())
-        options = []
-        for root in roots.roots:
-            t_pow = root.value
-            values = [(cycle[0], t_pow)]
-            for v, c in zip(cycle[1:], coeff[1:]):
-                t_pow = mul(t_pow, t_pow)
-                values.append((v, mul(c, t_pow)))
-            options.append(values)
-        cycle_candidates[cycle] = options
-
-    if indeterminate:
-        return SolveOutcome(
-            SolveStatus.INDETERMINATE, unsolved=tuple(sorted(set(indeterminate)))
-        )
-
     component_solutions: list[list[dict]] = []
     for cycles, edges in plan.components:
+        cycle_options = []
+        for cycle in cycles:
+            # d at the idx-th cycle vertex is coeff[idx] * root^(2^idx);
+            # coeff[0] is one (None here), and the edge back to the start
+            # closes the cycle as root = closing * root^(2^L), that is
+            # root^(2^L - 1) = 1 / closing
+            coeff = [None]
+            for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                r, c = ratio(v, w), coeff[-1]
+                coeff.append(r if c is None else mul(r, mul(c, c)))
+            closing = coeff.pop()
+            k_exp = 2 ** len(cycle) - 1
+            roots = field.kth_roots(Scalar(field, field._inv(closing)), k_exp)
+            if not roots.complete:
+                indeterminate.append(roots.equation or f"x^{k_exp} = ?")
+                continue
+            if not roots.roots:
+                # one unsatisfiable cycle settles the whole solve, even if some
+                # other cycle equation was left undecided
+                return SolveOutcome(SolveStatus.COMPLETE, ())
+            options = []
+            for root in roots.roots:
+                t_pow = root.value
+                values = [(cycle[0], t_pow)]
+                for v, c in zip(cycle[1:], coeff[1:]):
+                    t_pow = mul(t_pow, t_pow)
+                    values.append((v, mul(c, t_pow)))
+                options.append(values)
+            cycle_options.append(options)
+        if len(cycle_options) < len(cycles):
+            continue  # an open cycle equation leaves this component undecided
+
         ratios = [None] * len(edges)
         solutions = []
-        for combo in itertools.product(*(cycle_candidates[c] for c in cycles)):
+        for combo in itertools.product(*cycle_options):
             merged = dict(itertools.chain.from_iterable(combo))
             for idx, (j, k) in enumerate(edges):
                 r = ratios[idx]
@@ -168,8 +168,15 @@ def solve_monomial(
             else:
                 solutions.append(merged)
         if not solutions:
+            # components are independent: a decided one without solutions
+            # settles the solve, even beside an undecided one
             return SolveOutcome(SolveStatus.COMPLETE, ())
         component_solutions.append(solutions)
+
+    if indeterminate:
+        return SolveOutcome(
+            SolveStatus.INDETERMINATE, unsolved=tuple(sorted(set(indeterminate)))
+        )
 
     maps = []
     for combo in itertools.product(*component_solutions):
@@ -191,14 +198,17 @@ class DiagonalLattice:
     """The diagonal automorphisms d_i = g^(x_i), described by the solution
     subgroup of the congruences 2 x_j = x_i (mod N) at nonzero entries."""
 
-    field: object
-    n: int
-    modulus: int
     generator: Scalar
-    exponent_generators: tuple[tuple[int, ...], ...]
-    generator_orders: tuple[int, ...]
-    order: int
+    exponents: CongruenceSolution
     min_transversal_order: int
+
+    @property
+    def modulus(self) -> int:
+        return self.exponents.modulus
+
+    @property
+    def order(self) -> int:
+        return self.exponents.order
 
     @property
     def conductor_sufficient(self) -> bool:
@@ -212,19 +222,12 @@ class DiagonalLattice:
             raise CapExceededError(
                 f"diagonal subgroup of order {self.order} exceeds the cap"
             )
-        powers = [self.field.one]
+        powers = [self.generator.field.one]
         for _ in range(self.modulus - 1):
             powers.append(powers[-1] * self.generator)
-        solution = CongruenceSolution(
-            self.modulus,
-            self.n,
-            self.exponent_generators,
-            self.generator_orders,
-            self.order,
-        )
         out = [
             MonomialMap.diagonal(tuple(powers[e] for e in vec))
-            for vec in solution.elements()
+            for vec in self.exponents.elements()
         ]
         return tuple(sorted(set(out), key=MonomialMap.sort_key))
 
@@ -247,15 +250,9 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
                 row[i] -= 1
                 rows.append(row)
     unity = a.field.unity_group()
-    sol = solve_homogeneous_mod(rows, n, unity.order)
     return DiagonalLattice(
-        field=a.field,
-        n=n,
-        modulus=unity.order,
         generator=unity.generator,
-        exponent_generators=sol.generators,
-        generator_orders=sol.orders,
-        order=sol.order,
+        exponents=solve_homogeneous_mod(rows, n, unity.order),
         min_transversal_order=a.min_transversal_order,
     )
 

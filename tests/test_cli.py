@@ -278,3 +278,16 @@ def test_cli_import_loads_no_thread_pool():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse exits 2 by default, which here means a singular matrix
+    for argv in (
+        ["census", "--field", "GF(3)", "--n", "x"],
+        ["aut"],
+        ["no-such-command"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: evoalg" in capsys.readouterr().err

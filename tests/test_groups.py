@@ -87,18 +87,28 @@ class TestComposition:
             assert (g * h).sigma == g.sigma * h.sigma
 
     def test_order_matches_repeated_composition(self):
+        # the repeated product is the definition the cycle formula must meet;
+        # entries are arbitrary units, only each cycle's product is a root of
+        # unity, so the order is finite without every entry having one
         rng = random.Random(16)
-        z7 = CyclotomicField(7)
-        for field in (PrimeField(7), Z3, z7):
+        for field in (
+            PrimeField(7), PrimeField(13), Q, Z3, CyclotomicField(7), CyclotomicField(15)
+        ):
+            roots = field.roots_of_unity(field.unity_group().order)
             for _ in range(12):
-                images = list(range(3))
-                rng.shuffle(images)
-                roots = field.roots_of_unity(field.unity_group().order)
-                d = tuple(rng.choice(roots) for _ in range(3))
-                g = MonomialMap(Permutation(images), d)
-                ident = MonomialMap.identity(field, 3)
+                g = random_monomial(field, 4, rng)
+                while g.sigma.is_identity():
+                    g = random_monomial(field, 4, rng)
+                d = list(g.d)
+                for cycle in g.sigma.cycles():
+                    rest = field.one
+                    for v in cycle[:-1]:
+                        rest = rest * d[v]
+                    d[cycle[-1]] = rng.choice(roots) / rest
+                g = MonomialMap(g.sigma, d)
+                ident = MonomialMap.identity(field, 4)
                 naive, cur = None, g
-                for k in range(1, 200):
+                for k in range(1, 500):
                     if cur == ident:
                         naive = k
                         break
@@ -131,7 +141,7 @@ class TestComposition:
 class TestClosure:
     def test_empty_generators(self):
         grp = close_generators([], field=Q, n=2)
-        assert grp.order == 1 and grp.closed
+        assert grp.order == 1 and grp.complete
 
     def test_third_roots_diagonal(self):
         z = Z3.zeta
@@ -152,7 +162,7 @@ class TestClosure:
         rng = random.Random(14)
         gens = [random_monomial(PrimeField(5), 3, rng) for _ in range(2)]
         grp = close_generators(gens)
-        assert MonomialGroup(grp.field, grp.n, grp.elements).closed
+        assert MonomialGroup(grp.field, grp.n, grp.elements).complete
 
     def test_set_without_identity_rejected(self):
         z = Z3.zeta
@@ -235,6 +245,37 @@ class TestRecognition:
         assert recognize(grp, Dihedral(3)).matched
         rep = recognize(grp, SemidirectCyclic(3, 2))
         assert rep.matched and rep.witness["action_exponent"] == 2
+
+    def test_golden_matches_and_witnesses(self):
+        # S3 over Q(zeta_3) acts on two indices, so Symmetric needs the
+        # histogram; K4's S4 is a faithful image with trivial diagonal part
+        grp = self.s3_over_zeta3()
+        rot = {"sigma": [1, 2], "d": ["-1 - z", "z"]}
+        flip = {"sigma": [2, 1], "d": ["-1 - z", "z"]}
+        assert recognize(grp, Symmetric(3)).witness == {"method": "order histogram"}
+        assert recognize(grp, Dihedral(3)).witness == {
+            "rotation": rot, "reflection": flip
+        }
+        assert recognize(grp, SemidirectCyclic(3, 2)).witness == {
+            "normal_generator": rot,
+            "complement_generator": flip,
+            "action_exponent": 2,
+        }
+        k4 = automorphism_group(complete_graph_algebra(4, Q))
+        assert recognize(k4, Symmetric(4)).witness == {"method": "faithful image"}
+        assert not recognize(k4, Dihedral(12)).matched
+        assert not recognize(k4, Symmetric(3)).matched
+        # C6 on three indices has order 3! but a nontrivial diagonal part,
+        # and its element of order 2 commutes with those of order 3
+        c6 = close_generators([MonomialMap.diagonal((-Z3.zeta, Z3.one, Z3.one))])
+        assert recognize(c6, Cyclic(6)).matched
+        assert not recognize(c6, Symmetric(3)).matched
+        assert not recognize(c6, Dihedral(3)).matched
+        # C4 from (swap, (1, -1)): its square -1 is diagonal, and the only
+        # element of order 2, so no complement C2 exists
+        c4 = close_generators([MonomialMap(Permutation((1, 0)), (Q.one, -Q.one))])
+        assert recognize(c4, Cyclic(4)).matched
+        assert not recognize(c4, SemidirectCyclic(2, 2)).matched
 
     def test_cyclic_6_rejected_for_s3(self):
         assert not recognize(self.s3_over_zeta3(), Cyclic(6)).matched

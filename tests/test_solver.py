@@ -8,7 +8,7 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.digraph import Permutation, graph_automorphisms
 from evoalg.errors import CapExceededError, SingularMatrixError
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
-from evoalg.groups import MonomialMap, quotient_embedding_check
+from evoalg.groups import MonomialGroup, MonomialMap, quotient_embedding_check
 from evoalg.solver import (
     IsoStatus,
     SolveStatus,
@@ -101,6 +101,12 @@ class TestSolveMonomial:
         out = solve_monomial(alg, alg, Permutation((1, 0)))
         assert out.status is SolveStatus.INDETERMINATE
         assert out.unsolved
+        # the loop at 0 is an edge check in the open cycle's component
+        a = EvolutionAlgebra(f, [[1, 1], [1, 0]])
+        b = EvolutionAlgebra(f, [[1, "1 + z"], [1, 0]])
+        out = solve_monomial(a, b, Permutation.identity(2))
+        assert out.status is SolveStatus.INDETERMINATE
+        assert out.unsolved == ("x^3 = -z - z^3 over Q(zeta_5)",)
 
     def test_empty_cycle_beats_indeterminate(self):
         # two 2-cycles: the first closes to an undecidable equation, while
@@ -129,17 +135,25 @@ class TestSolveMonomial:
         out = solve_monomial(a, b, Permutation.identity(4))
         assert out.status is SolveStatus.COMPLETE and out.maps == ()
 
-    def test_indeterminate_cycle_is_reported_before_edge_checks(self):
+    def test_decided_component_settles_beside_undecided_cycle(self):
         # the 2-cycle on {0, 1} closes to an undecidable equation; in the
         # other component the loops force d_2 = d_3 = 1, and the edge 2 -> 3
-        # then needs 1 = 1 * 2. The undecided cycle still wins: no edge is
-        # checked while a cycle equation is open.
+        # then needs 1 = 1 * 2. Components are independent, so that decided,
+        # empty component settles the solve: no map exists whatever the
+        # undecided cycle's roots are.
         f = CyclotomicField(5)
         a = EvolutionAlgebra(
             f, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
         )
         b = EvolutionAlgebra(
             f, [[0, 1, 0, 0], ["1 + z", 0, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]]
+        )
+        out = solve_monomial(a, b, Permutation.identity(4))
+        assert out.status is SolveStatus.COMPLETE and out.maps == ()
+        assert out.unsolved == ()
+        # with the edge satisfied, the open cycle leaves the solve undecided
+        b = EvolutionAlgebra(
+            f, [[0, 1, 0, 0], ["1 + z", 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
         )
         out = solve_monomial(a, b, Permutation.identity(4))
         assert out.status is SolveStatus.INDETERMINATE
@@ -235,7 +249,7 @@ class TestDiagonalSubgroup:
 class TestAutomorphismGroup:
     def test_k4_over_q(self):
         grp = automorphism_group(complete_algebra(4))
-        assert grp.order == 24 and grp.closed
+        assert grp.order == 24 and grp.complete
 
     def test_cycle3_over_zeta7(self):
         grp = automorphism_group(cycle_algebra(3, field=Z7))
@@ -253,7 +267,7 @@ class TestAutomorphismGroup:
         f = CyclotomicField(5)
         alg = EvolutionAlgebra(f, [[0, 1], ["1 + z", 0]])
         grp = automorphism_group(alg)
-        assert not grp.complete and not grp.closed
+        assert not grp.complete
 
     def test_quotient_embedding(self):
         for alg in (
@@ -264,6 +278,27 @@ class TestAutomorphismGroup:
             grp = automorphism_group(alg)
             report = quotient_embedding_check(grp, alg)
             assert report.ok
+
+    def test_quotient_check_lists_no_pattern_automorphisms(self, monkeypatch):
+        from evoalg import digraph
+
+        def refuse(g):
+            raise AssertionError("graph_automorphisms was called")
+
+        monkeypatch.setattr(digraph, "graph_automorphisms", refuse)
+        alg = complete_algebra(4)
+        assert quotient_embedding_check(automorphism_group(alg), alg).ok
+
+    def test_quotient_check_rejects_sigma_off_the_pattern(self):
+        # {id, swap} is a closed group, but the swap reverses the edge 0 -> 1
+        # of this pattern; its kernel and counts are consistent
+        alg = EvolutionAlgebra(Q, [[1, 1], [0, 1]])
+        swap = MonomialMap(Permutation((1, 0)), (Q.one, Q.one))
+        grp = MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2), swap])
+        report = quotient_embedding_check(grp, alg)
+        assert not report.image_in_graph_automorphisms and not report.ok
+        assert report.kernel_equals_diagonal and report.image_is_subgroup
+        assert report.counts_consistent
 
     def test_eq34_shape_over_zeta3(self):
         alg = EvolutionAlgebra(Z3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
