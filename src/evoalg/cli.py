@@ -105,9 +105,10 @@ def _recognized_names(group: MonomialGroup) -> list[str]:
 def cmd_aut(args) -> int:
     alg = _load_algebra(args.infile, args.field).require_idempotent()
     t0 = time.monotonic()
-    group = automorphism_group(alg)
+    sigmas = graph_automorphisms(alg.digraph)
+    group = automorphism_group(alg, sigmas)
     lattice = diagonal_subgroup(alg)
-    graph_count = len(graph_automorphisms(alg.digraph))
+    graph_count = len(sigmas)
     report = {
         "command": "aut",
         "status": "ok" if group.complete else "indeterminate",

@@ -90,18 +90,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
-    def cycle_string(self) -> str:
-        parts = ["(" + " ".join(str(v + 1) for v in c) + ")" for c in self.cycles() if len(c) > 1]
-        return "".join(parts) if parts else "()"
-
     def to_json(self) -> list[int]:
         return [v + 1 for v in self.images]
-
-    @classmethod
-    def from_json(cls, data) -> "Permutation":
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-            raise ParseError(f"bad permutation JSON {data!r}")
-        return cls(tuple(v - 1 for v in data))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

@@ -308,15 +308,24 @@ class Field(metaclass=_Interned):
         return sorted(out, key=Scalar.sort_key)
 
     def multiplicative_order(self, x: Scalar) -> Optional[int]:
-        """Order of x when x is a root of unity, else None."""
+        """Order of x when x is a root of unity, else None.
+
+        Read from the root-of-unity table: x = g**e has order N / gcd(e, N),
+        and x is no root of unity when the table lacks it. A field whose N
+        exceeds DLOG_TABLE_LIMIT (GF(p) with p > 10**6) builds no table and
+        strips prime factors from N while x**(N/q) stays one instead.
+        """
         x = self.scalar(x)
         if x.is_zero:
             raise ZeroDivisionError("zero has no multiplicative order")
         big_n = self._unity_order()
+        if big_n <= DLOG_TABLE_LIMIT:
+            e = self._unity_dlog(x.value)
+            return None if e is None else big_n // math.gcd(e, big_n)
         if x**big_n != self.one:
             return None
         t = big_n
-        for q in prime_factors(big_n) if big_n > 1 else []:
+        for q in prime_factors(big_n):
             while t % q == 0 and x ** (t // q) == self.one:
                 t //= q
         return t

@@ -164,14 +164,23 @@ class MonomialGroup:
         if complete:
             # the closure lies inside the finite set and contains all of it,
             # so the set is closed under products and hence a group
-            closure = _dimino(field, n, self.elements, within=set(self.elements))
-            if closure is None:
+            within = set(self.elements)
+            closure = Closure(field, n, within=within)
+            if closure.identity not in within or not all(
+                map(closure.add, self.elements)
+            ):
                 raise UnclosedGroupError("element set is not closed under the group laws")
-            self.generators = closure[1]
+            self.generators = tuple(closure.generators)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of each element, aligned with ``elements``; computed
+        once per group and read by ``profile`` and ``recognize``."""
+        return tuple(g.order() for g in self.elements)
 
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
@@ -180,7 +189,7 @@ class MonomialGroup:
     def profile(self) -> GroupProfile:
         if not self.complete:
             raise UnclosedGroupError("profile requires a closed group")
-        hist = Counter(g.order() for g in self.elements)
+        hist = Counter(self.element_orders)
         abelian = all(
             g * h == h * g for g, h in itertools.combinations(self.generators, 2)
         )
@@ -203,36 +212,44 @@ class MonomialGroup:
         }
 
 
-def _dimino(
-    field: Field,
-    n: int,
-    candidates: Iterable[MonomialMap],
-    *,
-    within: Optional[set] = None,
-    cap: int = CLOSURE_CAP,
-):
-    """Dimino's closure (Butler 1991; Seress 2003) in O(|G| * |S|) products.
+class Closure:
+    """Dimino's closure (Butler 1991; Seress 2003), grown one generator at
+    a time in O(|G| * |S|) products for the generators S it keeps.
 
-    Walks the candidates in order and keeps each one not yet generated as a
-    new generator s. The group then grows by whole right cosets H*x of the
+    ``add(s)`` keeps s as a new generator unless the group found so far
+    already holds it. The group then grows by whole right cosets H*x of the
     previous subgroup H: every coset representative is multiplied by every
     generator so far, and a product outside the group found so far starts a
-    new coset. Returns ``(elements, generators)`` with the elements in
-    generation order, or None when ``within`` is given and the identity is
-    missing from it or a product falls outside it.
+    new coset. ``elements`` lists the group in generation order, identity
+    first. With ``within`` given, ``add`` returns False as soon as a product
+    falls outside that set, leaving the closure unfinished. The constructor
+    of MonomialGroup proves sets closed with it, ``close_generators`` closes
+    generator lists, and ``automorphism_group`` grows it by lifts.
     """
-    ident = MonomialMap.identity(field, n)
-    if within is not None and ident not in within:
-        return None
-    elements = [ident]
-    have = {ident}
-    gens: list[MonomialMap] = []
-    for s in candidates:
-        if s in have:
-            continue
+
+    def __init__(
+        self,
+        field: Field,
+        n: int,
+        *,
+        within: Optional[set] = None,
+        cap: int = CLOSURE_CAP,
+    ):
+        self.identity = MonomialMap.identity(field, n)
+        self.elements = [self.identity]
+        self.generators: list[MonomialMap] = []
+        self._have = {self.identity}
+        self._within = within
+        self._cap = cap
+
+    def add(self, s: MonomialMap) -> bool:
+        if s in self._have:
+            return True
+        gens = self.generators
         gens.append(s)
+        elements, have, within = self.elements, self._have, self._within
         sub = elements[1:]  # H without its identity
-        reps = [ident]
+        reps = [self.identity]
         for rep in reps:  # grows while it is walked
             for t in gens:
                 x = rep * t
@@ -240,13 +257,13 @@ def _dimino(
                     continue
                 coset = [x] + [h * x for h in sub]
                 if within is not None and not within.issuperset(coset):
-                    return None
+                    return False
                 reps.append(x)
                 elements.extend(coset)
                 have.update(coset)
-                if len(elements) > cap:
-                    raise CapExceededError(f"closure passed the cap {cap}")
-    return elements, tuple(gens)
+                if len(elements) > self._cap:
+                    raise CapExceededError(f"closure passed the cap {self._cap}")
+        return True
 
 
 def close_generators(
@@ -263,8 +280,10 @@ def close_generators(
         n = gens[0].n
     elif field is None or n is None:
         raise ParseError("empty generator list needs explicit field and n")
-    elements, _ = _dimino(field, n, gens, cap=cap)
-    return MonomialGroup(field, n, elements)
+    closure = Closure(field, n, cap=cap)
+    for g in gens:
+        closure.add(g)
+    return MonomialGroup(field, n, closure.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +371,15 @@ def _normal_in(group: MonomialGroup, subgroup: set[MonomialMap]) -> bool:
     return True
 
 
+def _of_order(group: MonomialGroup, k: int) -> list[MonomialMap]:
+    """The elements of order k, in element order; none without a scan when
+    k is absent from the cached orders."""
+    orders = group.element_orders
+    if k not in orders:
+        return []
+    return [g for g, o in zip(group.elements, orders) if o == k]
+
+
 def recognize(group: MonomialGroup, target) -> RecognitionReport:
     """Decide whether the group matches a named target, with a witness.
 
@@ -376,11 +404,10 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         return RecognitionReport(target, group.order == 1)
 
     if isinstance(target, Cyclic):
-        if group.order != target.k:
+        orders = group.element_orders
+        if group.order != target.k or target.k not in orders:
             return RecognitionReport(target, False)
-        gen = next((g for g in group.elements if g.order() == target.k), None)
-        if gen is None:
-            return RecognitionReport(target, False)
+        gen = group.elements[orders.index(target.k)]
         return RecognitionReport(target, True, {"generator": gen.to_json()})
 
     if isinstance(target, Symmetric):
@@ -396,12 +423,11 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         k = target.k
         if k < 3 or group.order != 2 * k:
             return RecognitionReport(target, False)
-        for rot in group.elements:
-            if rot.order() != k:
-                continue
+        flips = _of_order(group, 2)
+        for rot in _of_order(group, k):
             rot_inv = rot.inverse()
-            for flip in group.elements:
-                if flip.order() == 2 and flip * rot * flip == rot_inv:
+            for flip in flips:
+                if flip * rot * flip == rot_inv:
                     return RecognitionReport(
                         target,
                         True,
@@ -416,16 +442,16 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         diag = group.diagonal_part()
         if len(diag) != m:
             return RecognitionReport(target, False)
-        gen = next((g for g in diag if g.order() == m), None)
+        gen = next((g for g in _of_order(group, m) if g.is_diagonal), None)
         if gen is None:
             return RecognitionReport(target, False)
         gen_powers = [MonomialMap.identity(group.field, group.n)]
         while len(gen_powers) < m:
             gen_powers.append(gen_powers[-1] * gen)
-        for comp in group.elements:
+        for comp in _of_order(group, k):
             # comp^j is diagonal exactly when sigma^j is the identity, so
             # <comp> meets the diagonal part trivially iff sigma has order k
-            if comp.order() != k or comp.sigma.order() != k:
+            if comp.sigma.order() != k:
                 continue
             # conjugation action of the complement on the normal generator;
             # the conjugate is diagonal, so it is a power of gen

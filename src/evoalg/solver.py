@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .fields import PrimeField, Scalar
-from .groups import MonomialGroup, MonomialMap
+from .groups import Closure, MonomialGroup, MonomialMap
 from .snf import CongruenceSolution, solve_homogeneous_mod
 
 MATERIALIZE_CAP = 10**6
@@ -261,25 +261,79 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 # full automorphism group
 
 
-def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
+def automorphism_group(
+    a: EvolutionAlgebra, sigmas: Optional[list[Permutation]] = None
+) -> MonomialGroup:
     """The group of all monomial self-maps of E(A); every automorphism is one.
 
-    When some solve is undecided the group is returned partial and unclosed.
+    ``sigmas`` is ``graph_automorphisms(a.digraph)`` when the caller has
+    listed it already; otherwise it is listed here.
+
+    Aut(E) is an extension of the diagonal group D, the lifts of the
+    identity, by the subgroup L of pattern automorphisms that lift, and the
+    lifts of each sigma in L form one coset of D. So D is solved first, and
+    the walk over the pattern automorphisms keeps a closure of the lifts
+    found so far with its image H in L. A sigma in H is skipped: its lifts
+    are already products in the closure. A sigma without lifts marks its
+    coset H*sigma dead, since h*sigma lifting would make sigma lift, and a
+    sigma in a dead coset is skipped too. Every other sigma is solved and
+    its lifts extend the closure. K_n over Q takes n solves, not n!. A
+    skipped sigma is settled by the group, not by its own solve, so the
+    group is complete when every solve run is decided, even where the solve
+    of a skipped sigma would leave a cycle equation open.
+
+    When some solve is undecided the group is returned partial and unclosed:
+    its elements are then exactly the maps of every decided solve over all
+    pattern automorphisms, as a partial set makes no claim of closure.
     """
     a.require_idempotent()
     if a.n > SEARCH_DIMENSION_CAP:
         raise DimensionCapError(
             f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}"
         )
-    elements: list[MonomialMap] = []
-    complete = True
-    for sigma in graph_automorphisms(a.digraph):
+    if sigmas is None:
+        sigmas = graph_automorphisms(a.digraph)
+    kernel = solve_monomial(a, a, Permutation.identity(a.n))
+    if kernel.status is not SolveStatus.INDETERMINATE:
+        elements = _lift_closure(a, sigmas, kernel.maps)
+        if elements is not None:
+            return MonomialGroup(a.field, a.n, elements)
+
+    elements = []
+    for sigma in sigmas:
+        outcome = solve_monomial(a, a, sigma)
+        if outcome.status is not SolveStatus.INDETERMINATE:
+            elements.extend(outcome.maps)
+    return MonomialGroup(a.field, a.n, elements, complete=False)
+
+
+def _lift_closure(
+    a: EvolutionAlgebra, sigmas: list[Permutation], kernel: tuple[MonomialMap, ...]
+) -> Optional[list[MonomialMap]]:
+    """The walk of `automorphism_group` from the diagonal group ``kernel``:
+    every automorphism, or None as soon as a solve is undecided."""
+    elements = list(kernel)
+    image = {g.sigma for g in elements}
+    dead: set[Permutation] = set()
+    closure = Closure(a.field, a.n)
+    for sigma in sigmas:
+        if sigma in image or sigma in dead:
+            continue
         outcome = solve_monomial(a, a, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
-            complete = False
-        else:
-            elements.extend(outcome.maps)
-    return MonomialGroup(a.field, a.n, elements, complete=complete)
+            return None
+        if outcome.maps:
+            # the lifts of sigma are a coset g*D, so D comes into the
+            # closure with them; D alone is a group and needs no closing
+            for g in outcome.maps:
+                closure.add(g)
+            elements = closure.elements
+            image = {g.sigma for g in elements}
+        elif len(image) > 1:
+            # the walk never meets sigma again, so a coset of the trivial
+            # group marks nothing
+            dead.update(h * sigma for h in image)
+    return elements
 
 
 # ---------------------------------------------------------------------------

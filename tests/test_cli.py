@@ -73,6 +73,31 @@ class TestAut:
         assert report["t_A"] == 2
         assert report["graph_automorphism_count"] == 24
 
+    def test_pattern_automorphisms_listed_once(self, k4_file, capsys, monkeypatch):
+        from evoalg import digraph
+
+        calls = 0
+        real = digraph.pattern_isomorphisms
+
+        def counted(g, h):
+            nonlocal calls
+            calls += 1
+            return real(g, h)
+
+        monkeypatch.setattr(digraph, "pattern_isomorphisms", counted)
+        code, report = run_json(capsys, "aut", "--in", k4_file)
+        assert code == 0 and report["graph_automorphism_count"] == 24
+        assert calls == 1
+
+    def test_k7_is_s7(self, tmp_path, capsys):
+        # seven solves (the diagonal group, then one per new generator), not 5,040
+        path = tmp_path / "k7.json"
+        run_json(capsys, "make", "--family", "complete:n=7", "--out", str(path))
+        code, report = run_json(capsys, "aut", "--in", str(path))
+        assert code == 0 and report["complete"]
+        assert report["order"] == 5040 and report["recognized"] == ["S7"]
+        assert report["graph_automorphism_count"] == 5040
+
     def test_field_override(self, tmp_path, capsys):
         path = tmp_path / "k2.json"
         run_json(capsys, "make", "--family", "complete:n=2", "--out", str(path))

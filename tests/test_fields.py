@@ -186,6 +186,34 @@ class TestMultOrder:
         with pytest.raises(ZeroDivisionError):
             Q.zero.multiplicative_order()
 
+    def test_table_lookup_matches_repeated_powers(self):
+        # the definition: the least k with x^k = 1, searched up to N, since
+        # every root of unity in the field has order dividing N; None beyond
+        rng = random.Random(31)
+        for field in (Q, Z3, CyclotomicField(7), CyclotomicField(15), GF7, PrimeField(13)):
+            big_n = field.unity_group().order
+            samples = field.roots_of_unity(big_n) + [field.scalar(2)]
+            samples += [random_scalar(field, rng, nonzero=True) for _ in range(12)]
+            for x in samples:
+                naive, cur = None, x
+                for k in range(1, big_n + 1):
+                    if cur == field.one:
+                        naive = k
+                        break
+                    cur = cur * x
+                assert x.multiplicative_order() == naive
+            if field.characteristic == 0:
+                assert field.scalar(2).multiplicative_order() is None
+
+    def test_large_prime_order_builds_no_table(self):
+        big = PrimeField(1000003)
+        g = big.unity_group().generator
+        assert big.scalar(1).multiplicative_order() == 1
+        assert big.scalar(-1).multiplicative_order() == 2
+        assert g.multiplicative_order() == 1000002
+        assert (g**6).multiplicative_order() == 1000002 // 6
+        assert big._dlog is None
+
 
 class TestKthRoots:
     def test_rational_seventh_root(self):

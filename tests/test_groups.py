@@ -246,6 +246,49 @@ class TestRecognition:
         rep = recognize(grp, SemidirectCyclic(3, 2))
         assert rep.matched and rep.witness["action_exponent"] == 2
 
+    def test_element_orders_are_computed_once(self, monkeypatch):
+        rng = random.Random(19)
+        for grp in (
+            automorphism_group(complete_graph_algebra(4, Q)),
+            self.s3_over_zeta3(),
+            close_generators([random_monomial(PrimeField(7), 3, rng) for _ in range(2)]),
+        ):
+            assert grp.element_orders == tuple(g.order() for g in grp.elements)
+        # the cyclic witness is the first element of full order
+        c6 = close_generators([MonomialMap.diagonal((-Z3.zeta, Z3.one, Z3.one))])
+        first = next(g for g in c6.elements if g.order() == 6)
+        assert c6.elements[-1] != first
+        assert recognize(c6, Cyclic(6)).witness == {"generator": first.to_json()}
+
+        grp = self.s3_over_zeta3()
+        calls = 0
+        order = MonomialMap.order
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return order(g)
+
+        monkeypatch.setattr(MonomialMap, "order", counted)
+        for target in (Cyclic(6), Symmetric(3), Dihedral(3), SemidirectCyclic(3, 2)):
+            recognize(grp, target)
+        grp.profile()
+        assert calls == grp.order
+
+    def test_absent_order_rejects_without_a_scan(self, monkeypatch):
+        # S4 has no element of order 24 or 12, so neither C24 nor Dih12 needs
+        # a single product once the orders are known
+        k4 = automorphism_group(complete_graph_algebra(4, Q))
+        assert 24 not in k4.element_orders and 12 not in k4.element_orders
+
+        def refuse(*_):
+            raise AssertionError("an element was examined")
+
+        for name in ("__mul__", "inverse", "order", "to_json"):
+            monkeypatch.setattr(MonomialMap, name, refuse)
+        assert not recognize(k4, Cyclic(24)).matched
+        assert not recognize(k4, Dihedral(12)).matched
+
     def test_golden_matches_and_witnesses(self):
         # S3 over Q(zeta_3) acts on two indices, so Symmetric needs the
         # histogram; K4's S4 is a faithful image with trivial diagonal part

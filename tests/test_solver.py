@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from evoalg.solver import (
 Q = RationalField()
 Z3 = CyclotomicField(3)
 Z7 = CyclotomicField(7)
+GF7 = PrimeField(7)
 
 
 def complete_algebra(n, field=Q):
@@ -61,6 +63,19 @@ def random_idempotent(field, n, rng, density=0.75):
         )
         if alg.is_idempotent:
             return alg
+
+
+def union_of_solves(a):
+    """The definition the pruned group must meet: the maps of every decided
+    solve over all pattern automorphisms, and whether every solve decided."""
+    maps, complete = set(), True
+    for sigma in graph_automorphisms(a.digraph):
+        outcome = solve_monomial(a, a, sigma)
+        if outcome.status is SolveStatus.INDETERMINATE:
+            complete = False
+        else:
+            maps.update(outcome.maps)
+    return maps, complete
 
 
 class TestSolveMonomial:
@@ -268,6 +283,103 @@ class TestAutomorphismGroup:
         alg = EvolutionAlgebra(f, [[0, 1], ["1 + z", 0]])
         grp = automorphism_group(alg)
         assert not grp.complete
+
+    def test_pruned_group_equals_union_of_all_solves(self):
+        rng = random.Random(23)
+        z15 = CyclotomicField(15)
+        algebras = [complete_algebra(n, field) for n in range(2, 7) for field in (Q, GF7)]
+        algebras += [
+            cycle_algebra(3, field=Z7),
+            cycle_algebra(3, [2, 3, 1], field=Z7),
+            cycle_algebra(4, field=z15),
+            cycle_algebra(4, [Fraction(1, 2), 3, -5, 1], field=z15),
+        ]
+        fields = [PrimeField(p) for p in (3, 5, 7, 13)]
+        algebras += [
+            random_idempotent(fields[i % 4], 2 + i // 4 % 3, rng) for i in range(72)
+        ]
+        # complete patterns with a few entries 2: proper lifting subgroups,
+        # so sigma without lifts meet a nontrivial image and mark dead cosets
+        for i in range(36):
+            n, field = 3 + i % 2, (PrimeField(3), PrimeField(5), Q)[i % 3]
+            rows = [
+                [0 if j == k else 2 if rng.random() < 0.3 else 1 for k in range(n)]
+                for j in range(n)
+            ]
+            alg = EvolutionAlgebra(field, rows)
+            if alg.is_idempotent:
+                algebras.append(alg)
+        for alg in algebras:
+            maps, complete = union_of_solves(alg)
+            grp = automorphism_group(alg)
+            assert set(grp.elements) == maps and len(grp.elements) == len(maps)
+            assert grp.complete == complete
+
+    def test_partial_group_is_the_union_of_decided_solves(self):
+        z5 = CyclotomicField(5)
+        for alg, order in (
+            (EvolutionAlgebra(z5, [[0, 1], ["1 + z", 0]]), 1),
+            (EvolutionAlgebra(z5, [[0, 1, 1], [1, 0, 1], ["1 + z", 1, 0]]), 1),
+            (
+                EvolutionAlgebra(
+                    z5, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, "1 + z", 0]]
+                ),
+                2,
+            ),
+            (EvolutionAlgebra(Z7, [[0, 1, 0], [0, 0, 1], ["1 + z", 0, 0]]), 7),
+            (
+                EvolutionAlgebra(
+                    Z7, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, "1 + z^3", 0]]
+                ),
+                2,
+            ),
+        ):
+            maps, complete = union_of_solves(alg)
+            grp = automorphism_group(alg)
+            assert not complete and not grp.complete and grp.generators == ()
+            assert set(grp.elements) == maps and grp.order == order
+
+    def test_lifts_settle_a_sigma_whose_own_solve_is_open(self):
+        # K3 moved by diag(1, 1, u), u = 1 + zeta_5 a unit of infinite order:
+        # the two sigma sending vertex 0 to 2 meet x^7 = -13 - 21z - 13z^2 on
+        # the transversal 3-cycle, which kth_roots leaves open, yet their
+        # lifts are products of lifts already found, so the group is S3
+        z5 = CyclotomicField(5)
+        d = (z5.one, z5.one, z5.one + z5.zeta)
+        alg = EvolutionAlgebra(
+            z5,
+            [[d[k] * d[j] ** -2 if k != j else 0 for j in range(3)] for k in range(3)],
+        )
+        maps, complete = union_of_solves(alg)
+        assert not complete and len(maps) == 4
+        grp = automorphism_group(alg)
+        assert grp.complete and grp.order == 6 and maps < set(grp.elements)
+        assert all(verify_map(alg, alg, g) for g in grp.elements)
+
+    def test_complete_graph_takes_at_most_n_solves(self, monkeypatch):
+        from evoalg import solver
+
+        calls = 0
+        real = solver.solve_monomial
+
+        def counted(a, b, sigma):
+            nonlocal calls
+            calls += 1
+            return real(a, b, sigma)
+
+        monkeypatch.setattr(solver, "solve_monomial", counted)
+        for n in range(4, 8):
+            calls = 0
+            grp = automorphism_group(complete_algebra(n))
+            assert grp.complete and grp.order == math.factorial(n)
+            assert calls <= n
+        # 24 pattern automorphisms, 4 of which lift: the lifts and the dead
+        # cosets of the sigma without lifts leave 10 to solve
+        alg = EvolutionAlgebra(Q, [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        calls = 0
+        grp = automorphism_group(alg)
+        assert grp.complete and set(grp.elements) == union_of_solves(alg)[0]
+        assert grp.order == 4 and calls == 10
 
     def test_quotient_embedding(self):
         for alg in (
