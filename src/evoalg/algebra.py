@@ -115,6 +115,18 @@ class SolvePlan(NamedTuple):
     components: tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]
 
 
+class LoopInvariants(NamedTuple):
+    """The scaling invariants between looped basis vectors, as raw values.
+
+    A map (sigma, d) gives b_{sigma k sigma j} = d_k * a_kj / d_j^2, so
+    I_kj = a_kj * a_kk / a_jj^2 is the same in A and in B at
+    (sigma k, sigma j) whenever k and j both carry loops.
+    """
+
+    entries: tuple[tuple[int, int, object], ...]  # (k, j, I_kj), k != j, a_kj != 0
+    matrix: tuple[tuple, ...]  # I_kj at (k, j) for the entries, None elsewhere
+
+
 class EvolutionAlgebra:
     """An evolution algebra with its structure matrix, cached determinant,
     and cached zero-pattern digraph. Immutable."""
@@ -195,6 +207,28 @@ class EvolutionAlgebra:
             inverses,
             tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values()),
         )
+
+    @cached_property
+    def loop_invariants(self) -> LoopInvariants:
+        """Built on first use, once per algebra; inverts only the loops that
+        some entry divides by."""
+        field, raw, edge = self.field, self.raw_rows, self.digraph.edge
+        mul = field._mul
+        looped = [k for k in range(self.n) if edge(k, k)]
+        inv_sq: dict[int, object] = {}
+        entries = []
+        matrix = [[None] * self.n for _ in range(self.n)]
+        for k in looped:
+            for j in looped:
+                if j == k or not edge(k, j):
+                    continue
+                if j not in inv_sq:
+                    inv = field._inv(raw[j][j])
+                    inv_sq[j] = mul(inv, inv)
+                value = mul(mul(raw[k][j], raw[k][k]), inv_sq[j])
+                entries.append((k, j, value))
+                matrix[k][j] = value
+        return LoopInvariants(tuple(entries), tuple(map(tuple, matrix)))
 
     @property
     def min_transversal_order(self) -> int:

@@ -25,6 +25,8 @@ from .errors import FieldMismatchError, ParseError
 
 PRIME_LIMIT = 2**31
 DLOG_TABLE_LIMIT = 10**6
+# an order lookup builds the discrete-log table itself only up to this N
+DLOG_ORDER_LIMIT = 2**10
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +312,17 @@ class Field(metaclass=_Interned):
     def multiplicative_order(self, x: Scalar) -> Optional[int]:
         """Order of x when x is a root of unity, else None.
 
-        Read from the root-of-unity table: x = g**e has order N / gcd(e, N),
-        and x is no root of unity when the table lacks it. A field whose N
-        exceeds DLOG_TABLE_LIMIT (GF(p) with p > 10**6) builds no table and
-        strips prime factors from N while x**(N/q) stays one instead.
+        Read from the root-of-unity table when it exists or N is at most
+        DLOG_ORDER_LIMIT: x = g**e has order N / gcd(e, N), and x is no root
+        of unity when the table lacks it. Otherwise no table is built for
+        the question: the order strips prime factors from N while x**(N/q)
+        stays one.
         """
         x = self.scalar(x)
         if x.is_zero:
             raise ZeroDivisionError("zero has no multiplicative order")
         big_n = self._unity_order()
-        if big_n <= DLOG_TABLE_LIMIT:
+        if self._dlog is not None or big_n <= DLOG_ORDER_LIMIT:
             e = self._unity_dlog(x.value)
             return None if e is None else big_n // math.gcd(e, big_n)
         if x**big_n != self.one:

@@ -25,9 +25,11 @@ RECOGNITION_CAP = 10**5
 
 
 class MonomialMap:
-    """A permutation together with nonzero scalings; matrix form P_sigma * D."""
+    """A permutation together with nonzero scalings; matrix form P_sigma * D.
+    The hash is computed on first use and kept, as closures and solves look
+    a map up in sets many times."""
 
-    __slots__ = ("sigma", "d")
+    __slots__ = ("sigma", "d", "_hash")
 
     def __init__(self, sigma: Permutation, d: Sequence[Scalar]):
         d = tuple(d)
@@ -37,6 +39,7 @@ class MonomialMap:
             raise ZeroDivisionError("monomial map needs nonzero scalings")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("MonomialMap is immutable")
@@ -116,7 +119,9 @@ class MonomialMap:
         )
 
     def __hash__(self):
-        return hash((self.sigma, self.d))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.sigma, self.d)))
+        return self._hash
 
     def __repr__(self):
         return f"MonomialMap({self.sigma.to_json()}, [{', '.join(map(str, self.d))}])"

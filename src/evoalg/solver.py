@@ -72,11 +72,14 @@ def _check_pair(a: EvolutionAlgebra, b: EvolutionAlgebra) -> None:
 
 
 def solve_monomial(
-    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: Permutation
+    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: Permutation, *, checked: bool = True
 ) -> SolveOutcome:
     """All scaling vectors d making (sigma, d) a map of E(A) onto E(B).
 
-    Steps: reject on zero-pattern mismatch; read off the multiplicative
+    Steps: reject on zero-pattern mismatch; reject, as COMPLETE with no
+    maps, when a loop invariant I_kj = a_kj * a_kk / a_jj^2 of A differs
+    from B's at (sigma k, sigma j), a test that cannot fail for a is b and
+    the identity sigma and is skipped there; read off the multiplicative
     constraints d_k = d_j^2 * r_kj at nonzero entries; then, for each
     weakly-connected constraint component, root every cycle of one
     transversal inside it, solve its closing equation with kth_roots, and
@@ -94,8 +97,13 @@ def solve_monomial(
     Each call works on raw field values, computes a ratio r_kj only when a
     cycle or a check reaches it, and boxes only the kth_roots arguments and
     the scaling vectors it returns.
+
+    A search that runs many solves over one pair validates the pair once and
+    passes ``checked=False``, which skips the dimension, field and
+    idempotency checks.
     """
-    _check_pair(a, b)
+    if checked:
+        _check_pair(a, b)
     n = a.n
     field = a.field
     if sigma.n != n:
@@ -110,6 +118,14 @@ def solve_monomial(
             image |= 1 << s[j]
         if image != b_pattern[s[k]]:
             return SolveOutcome(SolveStatus.NO_SOLUTION)
+    if a is not b or not sigma.is_identity():
+        # the patterns correspond, so B has an invariant wherever A has one
+        entries = a.loop_invariants.entries
+        if entries:
+            target = b.loop_invariants.matrix
+            for k, j, value in entries:
+                if target[s[k]][s[j]] != value:
+                    return SolveOutcome(SolveStatus.COMPLETE)
 
     mul = field._mul
     b_raw = b.raw_rows
@@ -293,7 +309,7 @@ def automorphism_group(
         )
     if sigmas is None:
         sigmas = graph_automorphisms(a.digraph)
-    kernel = solve_monomial(a, a, Permutation.identity(a.n))
+    kernel = solve_monomial(a, a, Permutation.identity(a.n), checked=False)
     if kernel.status is not SolveStatus.INDETERMINATE:
         elements = _lift_closure(a, sigmas, kernel.maps)
         if elements is not None:
@@ -301,7 +317,7 @@ def automorphism_group(
 
     elements = []
     for sigma in sigmas:
-        outcome = solve_monomial(a, a, sigma)
+        outcome = solve_monomial(a, a, sigma, checked=False)
         if outcome.status is not SolveStatus.INDETERMINATE:
             elements.extend(outcome.maps)
     return MonomialGroup(a.field, a.n, elements, complete=False)
@@ -319,7 +335,7 @@ def _lift_closure(
     for sigma in sigmas:
         if sigma in image or sigma in dead:
             continue
-        outcome = solve_monomial(a, a, sigma)
+        outcome = solve_monomial(a, a, sigma, checked=False)
         if outcome.status is SolveStatus.INDETERMINATE:
             return None
         if outcome.maps:
@@ -403,7 +419,7 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
     count = 0
     for sigma in pattern_isomorphisms(a.digraph, b.digraph):
         count += 1
-        outcome = solve_monomial(a, b, sigma)
+        outcome = solve_monomial(a, b, sigma, checked=False)
         if outcome.status is SolveStatus.INDETERMINATE:
             unsolved.extend(outcome.unsolved)
             continue

@@ -46,6 +46,15 @@ class TestComposition:
             ident = MonomialMap.identity(Q, 3)
             assert ident * g == g and g * ident == g
 
+    def test_hash_is_kept(self):
+        rng = random.Random(3)
+        for field in (Q, PrimeField(7), Z3):
+            g = random_monomial(field, 4, rng)
+            twin = MonomialMap(g.sigma, g.d)
+            assert g._hash is None
+            assert hash(g) == hash(twin) == hash((g.sigma, g.d))
+            assert g._hash == hash(g) and {g: 1}[twin] == 1
+
     def test_matches_matrix_product(self):
         z = Z3.zeta
         swap = MonomialMap(Permutation((1, 0)), (Z3.one, Z3.one))
@@ -354,6 +363,28 @@ class TestProfile:
         assert not profile.is_abelian
         assert profile.diagonal_order == 3
         assert profile.quotient_order == 2
+
+    def test_orders_over_a_large_prime_build_no_table(self):
+        # N = 999982 is within the kth_roots table limit, yet K3's six
+        # elements get their orders without a table of N entries
+        field = PrimeField(999983)
+        grp = automorphism_group(complete_graph_algebra(3, field))
+        assert grp.complete and grp.order == 6
+        assert sorted(grp.element_orders) == [1, 2, 2, 2, 3, 3]
+        assert recognize(grp, Symmetric(3)).matched
+        g = field.unity_group().generator
+        assert field.scalar(-1).multiplicative_order() == 2
+        assert (g**2).multiplicative_order() == 999982 // 2
+        assert field._dlog is None
+
+    def test_orders_over_zeta15_read_the_table(self, monkeypatch):
+        # N = 30 is small: the first order asked builds the table
+        field = CyclotomicField(15)
+        monkeypatch.setattr(field, "_dlog", None)
+        z = field.zeta
+        assert [(z**e).multiplicative_order() for e in (0, 1, 3, 5)] == [1, 15, 5, 3]
+        assert (-z).multiplicative_order() == 30
+        assert field._dlog is not None and len(field._dlog) == 30
 
     def test_cyclic_diagonal_group_is_abelian(self):
         z = Z3.zeta

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from evoalg.algebra import EvolutionAlgebra
+from evoalg.algebra import EvolutionAlgebra, LoopInvariants, transport_structure
 from evoalg.digraph import Permutation, graph_automorphisms
 from evoalg.errors import CapExceededError, SingularMatrixError
-from evoalg.fields import CyclotomicField, PrimeField, RationalField
+from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField
 from evoalg.groups import MonomialGroup, MonomialMap, quotient_embedding_check
 from evoalg.solver import (
     IsoStatus,
+    SolveOutcome,
     SolveStatus,
     automorphism_group,
     brute_force_automorphisms,
@@ -362,10 +363,10 @@ class TestAutomorphismGroup:
         calls = 0
         real = solver.solve_monomial
 
-        def counted(a, b, sigma):
+        def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return real(a, b, sigma)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_monomial", counted)
         for n in range(4, 8):
@@ -510,6 +511,158 @@ class TestIsomorphism:
         b = EvolutionAlgebra(f, [[0, "1 + z"], [1, 0]])
         res = isomorphism(a, b)
         assert res.status in (IsoStatus.ISOMORPHIC, IsoStatus.INDETERMINATE)
+
+
+def random_nonzero(field, rng):
+    while True:
+        x = field.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        if isinstance(field, CyclotomicField) and rng.random() < 0.5:
+            x = x + field.scalar(rng.randint(1, 2)) * field.zeta ** rng.randrange(field.degree)
+        if not x.is_zero:
+            return x
+
+
+def random_looped(field, n, rng, loops=0.8):
+    """A random idempotent algebra whose diagonal entries are nonzero with
+    probability ``loops``."""
+    while True:
+        alg = EvolutionAlgebra(
+            field,
+            [
+                [
+                    random_nonzero(field, rng) if rng.random() < (loops if i == j else 0.5) else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ],
+        )
+        if alg.is_idempotent:
+            return alg
+
+
+def random_map(field, n, rng):
+    images = list(range(n))
+    rng.shuffle(images)
+    return MonomialMap(Permutation(images), tuple(random_nonzero(field, rng) for _ in range(n)))
+
+
+class TestLoopInvariants:
+    """I_kj = a_kj * a_kk / a_jj^2 between looped k and j is fixed by every
+    scaling, so a sigma whose invariants differ cannot lift."""
+
+    def test_table(self):
+        alg = EvolutionAlgebra(Q, [[2, 3, 0], [5, 7, 1], [0, 1, 0]])
+        inv = alg.loop_invariants
+        assert inv.entries == ((0, 1, Fraction(3 * 2, 49)), (1, 0, Fraction(5 * 7, 4)))
+        assert inv.matrix[0][1] == Fraction(6, 49) and inv.matrix[1][0] == Fraction(35, 4)
+        assert inv.matrix[1][2] is None and inv.matrix[0][0] is None
+
+    def test_transport_preserves_invariants(self):
+        rng = random.Random(81)
+        for field in (PrimeField(3), PrimeField(5), Q, Z7):
+            checked = 0
+            for _ in range(15):
+                a = random_looped(field, rng.randint(2, 5), rng)
+                p = random_map(field, a.n, rng)
+                b = transport_structure(a, p)
+                s = p.sigma
+                for k, j, value in a.loop_invariants.entries:
+                    assert b.loop_invariants.matrix[s(k)][s(j)] == value
+                    checked += 1
+                assert len(b.loop_invariants.entries) == len(a.loop_invariants.entries)
+            assert checked > 0
+
+    def test_check_agrees_with_unchecked_solve(self, monkeypatch):
+        # over every sigma, the check changes no decided outcome; it can only
+        # decide, with no maps, a solve that was left open
+        rng = random.Random(82)
+        cases = []
+        for field in (PrimeField(3), PrimeField(5), Q, CyclotomicField(5)):
+            for _ in range(12):
+                a = random_looped(field, rng.randint(2, 5), rng, rng.choice((0.5, 0.8)))
+                p = random_map(field, a.n, rng)
+                rows = [list(row) for row in a.rows]
+                pairs = [(k, j) for k, j, _ in a.loop_invariants.entries]
+                if pairs:
+                    k, j = rng.choice(pairs)
+                    rows[k][j] = rows[k][j] * field.scalar(2) + field.one
+                other = EvolutionAlgebra(field, rows)
+                cases.append((a, a))
+                cases.append((a, transport_structure(a, p)))
+                if other.is_idempotent:
+                    cases.append((a, transport_structure(other, p)))
+
+        def outcomes():
+            return [
+                [solve_monomial(a, b, Permutation(images)) for images in itertools.permutations(range(a.n))]
+                for a, b in cases
+            ]
+
+        checked = outcomes()
+        with monkeypatch.context() as m:
+            m.setattr(EvolutionAlgebra, "loop_invariants", property(lambda self: LoopInvariants((), ())))
+            unchecked = outcomes()
+        rejected = opened = 0
+        for row_checked, row_unchecked in zip(checked, unchecked):
+            for with_check, without in zip(row_checked, row_unchecked):
+                if without.status is SolveStatus.INDETERMINATE:
+                    opened += 1
+                    if with_check != without:
+                        assert with_check == SolveOutcome(SolveStatus.COMPLETE)
+                        continue
+                assert with_check == without
+                if with_check.status is SolveStatus.COMPLETE and not with_check.maps:
+                    rejected += 1
+        assert rejected > 0 and opened > 0
+
+    def test_mismatch_decides_an_open_solve(self, tmp_path, capsys):
+        # vertices 0 and 1 carry loops, 2 and 3 a 2-cycle in the same
+        # component; that cycle closes to an equation x^3 = c no rule
+        # decides, so the solve alone is INDETERMINATE. The loop invariant
+        # I_10 is 1 in A and 2 in B, which decides it: no map exists.
+        f = CyclotomicField(5)
+        rows_a = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+        rows_b = [[1, 0, 0, 0], [2, 1, 0, 0], [0, 1, 0, 1], [0, 0, "1 + z", 0]]
+        a, b = EvolutionAlgebra(f, rows_a), EvolutionAlgebra(f, rows_b)
+        assert a.loop_invariants.entries == ((1, 0, f.one.value),)
+        assert b.loop_invariants.matrix[1][0] == f.scalar(2).value
+        out = solve_monomial(a, b, Permutation.identity(4))
+        assert out == SolveOutcome(SolveStatus.COMPLETE)
+        res = isomorphism(a, b)
+        assert res.status is IsoStatus.NOT_ISOMORPHIC and res.candidates_exhausted == 1
+        # at the command line the pair exits 4 (non-isomorphic), not 3
+        from evoalg.cli import main
+
+        paths = []
+        for name, alg in (("a.json", a), ("b.json", b)):
+            alg.dump(str(tmp_path / name))
+            paths.append(str(tmp_path / name))
+        assert main(["iso", "--in", paths[0], "--b", paths[1]]) == 4
+        assert '"status":"non-isomorphic"' in capsys.readouterr().out.replace(" ", "")
+
+    def test_identity_self_solve_builds_no_table(self):
+        alg = two_param(4, 1, 2)
+        solve_monomial(alg, alg, Permutation.identity(4))
+        assert "loop_invariants" not in vars(alg)
+        solve_monomial(alg, alg, Permutation((1, 0, 2, 3)))
+        assert "loop_invariants" in vars(alg)
+
+    def test_twoparam_pair_needs_no_kth_roots(self, monkeypatch):
+        # I = b / a is 2 in A and 15 * 3 / 3^2 = 5 in B, so each of the 5040
+        # pattern maps is rejected before its cycle equations
+        calls = 0
+        real = Field.kth_roots
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Field, "kth_roots", counted)
+        res = isomorphism(two_param(7, 1, 2), two_param(7, 3, 15))
+        assert res.status is IsoStatus.NOT_ISOMORPHIC
+        assert res.candidates_exhausted == 5040
+        assert calls == 0
 
 
 class TestVerifyMap:
