@@ -25,8 +25,6 @@ from .errors import FieldMismatchError, ParseError
 
 PRIME_LIMIT = 2**31
 DLOG_TABLE_LIMIT = 10**6
-# an order lookup builds the discrete-log table itself only up to this N
-DLOG_ORDER_LIMIT = 2**10
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,9 @@ class Field(metaclass=_Interned):
     """Common interface; concrete classes fill in the raw-value arithmetic."""
 
     _dlog: Optional[dict] = None
+    # An order lookup may build the discrete-log table when N is bounded by
+    # the field's definition: N = 2 for Q, m or 2m for Q(zeta_m).
+    _order_builds_dlog = True
 
     def __repr__(self):
         return f"<field {self.descriptor()}>"
@@ -312,17 +313,17 @@ class Field(metaclass=_Interned):
     def multiplicative_order(self, x: Scalar) -> Optional[int]:
         """Order of x when x is a root of unity, else None.
 
-        Read from the root-of-unity table when it exists or N is at most
-        DLOG_ORDER_LIMIT: x = g**e has order N / gcd(e, N), and x is no root
-        of unity when the table lacks it. Otherwise no table is built for
-        the question: the order strips prime factors from N while x**(N/q)
+        Read from the root-of-unity table when it exists or the field builds
+        it for orders: x = g**e has order N / gcd(e, N), and x is no root of
+        unity when the table lacks it. Otherwise no table is built for the
+        question: the order strips prime factors from N while x**(N/q)
         stays one.
         """
         x = self.scalar(x)
         if x.is_zero:
             raise ZeroDivisionError("zero has no multiplicative order")
         big_n = self._unity_order()
-        if self._dlog is not None or big_n <= DLOG_ORDER_LIMIT:
+        if self._dlog is not None or self._order_builds_dlog:
             e = self._unity_dlog(x.value)
             return None if e is None else big_n // math.gcd(e, big_n)
         if x**big_n != self.one:
@@ -495,6 +496,10 @@ class PrimeField(Field):
     """GF(p) for a prime p < 2**31. kth_roots decides x**k = c exactly when
     gcd(k, p - 1) = 1, and otherwise through the discrete-log table, which
     is built on first use for p <= 10**6."""
+
+    # N = p - 1 is as large as the field: orders reuse the table that
+    # kth_roots builds and otherwise test the divisors of N
+    _order_builds_dlog = False
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= PRIME_LIMIT or not is_prime(p):

@@ -25,11 +25,9 @@ RECOGNITION_CAP = 10**5
 
 
 class MonomialMap:
-    """A permutation together with nonzero scalings; matrix form P_sigma * D.
-    The hash is computed on first use and kept, as closures and solves look
-    a map up in sets many times."""
+    """A permutation together with nonzero scalings; matrix form P_sigma * D."""
 
-    __slots__ = ("sigma", "d", "_hash")
+    __slots__ = ("sigma", "d")
 
     def __init__(self, sigma: Permutation, d: Sequence[Scalar]):
         d = tuple(d)
@@ -39,7 +37,6 @@ class MonomialMap:
             raise ZeroDivisionError("monomial map needs nonzero scalings")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("MonomialMap is immutable")
@@ -119,9 +116,7 @@ class MonomialMap:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.sigma, self.d)))
-        return self._hash
+        return hash((self.sigma, self.d))
 
     def __repr__(self):
         return f"MonomialMap({self.sigma.to_json()}, [{', '.join(map(str, self.d))}])"

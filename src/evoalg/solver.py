@@ -72,7 +72,7 @@ def _check_pair(a: EvolutionAlgebra, b: EvolutionAlgebra) -> None:
 
 
 def solve_monomial(
-    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: Permutation, *, checked: bool = True
+    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: Permutation
 ) -> SolveOutcome:
     """All scaling vectors d making (sigma, d) a map of E(A) onto E(B).
 
@@ -97,13 +97,8 @@ def solve_monomial(
     Each call works on raw field values, computes a ratio r_kj only when a
     cycle or a check reaches it, and boxes only the kth_roots arguments and
     the scaling vectors it returns.
-
-    A search that runs many solves over one pair validates the pair once and
-    passes ``checked=False``, which skips the dimension, field and
-    idempotency checks.
     """
-    if checked:
-        _check_pair(a, b)
+    _check_pair(a, b)
     n = a.n
     field = a.field
     if sigma.n != n:
@@ -309,7 +304,7 @@ def automorphism_group(
         )
     if sigmas is None:
         sigmas = graph_automorphisms(a.digraph)
-    kernel = solve_monomial(a, a, Permutation.identity(a.n), checked=False)
+    kernel = solve_monomial(a, a, Permutation.identity(a.n))
     if kernel.status is not SolveStatus.INDETERMINATE:
         elements = _lift_closure(a, sigmas, kernel.maps)
         if elements is not None:
@@ -317,7 +312,7 @@ def automorphism_group(
 
     elements = []
     for sigma in sigmas:
-        outcome = solve_monomial(a, a, sigma, checked=False)
+        outcome = solve_monomial(a, a, sigma)
         if outcome.status is not SolveStatus.INDETERMINATE:
             elements.extend(outcome.maps)
     return MonomialGroup(a.field, a.n, elements, complete=False)
@@ -335,7 +330,7 @@ def _lift_closure(
     for sigma in sigmas:
         if sigma in image or sigma in dead:
             continue
-        outcome = solve_monomial(a, a, sigma, checked=False)
+        outcome = solve_monomial(a, a, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
             return None
         if outcome.maps:
@@ -419,7 +414,7 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
     count = 0
     for sigma in pattern_isomorphisms(a.digraph, b.digraph):
         count += 1
-        outcome = solve_monomial(a, b, sigma, checked=False)
+        outcome = solve_monomial(a, b, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
             unsolved.extend(outcome.unsolved)
             continue

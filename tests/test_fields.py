@@ -214,6 +214,19 @@ class TestMultOrder:
         assert (g**6).multiplicative_order() == 1000002 // 6
         assert big._dlog is None
 
+    def test_prime_field_orders_reuse_the_kth_roots_table(self, monkeypatch):
+        # GF(p) builds no table for an order; once kth_roots has built one,
+        # orders read it, with the same answers as the divisor test
+        field = PrimeField(13)
+        monkeypatch.setattr(field, "_dlog", None)
+        elements = [field.scalar(v) for v in range(1, 13)]
+        tested = [x.multiplicative_order() for x in elements]
+        assert field._dlog is None
+        assert field.kth_roots(field.scalar(4), 2).complete
+        assert field._dlog is not None
+        assert [x.multiplicative_order() for x in elements] == tested
+        assert tested == [1, 12, 3, 6, 4, 12, 12, 4, 3, 6, 12, 2]
+
 
 class TestKthRoots:
     def test_rational_seventh_root(self):

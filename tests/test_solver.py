@@ -363,10 +363,10 @@ class TestAutomorphismGroup:
         calls = 0
         real = solver.solve_monomial
 
-        def counted(*args, **kwargs):
+        def counted(a, b, sigma):
             nonlocal calls
             calls += 1
-            return real(*args, **kwargs)
+            return real(a, b, sigma)
 
         monkeypatch.setattr(solver, "solve_monomial", counted)
         for n in range(4, 8):
