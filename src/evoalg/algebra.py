@@ -21,28 +21,41 @@ Matrix = tuple[tuple[Scalar, ...], ...]
 
 
 def determinant(rows: Matrix) -> Scalar:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    The elimination runs on raw field values and boxes only the result. Each
+    step divides by the previous pivot, so that pivot is inverted once and
+    every entry is multiplied by the inverse: an n x n determinant makes at
+    most n - 2 field inversions.
+    """
     n = len(rows)
     field = rows[0][0].field
     if any(len(row) != n for row in rows):
         raise ParseError("determinant needs a square matrix")
-    work = [list(row) for row in rows]
-    sign = 1
-    prev = field.one
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero
+    work = [[x.value for x in row] for row in rows]
+    negate = False
+    prev_inv = None  # the first step divides by one
     for c in range(n - 1):
-        pivot_row = next((r for r in range(c, n) if not work[r][c].is_zero), None)
+        pivot_row = next((r for r in range(c, n) if not is_zero(work[r][c])), None)
         if pivot_row is None:
             return field.zero
         if pivot_row != c:
             work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        for r in range(c + 1, n):
+            negate = not negate
+        top = work[c]
+        pivot = top[c]
+        for row in work[c + 1 :]:
+            x = None if is_zero(row[c]) else row[c]
             for k in range(c + 1, n):
-                work[r][k] = (work[c][c] * work[r][k] - work[r][c] * work[c][k]) / prev
-            work[r][c] = field.zero
-        prev = work[c][c]
+                v = mul(pivot, row[k])
+                if x is not None:
+                    v = sub(v, mul(x, top[k]))
+                row[k] = v if prev_inv is None else mul(v, prev_inv)
+        if c < n - 2:
+            prev_inv = field._inv(pivot)
     det = work[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return Scalar(field, field._neg(det) if negate else det)
 
 
 def rank(rows: Matrix) -> int:

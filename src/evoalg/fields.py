@@ -8,6 +8,12 @@ equality of representations:
   * Q(zeta_m)      -> tuple of Fractions of length deg(Phi_m), reduced modulo
                       the m-th cyclotomic polynomial Phi_m
 
+Q(zeta_m) products and inverses run on integers: each operand is cleared to
+integer numerators over one common denominator, multiplied by integer
+convolution and reduced with integer rows, or inverted by fraction-free
+elimination; the canonical tuple of reduced Fractions is built once per
+result, with every zero coefficient the one shared Fraction(0).
+
 Fields are interned: constructing one twice yields the same object, so
 field equality is identity. Q(zeta_1) is the rationals and constructing it
 yields the rational field.
@@ -99,6 +105,18 @@ def perfect_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
 
 # ---------------------------------------------------------------------------
 # integer polynomials (ascending coefficient lists) for Phi_m
+
+# shared by every zero coefficient of a Q(zeta_m) value
+_ZERO = Fraction(0)
+
+
+def _clear(value: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of rational coefficients over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*[x.denominator for x in value])
+    if den == 1:
+        return [x.numerator for x in value], 1
+    return [x.numerator * (den // x.denominator) for x in value], den
 
 
 def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
@@ -605,7 +623,8 @@ class CyclotomicField(Field):
         self.m = m
         self.phi = cyclotomic_polynomial(m)
         self.degree = len(self.phi) - 1
-        # z^(degree + i) reduced mod Phi_m, integer coefficient rows
+        # z^(degree + i) reduced mod Phi_m, integer coefficient rows, kept
+        # as their nonzero (index, coefficient) pairs
         red: list[tuple[int, ...]] = [tuple(-c for c in self.phi[:-1])]
         for _ in range(self.degree - 1):
             prev = red[-1]
@@ -614,7 +633,7 @@ class CyclotomicField(Field):
             if top:
                 shifted = [s + top * r for s, r in zip(shifted, red[0])]
             red.append(tuple(shifted))
-        self._red = red
+        self._red = tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in red)
 
     def descriptor(self) -> str:
         return f"Q(zeta_{self.m})"
@@ -626,7 +645,7 @@ class CyclotomicField(Field):
     @property
     def zeta(self) -> Scalar:
         """The distinguished primitive m-th root of unity."""
-        vec = [Fraction(0)] * self.degree
+        vec = [_ZERO] * self.degree
         if self.degree == 1:
             # m == 2: zeta is -1
             vec[0] = Fraction(-1)
@@ -638,7 +657,7 @@ class CyclotomicField(Field):
         if isinstance(value, bool):
             raise ParseError("bool is not a scalar")
         if isinstance(value, (int, Fraction)):
-            vec = [Fraction(0)] * self.degree
+            vec = [_ZERO] * self.degree
             vec[0] = Fraction(value)
             return tuple(vec)
         if isinstance(value, str):
@@ -647,52 +666,95 @@ class CyclotomicField(Field):
             return tuple(Fraction(v) for v in value)
         raise ParseError(f"cannot coerce {value!r} into {self.descriptor()}")
 
-    def _reduce(self, conv: list[Fraction]) -> tuple[Fraction, ...]:
+    def _from_ints(self, nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+        """The canonical value with coefficients nums[i] / den."""
+        if den == 1:
+            return tuple(Fraction(c) if c else _ZERO for c in nums)
+        return tuple(Fraction(c, den) if c else _ZERO for c in nums)
+
+    def _reduce_ints(self, conv: list[int]) -> list[int]:
+        """Integer coefficients of z^0 .. z^(2 * degree - 1), reduced modulo
+        Phi_m."""
         deg = self.degree
-        out = list(conv[:deg]) + [Fraction(0)] * (deg - len(conv[:deg]))
+        out = conv[:deg]
+        out += [0] * (deg - len(out))
         for t in range(deg, len(conv)):
             c = conv[t]
             if c:
-                row = self._red[t - deg]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+                for i, r in self._red[t - deg]:
+                    out[i] += c * r
+        return out
+
+    def _reduce(self, conv: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        nums, den = _clear(conv)
+        return self._from_ints(self._reduce_ints(nums), den)
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def _mul(self, a, b):
-        deg = self.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return self._reduce(conv)
+        if not any(a[1:]):
+            a, b = b, a
+        if not any(b[1:]):
+            # a rational factor scales each coefficient
+            c = b[0]
+            if not c:
+                return (_ZERO,) * self.degree
+            return tuple(x * c if x else _ZERO for x in a)
+        na, da = _clear(a)
+        nb, db = _clear(b)
+        conv = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(na):
+            if x:
+                for j, y in enumerate(nb):
+                    if y:
+                        conv[i + j] += x * y
+        return self._from_ints(self._reduce_ints(conv), da * db)
 
     def _neg(self, a):
         return tuple(-x for x in a)
 
     def _inv(self, a):
-        # extended Euclid in Q[x] against Phi_m, which is irreducible, keeping
-        # the Bezout coefficient of a: r_i = s_i * a + t_i * Phi_m
-        r0 = [Fraction(v) for v in a]
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if not r0:
-            raise ZeroDivisionError("zero has no inverse")
-        r1 = [Fraction(c) for c in self.phi]
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, _frac_poly_sub(r0, _frac_poly_mul(q, r1))
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        lead = r0[0]  # gcd is a nonzero constant
-        inv_poly = [c / lead for c in s0]
-        vec = inv_poly + [Fraction(0)] * max(0, self.degree - len(inv_poly))
-        return self._reduce(vec)
+        # a = na / da; solve na * x = 1 for the coefficients x, a linear
+        # system whose matrix has column j = na * z^j reduced mod Phi_m. It is
+        # nonsingular because Phi_m is irreducible.
+        deg = self.degree
+        if not any(a[1:]):
+            if not a[0]:
+                raise ZeroDivisionError("zero has no inverse")
+            return (1 / a[0],) + (_ZERO,) * (deg - 1)
+        na, da = _clear(a)
+        cols, col = [na], na
+        for _ in range(deg - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            for i, r in self._red[0]:
+                col[i] += top * r
+            cols.append(col)
+        # fraction-free (Bareiss) elimination of [M | e_0]; every division
+        # by the previous pivot is exact
+        rows = [list(row) + [0] for row in zip(*cols)]
+        rows[0][deg] = 1
+        prev = 1
+        for c in range(deg - 1):
+            p = next(r for r in range(c, deg) if rows[r][c])
+            rows[c], rows[p] = rows[p], rows[c]
+            top = rows[c]
+            pivot = top[c]
+            for row in rows[c + 1 :]:
+                x = row[c]
+                for k in range(c + 1, deg + 1):
+                    row[k] = (pivot * row[k] - x * top[k]) // prev
+            prev = pivot
+        # back substitution for det * x, integral by Cramer's rule since the
+        # last pivot det is +-det(M)
+        det = rows[-1][deg - 1]
+        x = [0] * deg
+        for i in range(deg - 1, -1, -1):
+            row = rows[i]
+            s = det * row[deg] - sum(row[k] * x[k] for k in range(i + 1, deg))
+            x[i] = s // row[i]
+        return self._from_ints([da * v for v in x], det)
 
     def _is_zero(self, a):
         return all(x == 0 for x in a)
@@ -754,51 +816,10 @@ class CyclotomicField(Field):
             else:
                 power = 0
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
-        conv = [Fraction(0)] * (max(coeffs) + 1)
+        conv = [_ZERO] * (max(coeffs) + 1)
         for power, coef in coeffs.items():
             conv[power] = coef
         return Scalar(self, self._reduce(conv))
-
-
-# rational polynomial helpers for the cyclotomic inverse
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Quotient of num by den over Q (den nonzero)."""
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return []
-    q = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dd] / den[-1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return q
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _char0_kth_roots(field: Field, c: Scalar, k: int) -> KthRoots:

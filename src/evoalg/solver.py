@@ -439,15 +439,11 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
 # brute-force oracle over small prime fields
 
 
-def _mat_mul_mod(x, y, p: int) -> list[list[int]]:
-    cols = tuple(zip(*y))
-    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in x]
-
-
 def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
     """Oracle: enumerate every nonsingular monomial matrix G over GF(p) and
     keep those with A G^(2) = G A, checking the identity literally on int
-    matrices mod p; only the maps that pass are built as MonomialMaps.
+    matrices mod p, row by row until a row differs; only the maps that pass
+    are built as MonomialMaps, so each has had every entry compared.
 
     For n <= 2 and p <= 3 additionally sweeps every invertible matrix with
     the full automorphism conditions and confirms that nothing non-monomial
@@ -461,15 +457,23 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
         raise CapExceededError("oracle capped at n <= 4")
     n, p = a.n, field.p
     rows = a.raw_rows
+    cols = tuple(zip(*rows))
+    mul = operator.mul
     found = []
     for images in itertools.permutations(range(n)):
         for d in itertools.product(range(1, p), repeat=n):
             g = [[0] * n for _ in range(n)]
-            g_sq = [[0] * n for _ in range(n)]
+            g_sq_cols = [[0] * n for _ in range(n)]
             for i, x in enumerate(d):
                 g[images[i]][i] = x
-                g_sq[images[i]][i] = x * x
-            if _mat_mul_mod(rows, g_sq, p) == _mat_mul_mod(g, rows, p):
+                g_sq_cols[i][images[i]] = x * x
+            # row r of A G^(2) against row r of G A, up to the first row
+            # that differs
+            if all(
+                [sum(map(mul, a_row, col)) % p for col in g_sq_cols]
+                == [sum(map(mul, g_row, col)) % p for col in cols]
+                for a_row, g_row in zip(rows, g)
+            ):
                 found.append(
                     MonomialMap(Permutation(images), tuple(Scalar(field, x) for x in d))
                 )

@@ -28,6 +28,28 @@ def two_param_matrix(n, a, b, field=Q):
     return [[field.scalar(a if i == j else b) for j in range(n)] for i in range(n)]
 
 
+def cofactor_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = rows[0][0].field.zero
+    sign = 1
+    for j in range(n):
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = rows[0][j] * cofactor_det(minor)
+        total = total + term if sign > 0 else total - term
+        sign = -sign
+    return total
+
+
+def cyclotomic_entry(field, rng):
+    """A nonzero element with rational coefficients on every power of zeta."""
+    return field.scalar(
+        tuple(Fraction(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 4))
+              for _ in range(field.degree))
+    )
+
+
 def cycle_matrix(n, b=None, field=Q):
     b = b or [1] * n
     rows = [[field.scalar(0)] * n for _ in range(n)]
@@ -115,21 +137,6 @@ class TestDeterminant:
             assert EvolutionAlgebra(Q, complete_matrix(n)).det == expected
 
     def test_matches_cofactor_expansion(self):
-        def cofactor_det(rows):
-            n = len(rows)
-            if n == 1:
-                return rows[0][0]
-            total = rows[0][0].field.zero
-            sign = 1
-            for j in range(n):
-                minor = [
-                    [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-                ]
-                term = rows[0][j] * cofactor_det(minor)
-                total = total + term if sign > 0 else total - term
-                sign = -sign
-            return total
-
         rng = random.Random(11)
         for field in (Q, PrimeField(5), CyclotomicField(4)):
             for _ in range(10):
@@ -139,6 +146,44 @@ class TestDeterminant:
                     for _ in range(n)
                 )
                 assert determinant(rows) == cofactor_det(rows)
+
+    @pytest.mark.parametrize("m", [5, 15])
+    def test_cyclotomic_entries_match_cofactor_expansion(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(500 + m)
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            rows = tuple(
+                tuple(cyclotomic_entry(field, rng) for _ in range(n)) for _ in range(n)
+            )
+            assert determinant(rows) == cofactor_det(rows)
+            # a zero top-left entry forces a row swap at the first step
+            swapped = ((field.zero,) + rows[0][1:],) + rows[1:]
+            assert determinant(swapped) == cofactor_det(swapped)
+            # a repeated row makes the matrix singular
+            singular = rows[:-1] + (rows[0],)
+            assert determinant(singular).is_zero
+            assert cofactor_det(singular).is_zero
+
+    def test_inverts_each_dividing_pivot_once(self, monkeypatch):
+        # steps 1 .. n - 2 divide by the previous pivot; nothing else inverts
+        field = CyclotomicField(15)
+        calls = []
+        inv = CyclotomicField._inv
+
+        def counted(self, a):
+            calls.append(a)
+            return inv(self, a)
+
+        monkeypatch.setattr(CyclotomicField, "_inv", counted)
+        rng = random.Random(15)
+        for n in range(1, 6):
+            rows = tuple(
+                tuple(cyclotomic_entry(field, rng) for _ in range(n)) for _ in range(n)
+            )
+            calls.clear()
+            determinant(rows)
+            assert len(calls) <= max(n - 2, 0)
 
     def test_rank_characterizes_idempotency(self):
         rng = random.Random(13)

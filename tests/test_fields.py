@@ -143,6 +143,161 @@ class TestArithmetic:
                 assert a * a.inverse() == field.one
 
 
+# The Fraction-polynomial kernels that CyclotomicField used before its
+# arithmetic moved to common-denominator integers, kept as the reference the
+# integer kernels must reproduce coefficient for coefficient.
+
+
+def _ref_red_rows(field):
+    red = [tuple(-c for c in field.phi[:-1])]
+    for _ in range(field.degree - 1):
+        prev = red[-1]
+        shifted = [0] + list(prev[:-1])
+        top = prev[-1]
+        if top:
+            shifted = [s + top * r for s, r in zip(shifted, red[0])]
+        red.append(tuple(shifted))
+    return red
+
+
+def _ref_reduce(field, conv):
+    deg = field.degree
+    red = _ref_red_rows(field)
+    out = list(conv[:deg]) + [Fraction(0)] * (deg - len(conv[:deg]))
+    for t in range(deg, len(conv)):
+        c = conv[t]
+        if c:
+            row = red[t - deg]
+            for i in range(deg):
+                if row[i]:
+                    out[i] += c * row[i]
+    return tuple(out)
+
+
+def _ref_mul(field, a, b):
+    conv = [Fraction(0)] * (2 * field.degree - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    return _ref_reduce(field, conv)
+
+
+def _ref_poly_divmod(num, den):
+    num = list(num)
+    dd = len(den) - 1
+    if len(num) - 1 < dd:
+        return []
+    q = [Fraction(0)] * (len(num) - dd)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + dd] / den[-1]
+        q[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    return q
+
+
+def _ref_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _ref_poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] += ai
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_inv(field, a):
+    # extended Euclid in Q[x] against Phi_m
+    r0 = [Fraction(v) for v in a]
+    while r0 and r0[-1] == 0:
+        r0.pop()
+    r1 = [Fraction(c) for c in field.phi]
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q = _ref_poly_divmod(r0, r1)
+        r0, r1 = r1, _ref_poly_sub(r0, _ref_poly_mul(q, r1))
+        s0, s1 = s1, _ref_poly_sub(s0, _ref_poly_mul(q, s1))
+    inv_poly = [c / r0[0] for c in s0]
+    return _ref_reduce(field, inv_poly + [Fraction(0)] * max(0, field.degree - len(inv_poly)))
+
+
+def _kernel_operand(field, rng, kind):
+    """A nonzero raw value: every coefficient set, two set, or rational."""
+    deg = field.degree
+    vec = [Fraction(0)] * deg
+    if kind == "dense":
+        places = range(deg)
+    elif kind == "sparse":
+        places = rng.sample(range(deg), min(2, deg))
+    else:
+        places = [0]
+    for i in places:
+        vec[i] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+    return tuple(vec)
+
+
+class TestIntegerKernels:
+    KINDS = ("dense", "sparse", "rational")
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 9, 12, 15])
+    def test_mul_and_inv_match_fraction_reference(self, m):
+        field = CyclotomicField(m)
+        one = field.one.value
+        rng = random.Random(4000 + m)
+        for ka in self.KINDS:
+            for kb in self.KINDS:
+                for _ in range(4):
+                    a = _kernel_operand(field, rng, ka)
+                    b = _kernel_operand(field, rng, kb)
+                    product = field._mul(a, b)
+                    assert product == _ref_mul(field, a, b)
+                    assert all(type(x) is Fraction for x in product)
+            for _ in range(4):
+                a = _kernel_operand(field, rng, ka)
+                inv = field._inv(a)
+                assert inv == _ref_inv(field, a)
+                assert all(type(x) is Fraction for x in inv)
+                assert field._mul(a, inv) == one
+
+    @pytest.mark.parametrize("m", [5, 15])
+    def test_reduce_matches_fraction_reference(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(m)
+        # the reduction rows reach z^(2 * degree - 1)
+        for length in (1, field.degree, 2 * field.degree - 1, 2 * field.degree):
+            conv = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(length)]
+            assert field._reduce(conv) == _ref_reduce(field, conv)
+            expected = field.zero
+            for i, c in enumerate(conv):
+                expected = expected + field.scalar(c) * field.zeta**i
+            assert field._reduce(conv) == expected.value
+
+    def test_zero_coefficients_share_one_fraction(self):
+        field = CyclotomicField(15)
+        a = field.parse("1/2 + 3*z")
+        b = field.parse("-2/3")
+        zeros = [x for v in (a * a, a * b, a.inverse(), b.inverse(), field.zeta) for x in v.value if not x]
+        assert len({id(x) for x in zeros}) == 1
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicField(7)._inv(CyclotomicField(7).zero.value)
+
+
 class TestRootsOfUnity:
     def test_rationals_k3(self):
         assert Q.roots_of_unity(3) == [Q.one]

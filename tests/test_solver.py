@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -468,7 +469,85 @@ class TestOracle:
             assert fast.elements == slow.elements
 
 
+def _products_mod_p(alg, images, d):
+    """A G^(2) and G A for the monomial matrix G with G[images[i]][i] = d[i],
+    as full int matrices mod p."""
+    n, p = alg.n, alg.field.p
+    g = [[0] * n for _ in range(n)]
+    g_sq = [[0] * n for _ in range(n)]
+    for i, x in enumerate(d):
+        g[images[i]][i] = x
+        g_sq[images[i]][i] = x * x
+
+    def mul(x, y):
+        cols = tuple(zip(*y))
+        return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in x]
+
+    return mul(alg.raw_rows, g_sq), mul(g, alg.raw_rows)
+
+
+def reference_oracle(alg):
+    """The oracle's map list from the two full products compared whole."""
+    n, field = alg.n, alg.field
+    found = []
+    for images in itertools.permutations(range(n)):
+        for d in itertools.product(range(1, field.p), repeat=n):
+            lhs, rhs = _products_mod_p(alg, images, d)
+            if lhs == rhs:
+                found.append(MonomialMap(Permutation(images), tuple(map(field.scalar, d))))
+    return MonomialGroup(field, n, found).elements
+
+
+class TestOracleRowByRow:
+    def test_matches_full_product_comparison(self):
+        rng = random.Random(909)
+        for p in (3, 5, 7):
+            for n in (1, 2, 2, 3, 3):
+                alg = random_idempotent(PrimeField(p), n, rng)
+                assert brute_force_automorphisms(alg).elements == reference_oracle(alg)
+
+    def test_rejects_map_that_fails_only_on_the_last_row(self):
+        rng = random.Random(910)
+        for _ in range(200):
+            alg = random_idempotent(PrimeField(rng.choice([3, 5, 7])), 3, rng)
+            p = alg.field.p
+            for images in itertools.permutations(range(3)):
+                for d in itertools.product(range(1, p), repeat=3):
+                    lhs, rhs = _products_mod_p(alg, images, d)
+                    if lhs[:-1] == rhs[:-1] and lhs[-1] != rhs[-1]:
+                        near_miss = MonomialMap(
+                            Permutation(images), tuple(map(alg.field.scalar, d))
+                        )
+                        found = brute_force_automorphisms(alg).elements
+                        assert near_miss not in found
+                        assert found == reference_oracle(alg)
+                        return
+        pytest.fail("no candidate agreeing on every row but the last")
+
+
 class TestIsomorphism:
+    def test_decision_can_depend_on_argument_order(self):
+        # Each direction roots its own transversal: from A the solve finds a
+        # certificate, from B it leaves x^3 = c open. Neither direction may
+        # claim non-isomorphism, and the inverse witness maps B onto A.
+        a = EvolutionAlgebra(Z3, [
+            ["0", "-1", "1", "1/2"],
+            ["-3/2", "-1", "2", "3/2"],
+            ["-1/2", "5/2", "-1 + z", "0"],
+            ["0", "2 + z", "1", "-2 + z"],
+        ])
+        b = EvolutionAlgebra(Z3, [
+            ["-1/2 + 1/2*z", "0", "100/49 + 160/49*z", "1 + z"],
+            ["-1/8", "4 - 2*z", "-4/49 - 26/49*z", "0"],
+            ["-1/4 + 1/2*z", "-3 + 6*z", "6/7 + 4/7*z", "-9/4 - 3/4*z"],
+            ["1/4 + 1/4*z", "2 + 2*z", "12/49 - 20/49*z", "0"],
+        ])
+        forward, backward = isomorphism(a, b), isomorphism(b, a)
+        assert forward.status is IsoStatus.ISOMORPHIC
+        assert backward.status is not IsoStatus.NOT_ISOMORPHIC
+        assert verify_map(a, b, forward.witness)
+        assert verify_map(b, a, forward.witness.inverse())
+
     def test_kn_vs_two_param_never(self):
         res = isomorphism(two_param(4, 0, 1), two_param(4, 1, 2))
         assert res.status is IsoStatus.NOT_ISOMORPHIC
