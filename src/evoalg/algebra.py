@@ -12,7 +12,7 @@ import json
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import Digraph, transversals
+from .digraph import Digraph, min_transversal_order, transversals
 from .errors import FieldMismatchError, ParseError, SingularMatrixError
 from .fields import Field, Scalar, parse_field
 from .groups import MonomialMap
@@ -158,7 +158,6 @@ class EvolutionAlgebra:
         self.rows: Matrix = tuple(rows)
         self.det = determinant(self.rows)
         self.digraph = Digraph.from_scalar_rows(self.rows)
-        self._t_a: Optional[int] = None
 
     @property
     def is_idempotent(self) -> bool:
@@ -243,13 +242,9 @@ class EvolutionAlgebra:
                 matrix[k][j] = value
         return LoopInvariants(tuple(entries), tuple(map(tuple, matrix)))
 
-    @property
+    @cached_property
     def min_transversal_order(self) -> int:
-        from .digraph import min_transversal_order
-
-        if self._t_a is None:
-            self._t_a = min_transversal_order(self.digraph)
-        return self._t_a
+        return min_transversal_order(self.digraph)
 
     # elements are plain tuples of scalars in the natural basis -------------
 
@@ -291,10 +286,19 @@ class EvolutionAlgebra:
         for key in ("field", "n", "entries"):
             if key not in data:
                 raise ParseError(f"matrix JSON is missing {key!r}")
-        fld = field if field is not None else parse_field(data["field"])
+        fld = field
+        if fld is None:
+            if not isinstance(data["field"], str):
+                raise ParseError("matrix JSON field must be a string")
+            fld = parse_field(data["field"])
         entries = data["entries"]
         if not isinstance(entries, list) or len(entries) != data["n"]:
             raise ParseError("matrix JSON entries do not match n")
+        if not all(
+            isinstance(row, list) and all(isinstance(x, str) for x in row)
+            for row in entries
+        ):
+            raise ParseError("matrix JSON entries must be lists of strings")
         return cls(fld, [[fld.parse(x) for x in row] for row in entries])
 
     @classmethod

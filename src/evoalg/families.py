@@ -4,8 +4,7 @@ diagonal maps that normalize cycle-patterned algebras."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
 from .digraph import Permutation
@@ -114,14 +113,12 @@ def load_graph(path: str) -> list[list[int]]:
     return adjacency
 
 
-@dataclass(frozen=True)
-class LabeledAlgebra:
+class LabeledAlgebra(NamedTuple):
     label: str
     algebra: EvolutionAlgebra
 
 
-@dataclass(frozen=True)
-class OmittedRepresentative:
+class OmittedRepresentative(NamedTuple):
     label: str
     reason: str
 

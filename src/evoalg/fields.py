@@ -686,8 +686,16 @@ class CyclotomicField(Field):
         return out
 
     def _reduce(self, conv: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Coefficients of z^0, z^1, ... of any length, reduced modulo Phi_m
+        by long division from the top."""
         nums, den = _clear(conv)
-        return self._from_ints(self._reduce_ints(nums), den)
+        deg = self.degree
+        for t in range(len(nums) - 1, deg - 1, -1):
+            c = nums[t]
+            if c:
+                for i, p in enumerate(self.phi[:-1], t - deg):
+                    nums[i] -= c * p
+        return self._from_ints(nums[:deg] + [0] * (deg - len(nums)), den)
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -812,7 +820,8 @@ class CyclotomicField(Field):
             sign = -1 if mt.group(1) == "-" else 1
             coef = Fraction(mt.group(2)) if mt.group(2) else Fraction(1)
             if "z" in term:
-                power = int(mt.group(3)) if mt.group(3) else 1
+                # z^m = 1
+                power = int(mt.group(3)) % self.m if mt.group(3) else 1
             else:
                 power = 0
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef

@@ -4,12 +4,11 @@ recognition against the handful of named targets this library cares about."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .digraph import Permutation
 from .errors import (
@@ -122,15 +121,6 @@ class MonomialMap:
         return f"MonomialMap({self.sigma.to_json()}, [{', '.join(map(str, self.d))}])"
 
 
-@dataclass(frozen=True)
-class GroupProfile:
-    order: int
-    is_abelian: bool
-    element_order_histogram: dict
-    diagonal_order: int
-    quotient_order: int
-
-
 class MonomialGroup:
     """An explicit duplicate-free set of monomial maps, sorted for
     deterministic serialization.
@@ -179,28 +169,12 @@ class MonomialGroup:
     @functools.cached_property
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, aligned with ``elements``; computed
-        once per group and read by ``profile`` and ``recognize``."""
+        once per group and read by ``recognize``."""
         return tuple(g.order() for g in self.elements)
 
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
         return tuple(g for g in self.elements if g.is_diagonal)
-
-    def profile(self) -> GroupProfile:
-        if not self.complete:
-            raise UnclosedGroupError("profile requires a closed group")
-        hist = Counter(self.element_orders)
-        abelian = all(
-            g * h == h * g for g, h in itertools.combinations(self.generators, 2)
-        )
-        diag = len(self.diagonal_part())
-        return GroupProfile(
-            order=self.order,
-            is_abelian=abelian,
-            element_order_histogram=dict(sorted(hist.items())),
-            diagonal_order=diag,
-            quotient_order=self.order // diag,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -290,38 +264,38 @@ def close_generators(
 # recognition against named targets
 
 
-@dataclass(frozen=True)
-class Trivial:
+# Targets are tuples: Cyclic(6) == Symmetric(6) and Trivial() is falsy, so
+# `recognize` tells them apart by isinstance and nothing compares, hashes or
+# truth-tests one.
+
+
+class Trivial(NamedTuple):
     def name(self) -> str:
         return "trivial"
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(NamedTuple):
     k: int
 
     def name(self) -> str:
         return f"C{self.k}"
 
 
-@dataclass(frozen=True)
-class Symmetric:
+class Symmetric(NamedTuple):
     k: int
 
     def name(self) -> str:
         return f"S{self.k}"
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(NamedTuple):
     k: int  # order 2k, k >= 3
 
     def name(self) -> str:
         return f"Dih{self.k}"
 
 
-@dataclass(frozen=True)
-class SemidirectCyclic:
+class SemidirectCyclic(NamedTuple):
     m: int
     k: int  # normal C_m extended by C_k
 
@@ -329,11 +303,11 @@ class SemidirectCyclic:
         return f"C{self.m}:C{self.k}"
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
+class RecognitionReport(NamedTuple):
     target: object
     matched: bool
-    witness: dict = dataclass_field(default_factory=dict)
+    # the default is shared by every report, so it is read-only
+    witness: Mapping = MappingProxyType({})
 
 
 def _symmetric_histogram(k: int) -> dict[int, int]:
@@ -415,7 +389,7 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
             return RecognitionReport(target, False)
         if target.k == group.n and len(group.diagonal_part()) == 1:
             return RecognitionReport(target, True, {"method": "faithful image"})
-        if group.profile().element_order_histogram == _symmetric_histogram(target.k):
+        if Counter(group.element_orders) == _symmetric_histogram(target.k):
             return RecognitionReport(target, True, {"method": "order histogram"})
         return RecognitionReport(target, False)
 
@@ -470,8 +444,7 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
     raise ParseError(f"unknown recognition target {target!r}")
 
 
-@dataclass(frozen=True)
-class QuotientEmbeddingReport:
+class QuotientEmbeddingReport(NamedTuple):
     kernel_order: int
     diagonal_order: int
     kernel_equals_diagonal: bool
@@ -504,6 +477,8 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
     that holds the identity and is mapped into itself by each of those
     permutations contains that subgroup; |image| * |generators| products.
     """
+    # imported here: solver imports this module, so a module-level import
+    # would close the groups <-> solver cycle
     from .solver import diagonal_subgroup
 
     if not group.complete:

@@ -7,6 +7,7 @@ chain s_1 | s_2 | ... of nonnegative integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -107,8 +108,6 @@ class CongruenceSolution(NamedTuple):
 
     def elements(self):
         """Yield every solution vector, deterministically ordered."""
-        import itertools
-
         for combo in itertools.product(*(range(o) for o in self.orders)):
             x = [0] * self.n_vars
             for gen, c in zip(self.generators, combo):

@@ -17,11 +17,11 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     EvolutionAlgebra,
+    determinant,
     entrywise_square,
     is_zero_matrix,
     mat_equal,
@@ -55,8 +55,7 @@ class SolveStatus(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: SolveStatus
     maps: tuple[MonomialMap, ...] = ()
     unsolved: tuple[str, ...] = ()
@@ -204,8 +203,7 @@ def solve_monomial(
 # diagonal automorphism subgroup in root-of-unity exponent space
 
 
-@dataclass(frozen=True)
-class DiagonalLattice:
+class DiagonalLattice(NamedTuple):
     """The diagonal automorphisms d_i = g^(x_i), described by the solution
     subgroup of the congruences 2 x_j = x_i (mod N) at nonzero entries."""
 
@@ -357,8 +355,7 @@ class IsoStatus(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class IsomorphismResult:
+class IsomorphismResult(NamedTuple):
     status: IsoStatus
     witness: Optional[MonomialMap] = None
     certificate: Optional[dict] = None
@@ -480,8 +477,6 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
 
     if n <= 2 and field.p <= 3:
         monomial_matrices = {g.matrix() for g in found}
-        from .algebra import determinant
-
         all_scalars = [field.scalar(v) for v in range(field.p)]
         for flat in itertools.product(all_scalars, repeat=n * n):
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))

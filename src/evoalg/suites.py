@@ -7,14 +7,15 @@ drawn from fixed seeds so reruns are identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from .algebra import EvolutionAlgebra, entrywise_square, mat_equal, mat_mul
-from .digraph import Digraph, graph_automorphisms
+from .digraph import Digraph, Permutation, graph_automorphisms
+from .errors import ParseError
 from .families import (
     complete_graph_algebra,
     cycle_algebra,
@@ -50,18 +51,19 @@ SEED_THM41_ISO = 4107
 SEED_THM41_BOUND = 4108
 
 
-@dataclass
-class Assertion:
+class Assertion(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
     indeterminate: bool = False
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
+    """A suite's assertions, appended by ``check``; each suite passes its
+    own empty list, since a NamedTuple default would be shared."""
+
     suite: str
-    assertions: list[Assertion] = dataclass_field(default_factory=list)
+    assertions: list[Assertion]
 
     def check(self, name: str, ok: bool, detail: str = "", indeterminate: bool = False):
         self.assertions.append(Assertion(name, bool(ok), detail, indeterminate))
@@ -146,8 +148,6 @@ def random_multicycle_algebra(rng: random.Random):
     while True:
         images = list(range(n))
         rng.shuffle(images)
-        from .digraph import Permutation
-
         sigma = Permutation(images)
         lengths = [len(c) for c in sigma.cycles()]
         if len(lengths) >= 2 and max(lengths) >= 2:
@@ -167,7 +167,7 @@ def random_multicycle_algebra(rng: random.Random):
 
 
 def suite_example31() -> SuiteResult:
-    res = SuiteResult("example31")
+    res = SuiteResult("example31", [])
     for n in (3, 4, 5):
         order = automorphism_group(complete_graph_algebra(n, Q)).order
         res.check(
@@ -213,7 +213,7 @@ def _thm22_sample_ok(alg: EvolutionAlgebra) -> tuple[bool, bool]:
 
 
 def suite_thm22() -> SuiteResult:
-    res = SuiteResult("thm22")
+    res = SuiteResult("thm22", [])
     rng = random.Random(SEED_THM22)
     combos = [(p, n) for p in (3, 5, 7) for n in (2, 3)]
     failures, undecided = [], 0
@@ -266,7 +266,7 @@ def suite_thm22() -> SuiteResult:
 
 
 def suite_thm23() -> SuiteResult:
-    res = SuiteResult("thm23")
+    res = SuiteResult("thm23", [])
     rng = random.Random(SEED_THM23)
     bad = []
     for i in range(30):
@@ -286,7 +286,7 @@ def suite_thm23() -> SuiteResult:
 
 
 def suite_thm31() -> SuiteResult:
-    res = SuiteResult("thm31")
+    res = SuiteResult("thm31", [])
     five_cycle = [
         [0, 1, 0, 0, 1],
         [1, 0, 1, 0, 0],
@@ -329,7 +329,7 @@ def suite_thm31() -> SuiteResult:
 
 
 def suite_thm32() -> SuiteResult:
-    res = SuiteResult("thm32")
+    res = SuiteResult("thm32", [])
     samples = (2, 3, -1)
     for n in (2, 3, 4, 5):
         included, _ = sn_representatives(n, Q, samples)
@@ -340,9 +340,7 @@ def suite_thm32() -> SuiteResult:
                 order == math.factorial(n),
                 f"got {order}",
             )
-        import itertools as _it
-
-        for one, two in _it.combinations(included, 2):
+        for one, two in itertools.combinations(included, 2):
             found = isomorphism(one.algebra, two.algebra).found
             res.check(
                 f"n={n}: {one.label} and {two.label} are non-isomorphic",
@@ -370,7 +368,7 @@ def suite_thm32() -> SuiteResult:
 
 
 def suite_thm41() -> SuiteResult:
-    res = SuiteResult("thm41")
+    res = SuiteResult("thm41", [])
     rng_iso = random.Random(SEED_THM41_ISO)
     for n in (2, 3, 4):
         modulus = 2**n - 1
@@ -455,7 +453,5 @@ SUITES: dict[str, Callable[[], SuiteResult]] = {
 
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
-        from .errors import ParseError
-
         raise ParseError(f"unknown suite {name!r}; pick one of {sorted(SUITES)}")
     return SUITES[name]()

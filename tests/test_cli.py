@@ -148,6 +148,29 @@ class TestAut:
         code, _, _ = run(capsys, "aut", "--in", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"field": "Q", "n": 1, "entries": [[2]]},
+            {"field": "Q", "n": 1, "entries": [[None]]},
+            {"field": 5, "n": 1, "entries": [["2"]]},
+        ],
+        ids=["number-entry", "null-entry", "number-field"],
+    )
+    def test_non_string_input_exits_1(self, tmp_path, capsys, matrix):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(matrix))
+        code, out, err = run(capsys, "aut", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: matrix JSON")
+
+    def test_large_power_of_zeta_parses(self, tmp_path, capsys):
+        # z^4 = z over Q(zeta_3); a 1x1 algebra has only the identity map
+        path = tmp_path / "z4.json"
+        path.write_text(json.dumps({"field": "Q(zeta_3)", "n": 1, "entries": [["z^4"]]}))
+        code, report = run_json(capsys, "aut", "--in", str(path))
+        assert code == 0 and report["order"] == 1
+
     def test_threads_do_not_change_report(self, k4_file, capsys):
         _, out1, _ = run(capsys, "aut", "--in", k4_file, "--threads", "1")
         _, out8, _ = run(capsys, "aut", "--in", k4_file, "--threads", "8")
@@ -294,7 +317,10 @@ class TestVerifyCommand:
 def test_cli_import_loads_no_thread_pool():
     # every CLI run pays for what `import evoalg.cli` loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
-    probe = "import sys, evoalg.cli; print('concurrent.futures' in sys.modules)"
+    # dataclasses and inspect (with dis, ast, tokenize) cost a cold start more
+    # than any module of the package
+    heavy = ["concurrent.futures", "dataclasses", "inspect", "dis", "ast", "tokenize"]
+    probe = f"import sys, evoalg.cli; print([m for m in {heavy!r} if m in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -302,7 +328,7 @@ def test_cli_import_loads_no_thread_pool():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_1(capsys):

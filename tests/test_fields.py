@@ -277,10 +277,12 @@ class TestIntegerKernels:
     def test_reduce_matches_fraction_reference(self, m):
         field = CyclotomicField(m)
         rng = random.Random(m)
-        # the reduction rows reach z^(2 * degree - 1)
-        for length in (1, field.degree, 2 * field.degree - 1, 2 * field.degree):
+        # the reference rows reach z^(2 * degree - 1); parse reduces longer lists
+        deg = field.degree
+        for length in (1, deg, 2 * deg - 1, 2 * deg, 3 * deg + 1):
             conv = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(length)]
-            assert field._reduce(conv) == _ref_reduce(field, conv)
+            if length <= 2 * deg:
+                assert field._reduce(conv) == _ref_reduce(field, conv)
             expected = field.zero
             for i, c in enumerate(conv):
                 expected = expected + field.scalar(c) * field.zeta**i
@@ -508,6 +510,18 @@ class TestSerialization:
         assert s == Z3.scalar(Fraction(1, 2)) + Z3.scalar(3) * Z3.zeta**2
         round_trip = Z3.parse(str(s))
         assert round_trip == s
+
+    @pytest.mark.parametrize("m", [3, 5, 15, 30])
+    def test_cyclotomic_powers_of_z_fold_mod_m(self, m):
+        field = CyclotomicField(m)
+        for k in range(3 * m):
+            assert field.parse(f"z^{k}") == field.zeta**k
+        assert field.parse(f"2*z^{m + 1} - z^{2 * m}") == 2 * field.zeta - 1
+
+    def test_cyclotomic_huge_power_of_z(self):
+        # 10^12 = 10 (mod 15), so no list of 10^12 coefficients is built
+        z15 = CyclotomicField(15)
+        assert z15.parse("z^1000000000000") == z15.zeta**10
 
     def test_cyclotomic_format_examples(self):
         z7 = CyclotomicField(7)

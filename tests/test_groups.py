@@ -1,4 +1,6 @@
+import contextlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -272,7 +274,6 @@ class TestRecognition:
         monkeypatch.setattr(MonomialMap, "order", counted)
         for target in (Cyclic(6), Symmetric(3), Dihedral(3), SemidirectCyclic(3, 2)):
             recognize(grp, target)
-        grp.profile()
         assert calls == grp.order
 
     def test_absent_order_rejects_without_a_scan(self, monkeypatch):
@@ -320,6 +321,15 @@ class TestRecognition:
         assert recognize(c4, Cyclic(4)).matched
         assert not recognize(c4, SemidirectCyclic(2, 2)).matched
 
+    def test_unmatched_witnesses_are_not_shared(self):
+        grp = self.s3_over_zeta3()
+        one = recognize(grp, Cyclic(6))
+        other = recognize(grp, Symmetric(4))
+        assert not one.matched and not other.matched
+        with contextlib.suppress(TypeError):  # a read-only witness refuses
+            one.witness["generator"] = "x"
+        assert other.witness == {}
+
     def test_cyclic_6_rejected_for_s3(self):
         assert not recognize(self.s3_over_zeta3(), Cyclic(6)).matched
 
@@ -349,11 +359,9 @@ class TestRecognition:
 class TestProfile:
     def test_histogram_sums_to_order(self):
         grp = TestRecognition().s3_over_zeta3()
-        profile = grp.profile()
-        assert sum(profile.element_order_histogram.values()) == profile.order == 6
-        assert not profile.is_abelian
-        assert profile.diagonal_order == 3
-        assert profile.quotient_order == 2
+        assert sum(Counter(grp.element_orders).values()) == grp.order == 6
+        assert len(grp.diagonal_part()) == 3
+        assert grp.order // len(grp.diagonal_part()) == 2
 
     def test_orders_over_a_large_prime_build_no_table(self):
         # N = 999982 is within the kth_roots table limit, yet K3's six
@@ -377,8 +385,3 @@ class TestProfile:
         assert [(z**e).multiplicative_order() for e in (0, 1, 3, 5)] == [1, 15, 5, 3]
         assert (-z).multiplicative_order() == 30
         assert field._dlog is not None and len(field._dlog) == 30
-
-    def test_cyclic_diagonal_group_is_abelian(self):
-        z = Z3.zeta
-        grp = close_generators([MonomialMap.diagonal((z, z * z))])
-        assert grp.profile().is_abelian
