@@ -247,11 +247,15 @@ def _census_algebra(field: Field, n: int, flat) -> EvolutionAlgebra:
 
 def _census_entry(alg: EvolutionAlgebra):
     """(|Aut|, |D|, whether Aut is complete) for a nonsingular algebra, or
-    None for a singular one."""
+    None for a singular one.
+
+    |D| is read off the group: a complete group's diagonal part is D, and
+    the census tallies complete groups only.
+    """
     if not alg.is_idempotent:
         return None
     group = automorphism_group(alg)
-    return group.order, diagonal_subgroup(alg).order, group.complete
+    return group.order, len(group.diagonal_part()), group.complete
 
 
 def _unit_vectors(p: int, n: int):

@@ -74,13 +74,16 @@ def frucht_lift(graph_rows: Sequence[Sequence[int]], field: Field) -> tuple[Evol
     """
     if field.characteristic != 0:
         raise ParseError("graph lift needs a characteristic-zero field")
+    if not isinstance(graph_rows, (list, tuple)):
+        raise ParseError("adjacency matrix must be a list of rows")
     n = len(graph_rows)
-    for i, row in enumerate(graph_rows):
-        if len(row) != n:
+    for row in graph_rows:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
             raise ParseError("adjacency matrix must be square")
+        if not all(isinstance(x, int) and x in (0, 1) for x in row):
+            raise ParseError("adjacency entries must be 0 or 1")
+    for i, row in enumerate(graph_rows):
         for j, x in enumerate(row):
-            if x not in (0, 1):
-                raise ParseError("adjacency entries must be 0 or 1")
             if graph_rows[j][i] != x:
                 raise ParseError("adjacency matrix must be symmetric")
         if row[i] != 0:
@@ -108,8 +111,8 @@ def load_graph(path: str) -> list[list[int]]:
     if not isinstance(data, dict) or "n" not in data or "adjacency" not in data:
         raise ParseError("graph JSON needs keys n and adjacency")
     adjacency = data["adjacency"]
-    if len(adjacency) != data["n"]:
-        raise ParseError("graph adjacency does not match n")
+    if not isinstance(adjacency, list) or len(adjacency) != data["n"]:
+        raise ParseError("graph adjacency must be a list of n rows")
     return adjacency
 
 

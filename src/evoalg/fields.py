@@ -320,13 +320,7 @@ class Field(metaclass=_Interned):
         """All x in the field with x**k == 1; there are gcd(k, N) of them."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        n_roots = math.gcd(k, self._unity_order())
-        g = self.unity_group().generator ** (self._unity_order() // n_roots)
-        out, cur = [], self.one
-        for _ in range(n_roots):
-            out.append(cur)
-            cur = cur * g
-        return sorted(out, key=Scalar.sort_key)
+        return sorted(self._solve_unity_power(k, 0), key=Scalar.sort_key)
 
     def multiplicative_order(self, x: Scalar) -> Optional[int]:
         """Order of x when x is a root of unity, else None.
@@ -685,18 +679,6 @@ class CyclotomicField(Field):
                     out[i] += c * r
         return out
 
-    def _reduce(self, conv: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coefficients of z^0, z^1, ... of any length, reduced modulo Phi_m
-        by long division from the top."""
-        nums, den = _clear(conv)
-        deg = self.degree
-        for t in range(len(nums) - 1, deg - 1, -1):
-            c = nums[t]
-            if c:
-                for i, p in enumerate(self.phi[:-1], t - deg):
-                    nums[i] -= c * p
-        return self._from_ints(nums[:deg] + [0] * (deg - len(nums)), den)
-
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
@@ -825,10 +807,12 @@ class CyclotomicField(Field):
             else:
                 power = 0
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
-        conv = [_ZERO] * (max(coeffs) + 1)
+        # each power comes reduced mod Phi_m out of _mul
+        value, z = self._convert(0), self.zeta.value
         for power, coef in coeffs.items():
-            conv[power] = coef
-        return Scalar(self, self._reduce(conv))
+            term = self._mul(self._pow(z, power), self._convert(coef))
+            value = self._add(value, term)
+        return Scalar(self, value)
 
 
 def _char0_kth_roots(field: Field, c: Scalar, k: int) -> KthRoots:

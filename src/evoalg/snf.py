@@ -1,8 +1,9 @@
 """Smith normal form of integer matrices and homogeneous congruence solving.
 
-Matrices are lists of lists of ints. ``smith_normal_form`` returns (S, U, V)
-with U*A*V == S, U and V unimodular, and the diagonal of S a divisibility
-chain s_1 | s_2 | ... of nonnegative integers.
+Matrices are lists of lists of ints. ``smith_normal_form`` returns (S, V)
+with U*A*V == S for some unimodular U that is not built, V unimodular, and
+the diagonal of S a divisibility chain s_1 | s_2 | ... of nonnegative
+integers.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ def _add_col(mat, src, dst, factor):
 
 
 def smith_normal_form(mat: list[list[int]]):
-    """Diagonalize by unimodular row and column operations."""
+    """Diagonalize by unimodular row and column operations, keeping the
+    column transform V only."""
     a = [list(map(int, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = _identity(m)
     v = _identity(n)
     t = 0
     while t < min(m, n):
@@ -54,7 +55,6 @@ def smith_normal_form(mat: list[list[int]]):
         if pivot is None:
             break
         _swap_rows(a, t, pivot[0])
-        _swap_rows(u, t, pivot[0])
         _swap_cols(a, t, pivot[1])
         _swap_cols(v, t, pivot[1])
         dirty = False
@@ -62,7 +62,6 @@ def smith_normal_form(mat: list[list[int]]):
             if a[i][t]:
                 q = a[i][t] // a[t][t]
                 _add_row(a, t, i, -q)
-                _add_row(u, t, i, -q)
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, n):
@@ -85,15 +84,12 @@ def smith_normal_form(mat: list[list[int]]):
                 break
         if offender is not None:
             _add_row(a, offender, t, 1)
-            _add_row(u, offender, t, 1)
             continue
         if a[t][t] < 0:
             for k in range(n):
                 a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
         t += 1
-    return a, u, v
+    return a, v
 
 
 class CongruenceSolution(NamedTuple):
@@ -127,7 +123,7 @@ def solve_homogeneous_mod(mat: list[list[int]], n_vars: int, modulus: int) -> Co
         return CongruenceSolution(
             modulus, n_vars, gens, (modulus,) * n_vars, modulus**n_vars
         )
-    s, _, v = smith_normal_form(mat)
+    s, v = smith_normal_form(mat)
     diag = [s[i][i] for i in range(min(len(s), n_vars))]
     diag += [0] * (n_vars - len(diag))
     gens, orders = [], []

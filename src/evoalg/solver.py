@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional
 
 from .algebra import (
     EvolutionAlgebra,
-    determinant,
     entrywise_square,
     is_zero_matrix,
     mat_equal,
@@ -51,7 +50,6 @@ ORACLE_DIMENSION_CAP = 4
 
 class SolveStatus(enum.Enum):
     COMPLETE = "complete"
-    NO_SOLUTION = "no-solution"
     INDETERMINATE = "indeterminate"
 
 
@@ -75,8 +73,8 @@ def solve_monomial(
 ) -> SolveOutcome:
     """All scaling vectors d making (sigma, d) a map of E(A) onto E(B).
 
-    Steps: reject on zero-pattern mismatch; reject, as COMPLETE with no
-    maps, when a loop invariant I_kj = a_kj * a_kk / a_jj^2 of A differs
+    Steps: reject, as COMPLETE with no maps, on a zero-pattern mismatch or
+    when a loop invariant I_kj = a_kj * a_kk / a_jj^2 of A differs
     from B's at (sigma k, sigma j), a test that cannot fail for a is b and
     the identity sigma and is skipped there; read off the multiplicative
     constraints d_k = d_j^2 * r_kj at nonzero entries; then, for each
@@ -111,7 +109,7 @@ def solve_monomial(
         for j in cols:
             image |= 1 << s[j]
         if image != b_pattern[s[k]]:
-            return SolveOutcome(SolveStatus.NO_SOLUTION)
+            return SolveOutcome(SolveStatus.COMPLETE)
     if a is not b or not sigma.is_identity():
         # the patterns correspond, so B has an invariant wherever A has one
         entries = a.loop_invariants.entries
@@ -231,13 +229,10 @@ class DiagonalLattice(NamedTuple):
             raise CapExceededError(
                 f"diagonal subgroup of order {self.order} exceeds the cap"
             )
-        powers = [self.generator.field.one]
-        for _ in range(self.modulus - 1):
-            powers.append(powers[-1] * self.generator)
-        out = [
-            MonomialMap.diagonal(tuple(powers[e] for e in vec))
-            for vec in self.exponents.elements()
-        ]
+        # only the exponents that occur are raised: the modulus can be p - 1
+        vecs = list(self.exponents.elements())
+        powers = {e: self.generator**e for e in set(itertools.chain.from_iterable(vecs))}
+        out = [MonomialMap.diagonal(tuple(powers[e] for e in vec)) for vec in vecs]
         return tuple(sorted(set(out), key=MonomialMap.sort_key))
 
 
@@ -438,13 +433,13 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
 
 def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
     """Oracle: enumerate every nonsingular monomial matrix G over GF(p) and
-    keep those with A G^(2) = G A, checking the identity literally on int
+    keep those with A G^(2) = G A. The identity is checked literally on int
     matrices mod p, row by row until a row differs; only the maps that pass
     are built as MonomialMaps, so each has had every entry compared.
 
     For n <= 2 and p <= 3 additionally sweeps every invertible matrix with
-    the full automorphism conditions and confirms that nothing non-monomial
-    shows up.
+    the same predicate plus the annihilation A (G * G) = 0, on the same
+    ints, and confirms that nothing non-monomial shows up.
     """
     a.require_idempotent()
     field = a.field
@@ -456,7 +451,18 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
     rows = a.raw_rows
     cols = tuple(zip(*rows))
     mul = operator.mul
+
+    def commutes(g, g_sq_cols):
+        # row r of A G^(2) against row r of G A, up to the first row that
+        # differs
+        return all(
+            [sum(map(mul, a_row, col)) % p for col in g_sq_cols]
+            == [sum(map(mul, g_row, col)) % p for col in cols]
+            for a_row, g_row in zip(rows, g)
+        )
+
     found = []
+    monomial_matrices = set()
     for images in itertools.permutations(range(n)):
         for d in itertools.product(range(1, p), repeat=n):
             g = [[0] * n for _ in range(n)]
@@ -464,30 +470,32 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
             for i, x in enumerate(d):
                 g[images[i]][i] = x
                 g_sq_cols[i][images[i]] = x * x
-            # row r of A G^(2) against row r of G A, up to the first row
-            # that differs
-            if all(
-                [sum(map(mul, a_row, col)) % p for col in g_sq_cols]
-                == [sum(map(mul, g_row, col)) % p for col in cols]
-                for a_row, g_row in zip(rows, g)
-            ):
+            if commutes(g, g_sq_cols):
                 found.append(
                     MonomialMap(Permutation(images), tuple(Scalar(field, x) for x in d))
                 )
+                monomial_matrices.add(tuple(map(tuple, g)))
 
-    if n <= 2 and field.p <= 3:
-        monomial_matrices = {g.matrix() for g in found}
-        all_scalars = [field.scalar(v) for v in range(field.p)]
-        for flat in itertools.product(all_scalars, repeat=n * n):
-            mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-            if determinant(mat).is_zero:
+    if n <= 2 and p <= 3:
+        for flat in itertools.product(range(p), repeat=n * n):
+            g = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            # n <= 2, so the determinant is written out
+            det = g[0][0] if n == 1 else g[0][0] * g[1][1] - g[0][1] * g[1][0]
+            if det % p == 0:
                 continue
-            cond = mat_equal(
-                mat_mul(a.rows, entrywise_square(mat)), mat_mul(mat, a.rows)
-            )
-            if n > 1:
-                cond = cond and is_zero_matrix(mat_mul(a.rows, star_product(mat)))
-            if cond and mat not in monomial_matrices:
+            g_cols = tuple(zip(*g))
+            if not commutes(g, [[x * x for x in col] for col in g_cols]):
+                continue
+            # A (G * G) = 0, G * G with column (i, j), i < j, holding the
+            # products of columns i and j of G
+            star_cols = [
+                list(map(mul, g_cols[i], g_cols[j]))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
+            if any(sum(map(mul, a_row, col)) % p for a_row in rows for col in star_cols):
+                continue
+            if g not in monomial_matrices:
                 raise RuntimeError(
                     "an invertible non-monomial automorphism appeared; "
                     "this contradicts the monomial form of algebra maps"

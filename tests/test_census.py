@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from evoalg import cli, suites
+from evoalg import cli, snf, solver, suites
 from evoalg.fields import PrimeField
 
 
@@ -70,7 +70,9 @@ def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
 
     def doubled(alg, *args, **kwargs):
         group = real(alg, *args, **kwargs)
-        return types.SimpleNamespace(order=2 * group.order, complete=True)
+        return types.SimpleNamespace(
+            order=2 * group.order, complete=True, diagonal_part=group.diagonal_part
+        )
 
     monkeypatch.setattr(cli, "automorphism_group", doubled)
     with pytest.raises(RuntimeError, match="orbit-stabilizer fails"):
@@ -83,11 +85,43 @@ def test_incomplete_group_fails_self_check(monkeypatch):
     def undecided(alg, *args, **kwargs):
         # an undecided group's order need not be constant on an orbit
         group = real(alg, *args, **kwargs)
-        return types.SimpleNamespace(order=group.order, complete=False)
+        return types.SimpleNamespace(
+            order=group.order, complete=False, diagonal_part=group.diagonal_part
+        )
 
     monkeypatch.setattr(cli, "automorphism_group", undecided)
     with pytest.raises(RuntimeError, match="is incomplete"):
         cli.main(["census", "--field", "GF(3)", "--n", "2"])
+
+
+@pytest.mark.parametrize(
+    "argv, aut, diag",
+    [
+        (["--field", "GF(3)", "--n", "2"], {"1": 40, "2": 8}, {"1": 48}),
+        (
+            ["--field", "GF(7)", "--n", "2", "--mode", "random:60", "--seed", "11"],
+            {"1": 52, "2": 5, "3": 2, "6": 1},
+            {"1": 57, "3": 3},
+        ),
+    ],
+)
+def test_diagonal_order_is_read_off_the_group(monkeypatch, capsys, argv, aut, diag):
+    # |D| is the diagonal part of the complete group, so no Smith normal
+    # form runs
+    calls = []
+    real = snf.solve_homogeneous_mod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "solve_homogeneous_mod", counted)
+    code = cli.main(["census", *argv])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["aut_histogram"] == aut
+    assert report["diag_histogram"] == diag
+    assert calls == []
 
 
 def test_zero_matrix_orbit_is_not_walked(monkeypatch, capsys):

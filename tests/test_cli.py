@@ -56,6 +56,16 @@ class TestMake:
         )
         assert code == 0 and report["m"] == 2
 
+    @pytest.mark.parametrize("adjacency", [5, [5, 6], [[0, 1], [1, "1"]], [[0, 1.5], [1.5, 0]]])
+    def test_malformed_graph_is_a_parse_error(self, tmp_path, capsys, adjacency):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 2, "adjacency": adjacency}))
+        code, out, err = run(
+            capsys, "make", "--family", f"frucht:{graph}", "--out", str(tmp_path / "x.json")
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_family_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "make", "--family", "nope:n=1", "--out", str(tmp_path / "x.json")

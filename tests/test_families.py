@@ -134,6 +134,12 @@ class TestFruchtLift:
             frucht_lift([[0, 1], [1, 0]], PrimeField(5))  # wrong characteristic
 
 
+    def test_rejects_malformed_shapes(self):
+        for rows in (5, [5, 6], [[0, 1], 7], [[0, None], [None, 0]]):
+            with pytest.raises(ParseError):
+                frucht_lift(rows, Q)
+
+
 class TestSnRepresentatives:
     def test_n1(self):
         included, omitted = sn_representatives(1, Q)

@@ -273,20 +273,23 @@ class TestIntegerKernels:
                 assert all(type(x) is Fraction for x in inv)
                 assert field._mul(a, inv) == one
 
-    @pytest.mark.parametrize("m", [5, 15])
+    # for m = 6 and 12 the powers below m reach past z^(2 * degree - 1)
+    @pytest.mark.parametrize("m", [5, 6, 12, 15])
     def test_reduce_matches_fraction_reference(self, m):
         field = CyclotomicField(m)
         rng = random.Random(m)
-        # the reference rows reach z^(2 * degree - 1); parse reduces longer lists
+        # the integer rows reach z^(2 * degree - 1); parse takes any power
         deg = field.degree
         for length in (1, deg, 2 * deg - 1, 2 * deg, 3 * deg + 1):
-            conv = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(length)]
+            conv = [rng.randint(-9, 9) for _ in range(length)]
             if length <= 2 * deg:
-                assert field._reduce(conv) == _ref_reduce(field, conv)
+                assert field._reduce_ints(conv) == list(_ref_reduce(field, conv))
+            den = rng.randint(1, 5)
+            text = " + ".join(f"{c}/{den}*z^{i}" for i, c in enumerate(conv))
             expected = field.zero
             for i, c in enumerate(conv):
-                expected = expected + field.scalar(c) * field.zeta**i
-            assert field._reduce(conv) == expected.value
+                expected = expected + field.scalar(Fraction(c, den)) * field.zeta**i
+            assert field.parse(text.replace("+ -", "- ")) == expected
 
     def test_zero_coefficients_share_one_fraction(self):
         field = CyclotomicField(15)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,19 +25,21 @@ def int_det(mat):
     return det
 
 
-def mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+def minors_gcd(mat, k):
+    """gcd of all k x k minors of an integer matrix."""
+    g = 0
+    for rows in itertools.combinations(range(len(mat)), k):
+        for cols in itertools.combinations(range(len(mat[0])), k):
+            g = math.gcd(g, int(int_det([[mat[r][c] for c in cols] for r in rows])))
+    return g
 
 
 def check_snf(mat):
-    s, u, v = smith_normal_form(mat)
+    # U is not built: S is pinned by the invariant factors instead, since
+    # s_1 * ... * s_k is the gcd of the k x k minors of mat
+    s, v = smith_normal_form(mat)
     m, n = len(mat), len(mat[0])
-    assert abs(int_det(u)) == 1
     assert abs(int_det(v)) == 1
-    assert mat_mul(mat_mul(u, mat), v) == s
     diag = [s[i][i] for i in range(min(m, n))]
     for i in range(m):
         for j in range(n):
@@ -47,6 +51,8 @@ def check_snf(mat):
             assert b % a == 0
         if a == 0:
             assert b == 0
+    for k in range(1, min(m, n) + 1):
+        assert math.prod(diag[:k]) == minors_gcd(mat, k)
     return diag
 
 
@@ -72,8 +78,6 @@ def test_random_matrices():
 
 
 def brute_solutions(mat, n_vars, modulus):
-    import itertools
-
     out = set()
     for x in itertools.product(range(modulus), repeat=n_vars):
         if all(sum(r * xi for r, xi in zip(row, x)) % modulus == 0 for row in mat):

@@ -2,14 +2,16 @@ import itertools
 import math
 import operator
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+from evoalg import solver
 from evoalg.algebra import EvolutionAlgebra, LoopInvariants, transport_structure
 from evoalg.digraph import Permutation, graph_automorphisms
 from evoalg.errors import CapExceededError, SingularMatrixError
-from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField
+from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField, Scalar
 from evoalg.groups import MonomialGroup, MonomialMap, quotient_embedding_check
 from evoalg.solver import (
     IsoStatus,
@@ -110,7 +112,9 @@ class TestSolveMonomial:
             complete_algebra(2), EvolutionAlgebra(Q, [[1, 0], [0, 1]]),
             Permutation.identity(2),
         )
-        assert out.status is SolveStatus.NO_SOLUTION
+        # decided, with no maps, like the invariant and cycle rejections
+        assert out == SolveOutcome(SolveStatus.COMPLETE)
+        assert out.maps == () and out.unsolved == ()
 
     def test_indeterminate_over_cyclotomic(self):
         f = CyclotomicField(5)
@@ -257,6 +261,25 @@ class TestDiagonalSubgroup:
                     order = m.order()
                     assert bound % order == 0
                     assert order % 2 == 1
+
+    @pytest.mark.parametrize("p, order", [(1000003, 1), (1000133, 7)])
+    def test_maps_raise_only_listed_exponents(self, monkeypatch, p, order):
+        # the modulus is p - 1 > 10^6, and the listed maps need at most
+        # `order` powers of the generator, not all p - 1 of them
+        lat = diagonal_subgroup(cycle_algebra(3, field=PrimeField(p)))
+        assert lat.modulus == p - 1 and lat.order == order
+        products = []
+        real = Scalar.__mul__
+
+        def counted(x, y):
+            products.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        maps = lat.maps()
+        assert len(maps) == order and len(set(maps)) == order
+        assert all(m.order() in (1, 7) for m in maps)
+        assert len(products) < 100
 
     def test_conductor_flag(self):
         assert not diagonal_subgroup(cycle_algebra(3, field=Z3)).conductor_sufficient
@@ -496,6 +519,32 @@ def reference_oracle(alg):
             if lhs == rhs:
                 found.append(MonomialMap(Permutation(images), tuple(map(field.scalar, d))))
     return MonomialGroup(field, n, found).elements
+
+
+class TestOracleInts:
+    def test_general_sweep_catches_a_missed_monomial_map(self, monkeypatch):
+        # hide the swap of K2 over GF(3) from the monomial sweep: the sweep
+        # over every invertible matrix finds it and must raise
+        alg = complete_algebra(2, PrimeField(3))
+        assert brute_force_automorphisms(alg).order == 2
+        hidden = types.SimpleNamespace(
+            permutations=lambda seq: iter([tuple(seq)]), product=itertools.product
+        )
+        monkeypatch.setattr(solver, "itertools", hidden)
+        with pytest.raises(RuntimeError, match="non-monomial"):
+            brute_force_automorphisms(alg)
+
+    def test_no_boxed_matrix_products(self, monkeypatch):
+        def forbidden(*_):
+            raise AssertionError("the oracle boxed a matrix product")
+
+        for name in ("mat_mul", "entrywise_square", "star_product"):
+            monkeypatch.setattr(solver, name, forbidden)
+        rng = random.Random(77)
+        for p, n in ((3, 1), (3, 2), (3, 2), (5, 2), (7, 3)):
+            alg = random_idempotent(PrimeField(p), n, rng)
+            assert brute_force_automorphisms(alg).elements == reference_oracle(alg)
+        assert brute_force_automorphisms(complete_algebra(2, PrimeField(3))).order == 2
 
 
 class TestOracleRowByRow:
