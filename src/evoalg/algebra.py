@@ -170,12 +170,6 @@ class EvolutionAlgebra:
             )
         return self
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.rows[i][j] for i in range(self.n))
-
     @cached_property
     def raw_rows(self) -> tuple[tuple, ...]:
         """The structure matrix as raw field values."""
@@ -245,6 +239,14 @@ class EvolutionAlgebra:
     @cached_property
     def min_transversal_order(self) -> int:
         return min_transversal_order(self.digraph)
+
+    @property
+    def conductor_sufficient(self) -> bool:
+        """Whether the field already contains every root of unity that the
+        transversal bound 2^t - 1 allows; when False the diagonal group, and
+        Aut, over a larger cyclotomic field can be strictly bigger."""
+        bound = 2**self.min_transversal_order - 1
+        return self.field.unity_group().order % bound == 0
 
     # elements are plain tuples of scalars in the natural basis -------------
 

@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to standard output (and to --out when given);
 human summaries go to standard error, so stdout stays parseable. Reports are
-byte-identical for identical inputs, seeds, and flags other than --threads.
+byte-identical for identical inputs, seeds, and flags other than census's
+--threads.
 
 Exit codes: 0 success, 1 parse or usage error, 2 singular input,
 3 indeterminate, 4 negative decision (non-isomorphic or failed
@@ -107,7 +108,8 @@ def cmd_aut(args) -> int:
     t0 = time.monotonic()
     sigmas = graph_automorphisms(alg.digraph)
     group = automorphism_group(alg, sigmas)
-    lattice = diagonal_subgroup(alg)
+    # the diagonal part of every group, partial ones included, is D
+    diagonal_order = len(group.diagonal_part())
     graph_count = len(sigmas)
     report = {
         "command": "aut",
@@ -118,15 +120,15 @@ def cmd_aut(args) -> int:
         "complete": group.complete,
         "recognized": _recognized_names(group),
         "generators": [g.to_json() for g in group.generators],
-        "diagonal_order": lattice.order,
+        "diagonal_order": diagonal_order,
         "t_A": alg.min_transversal_order,
         "graph_automorphism_count": graph_count,
-        "conductor_sufficient": lattice.conductor_sufficient,
+        "conductor_sufficient": alg.conductor_sufficient,
     }
     _emit(report, args)
     _say(
         f"|Aut| = {group.order}{'' if group.complete else ' (partial)'}, "
-        f"|D| = {lattice.order}, t_A = {alg.min_transversal_order}, "
+        f"|D| = {diagonal_order}, t_A = {alg.min_transversal_order}, "
         f"|Aut(pattern)| = {graph_count}, names: {report['recognized'] or '-'} "
         f"[{time.monotonic() - t0:.2f}s]"
     )
@@ -149,7 +151,7 @@ def cmd_diag(args) -> int:
             for vec, order in zip(lattice.exponents.generators, lattice.exponents.orders)
         ],
         "t_A": alg.min_transversal_order,
-        "conductor_sufficient": lattice.conductor_sufficient,
+        "conductor_sufficient": alg.conductor_sufficient,
     }
     if lattice.order <= DIAG_ELEMENT_REPORT_CAP:
         report["elements"] = [m.to_json() for m in lattice.maps()]
@@ -449,10 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_aut = sub.add_parser("aut", help="automorphism group of an algebra")
     add_common(p_aut)
-    p_aut.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted and ignored; the search runs in one thread",
-    )
     p_aut.set_defaults(func=cmd_aut)
 
     p_diag = sub.add_parser("diag", help="diagonal automorphism subgroup")

@@ -506,8 +506,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     """GF(p) for a prime p < 2**31. kth_roots decides x**k = c exactly when
-    gcd(k, p - 1) = 1, and otherwise through the discrete-log table, which
-    is built on first use for p <= 10**6."""
+    gcd(k, p - 1) = 1 or c = 1, and otherwise through the discrete-log
+    table, which is built on first use for p <= 10**6."""
 
     # N = p - 1 is as large as the field: orders reuse the table that
     # kth_roots builds and otherwise test the divisors of N
@@ -582,9 +582,13 @@ class PrimeField(Field):
         if math.gcd(k, n) == 1:
             # x -> x**k permutes GF(p)^*, so the one root is c**(k^-1 mod p-1)
             return KthRoots(True, (c ** pow(k, -1, n),))
-        if self.p > DLOG_TABLE_LIMIT:
+        if c.value == 1:
+            # 1 = g^0 needs no discrete-log table
+            roots = self._solve_unity_power(k, 0)
+        elif self.p > DLOG_TABLE_LIMIT:
             return KthRoots(False, (), f"x^{k} = {c} over {self.descriptor()}")
-        roots = self._solve_unity_power(k, self._unity_dlog(c.value))
+        else:
+            roots = self._solve_unity_power(k, self._unity_dlog(c.value))
         return KthRoots(True, tuple(sorted(roots, key=Scalar.sort_key)))
 
     def format(self, value) -> str:

@@ -125,13 +125,14 @@ class MonomialGroup:
     """An explicit duplicate-free set of monomial maps, sorted for
     deterministic serialization.
 
-    ``complete`` is False when the construction had to stop early (some
-    solve came back undecided), in which case the set is not claimed to be
-    a group. A complete set is proven closed by a Dimino closure of its
-    sorted elements that must stay inside the set, or the constructor raises
-    UnclosedGroupError. ``generators`` is the greedy generating set that
-    closure keeps (each sorted element not generated by the ones before it),
-    and ``()`` for an incomplete group.
+    ``complete`` is False when some solve came back undecided and left a
+    pattern automorphism unsettled: the set is then not claimed to be the
+    whole group, and its closure is not checked here. A complete set is
+    proven closed by a Dimino closure of its sorted elements that must stay
+    inside the set, or the constructor raises UnclosedGroupError.
+    ``generators`` is the greedy generating set that closure keeps (each
+    sorted element not generated by the ones before it), and ``()`` for an
+    incomplete group.
     """
 
     def __init__(

@@ -207,7 +207,6 @@ class DiagonalLattice(NamedTuple):
 
     generator: Scalar
     exponents: CongruenceSolution
-    min_transversal_order: int
 
     @property
     def modulus(self) -> int:
@@ -216,13 +215,6 @@ class DiagonalLattice(NamedTuple):
     @property
     def order(self) -> int:
         return self.exponents.order
-
-    @property
-    def conductor_sufficient(self) -> bool:
-        """Whether the field already contains every root of unity that the
-        transversal bound 2^t - 1 allows; when False the group over a larger
-        cyclotomic field can be strictly bigger."""
-        return self.modulus % (2**self.min_transversal_order - 1) == 0
 
     def maps(self) -> tuple[MonomialMap, ...]:
         if self.order > MATERIALIZE_CAP:
@@ -257,7 +249,6 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
     return DiagonalLattice(
         generator=unity.generator,
         exponents=solve_homogeneous_mod(rows, n, unity.order),
-        min_transversal_order=a.min_transversal_order,
     )
 
 
@@ -275,20 +266,22 @@ def automorphism_group(
 
     Aut(E) is an extension of the diagonal group D, the lifts of the
     identity, by the subgroup L of pattern automorphisms that lift, and the
-    lifts of each sigma in L form one coset of D. So D is solved first, and
-    the walk over the pattern automorphisms keeps a closure of the lifts
-    found so far with its image H in L. A sigma in H is skipped: its lifts
-    are already products in the closure. A sigma without lifts marks its
-    coset H*sigma dead, since h*sigma lifting would make sigma lift, and a
-    sigma in a dead coset is skipped too. Every other sigma is solved and
-    its lifts extend the closure. K_n over Q takes n solves, not n!. A
-    skipped sigma is settled by the group, not by its own solve, so the
-    group is complete when every solve run is decided, even where the solve
-    of a skipped sigma would leave a cycle equation open.
+    lifts of each sigma in L form one coset of D. So D is solved first; its
+    cycle equations read x^k = 1, which every field decides. One walk over
+    the pattern automorphisms then keeps a closure of D and the lifts found
+    so far, with its image H in L. A sigma in H is skipped: its lifts are
+    already products in the closure. A sigma without lifts marks its coset
+    H*sigma dead, since h*sigma lifting would make sigma lift, and a sigma
+    in a dead coset is skipped too. Every other sigma is solved once, and
+    its lifts extend the closure. K_n over Q takes n solves, not n!.
 
-    When some solve is undecided the group is returned partial and unclosed:
-    its elements are then exactly the maps of every decided solve over all
-    pattern automorphisms, as a partial set makes no claim of closure.
+    A sigma whose solve leaves a cycle equation open is recorded and the
+    walk goes on. At the end it is settled when it lies in the final image
+    H (it lifts) or in a coset H*tau of a tau without lifts (it does not).
+    The group is complete when every open sigma is settled. Either way its
+    elements are the closure of D and the lifts found, so its diagonal part
+    is D; a partial group is a subgroup of Aut(E), not claimed to be all of
+    it.
     """
     a.require_idempotent()
     if a.n > SEARCH_DIMENSION_CAP:
@@ -298,46 +291,35 @@ def automorphism_group(
     if sigmas is None:
         sigmas = graph_automorphisms(a.digraph)
     kernel = solve_monomial(a, a, Permutation.identity(a.n))
-    if kernel.status is not SolveStatus.INDETERMINATE:
-        elements = _lift_closure(a, sigmas, kernel.maps)
-        if elements is not None:
-            return MonomialGroup(a.field, a.n, elements)
-
-    elements = []
-    for sigma in sigmas:
-        outcome = solve_monomial(a, a, sigma)
-        if outcome.status is not SolveStatus.INDETERMINATE:
-            elements.extend(outcome.maps)
-    return MonomialGroup(a.field, a.n, elements, complete=False)
-
-
-def _lift_closure(
-    a: EvolutionAlgebra, sigmas: list[Permutation], kernel: tuple[MonomialMap, ...]
-) -> Optional[list[MonomialMap]]:
-    """The walk of `automorphism_group` from the diagonal group ``kernel``:
-    every automorphism, or None as soon as a solve is undecided."""
-    elements = list(kernel)
+    if kernel.status is SolveStatus.INDETERMINATE:
+        raise RuntimeError(f"the diagonal group was left open: {kernel.unsolved}")
+    elements = list(kernel.maps)
     image = {g.sigma for g in elements}
+    barren: list[Permutation] = []
     dead: set[Permutation] = set()
+    unsettled: list[Permutation] = []
     closure = Closure(a.field, a.n)
     for sigma in sigmas:
         if sigma in image or sigma in dead:
             continue
         outcome = solve_monomial(a, a, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
-            return None
-        if outcome.maps:
+            unsettled.append(sigma)
+        elif outcome.maps:
             # the lifts of sigma are a coset g*D, so D comes into the
             # closure with them; D alone is a group and needs no closing
             for g in outcome.maps:
                 closure.add(g)
             elements = closure.elements
             image = {g.sigma for g in elements}
-        elif len(image) > 1:
-            # the walk never meets sigma again, so a coset of the trivial
-            # group marks nothing
+        else:
+            barren.append(sigma)
             dead.update(h * sigma for h in image)
-    return elements
+    if unsettled:
+        # the image may have grown since a coset was marked
+        dead = {h * tau for h in image for tau in barren}
+    complete = all(sigma in image or sigma in dead for sigma in unsettled)
+    return MonomialGroup(a.field, a.n, elements, complete=complete)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import sys
 import pytest
 
 import evoalg
+from evoalg import solver
+from evoalg.algebra import EvolutionAlgebra
 from evoalg.cli import main
+from evoalg.fields import CyclotomicField
 
 
 def run(capsys, *argv):
@@ -18,6 +21,23 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv)
     return code, json.loads(out) if out else None
+
+
+def write_matrix(path, field_text, entries):
+    path.write_text(
+        json.dumps({"field": field_text, "n": len(entries), "entries": entries})
+    )
+    return str(path)
+
+
+def k4_moved(path):
+    """K4 moved by diag(1, 1, 1, 1 + zeta_5): u = 1 + zeta_5 is a unit of
+    infinite order, so some sigma meet cycle equations kth_roots leaves open."""
+    z5 = CyclotomicField(5)
+    d = (z5.one,) * 3 + (z5.one + z5.zeta,)
+    rows = [[d[k] * d[j] ** -2 if k != j else 0 for j in range(4)] for k in range(4)]
+    EvolutionAlgebra(z5, rows).dump(str(path))
+    return str(path)
 
 
 @pytest.fixture
@@ -152,6 +172,62 @@ class TestAut:
         assert code == 0
         assert report["order"] == 1 and report["status"] == "ok"
 
+    def test_large_prime_k2_is_s3(self, tmp_path, capsys):
+        # D solves x^3 = 1, decided without a discrete-log table; the swap
+        # lifts with c = 1
+        path = write_matrix(
+            tmp_path / "k2.json", "GF(1000003)", [["0", "1"], ["1", "0"]]
+        )
+        code, report = run_json(capsys, "aut", "--in", path)
+        assert code == 0 and report["complete"]
+        assert report["order"] == 6 and report["diagonal_order"] == 3
+        assert report["recognized"] == ["S3", "Dih3", "C3:C2"]
+
+    def test_k4_moved_is_s4(self, tmp_path, capsys):
+        code, report = run_json(capsys, "aut", "--in", k4_moved(tmp_path / "k4m.json"))
+        assert code == 0 and report["status"] == "ok"
+        assert report["order"] == 24 and "S4" in report["recognized"]
+
+    def test_diagonal_order_is_read_off_the_group(self, tmp_path, capsys, monkeypatch):
+        # the last two groups are partial; their diagonal part is still D
+        paths = [
+            write_matrix(tmp_path / "k2.json", "GF(1000003)", [["0", "1"], ["1", "0"]]),
+            write_matrix(
+                tmp_path / "c3.json", "Q(zeta_7)",
+                [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+            ),
+            write_matrix(
+                tmp_path / "c4.json", "Q(zeta_15)",
+                [["0", "0", "0", "1"], ["1/2", "0", "0", "0"],
+                 ["0", "3", "0", "0"], ["0", "0", "-5", "0"]],
+            ),
+            k4_moved(tmp_path / "k4m.json"),
+            write_matrix(tmp_path / "p2.json", "GF(1000003)", [["0", "1"], ["2", "0"]]),
+            write_matrix(
+                tmp_path / "p4.json", "Q(zeta_7)",
+                [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                 ["0", "0", "0", "1"], ["0", "0", "1 + z^3", "0"]],
+            ),
+        ]
+        calls = []
+        real = solver.solve_homogeneous_mod
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "solve_homogeneous_mod", counted)
+        codes = []
+        for path in paths:
+            code, aut = run_json(capsys, "aut", "--in", path)
+            codes.append(code)
+            assert calls == []
+            _, diag = run_json(capsys, "diag", "--in", path)
+            assert aut["diagonal_order"] == diag["order"]
+            assert aut["conductor_sufficient"] == diag["conductor_sufficient"]
+            calls.clear()
+        assert codes == [0, 0, 0, 0, 3, 3]
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -181,10 +257,13 @@ class TestAut:
         code, report = run_json(capsys, "aut", "--in", str(path))
         assert code == 0 and report["order"] == 1
 
-    def test_threads_do_not_change_report(self, k4_file, capsys):
-        _, out1, _ = run(capsys, "aut", "--in", k4_file, "--threads", "1")
-        _, out8, _ = run(capsys, "aut", "--in", k4_file, "--threads", "8")
-        assert out1 == out8
+    def test_threads_is_a_usage_error(self, k4_file, capsys):
+        # only census takes --threads
+        with pytest.raises(SystemExit) as exc:
+            main(["aut", "--in", k4_file, "--threads", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert "unrecognized arguments: --threads" in captured.err
 
 
 class TestDiag:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -471,6 +472,17 @@ class TestKthRoots:
         out = big.kth_roots(big.scalar(2), 7)
         assert out.complete and len(out.roots) == 1
         assert out.roots[0] ** 7 == big.scalar(2)
+
+    @pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+    def test_large_prime_roots_of_one_need_no_table(self, p):
+        # x^k = 1 is x = g^t with k*t = 0 (mod p - 1): no discrete log
+        big = PrimeField(p)
+        for k in (3, 7, 15):
+            out = big.kth_roots(big.one, k)
+            assert out.complete and big._dlog is None
+            assert len(out.roots) == math.gcd(k, p - 1)
+            assert list(out.roots) == big.roots_of_unity(k)
+            assert all(r**k == big.one for r in out.roots)
 
     def test_first_power_is_decided_in_every_field(self):
         # c = 10/43 + ... is no rational times a root of unity, so the

@@ -12,7 +12,13 @@ from evoalg.algebra import EvolutionAlgebra, LoopInvariants, transport_structure
 from evoalg.digraph import Permutation, graph_automorphisms
 from evoalg.errors import CapExceededError, SingularMatrixError
 from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField, Scalar
-from evoalg.groups import MonomialGroup, MonomialMap, quotient_embedding_check
+from evoalg.groups import (
+    MonomialGroup,
+    MonomialMap,
+    Symmetric,
+    quotient_embedding_check,
+    recognize,
+)
 from evoalg.solver import (
     IsoStatus,
     SolveOutcome,
@@ -67,6 +73,24 @@ def random_idempotent(field, n, rng, density=0.75):
         )
         if alg.is_idempotent:
             return alg
+
+
+def moved(base, d):
+    """The algebra of the int matrix ``base`` moved by diag(d): entry (k, j)
+    becomes d_k * base_kj / d_j^2, isomorphic to ``base`` over d's field."""
+    n = len(d)
+    return EvolutionAlgebra(
+        d[0].field,
+        [[d[k] * d[j] ** -2 * base[k][j] for j in range(n)] for k in range(n)],
+    )
+
+
+def k4_moved():
+    # u = 1 + zeta_5 is a unit of infinite order, so moving K4 by it leaves
+    # cycle equations that kth_roots cannot decide
+    z5 = CyclotomicField(5)
+    base = [[0 if k == j else 1 for j in range(4)] for k in range(4)]
+    return moved(base, (z5.one,) * 3 + (z5.one + z5.zeta,))
 
 
 def union_of_solves(a):
@@ -282,8 +306,11 @@ class TestDiagonalSubgroup:
         assert len(products) < 100
 
     def test_conductor_flag(self):
-        assert not diagonal_subgroup(cycle_algebra(3, field=Z3)).conductor_sufficient
-        assert diagonal_subgroup(cycle_algebra(3, field=Z7)).conductor_sufficient
+        # the 3-cycle allows |D| up to 2^3 - 1 = 7: mu_6 lacks those roots
+        assert not cycle_algebra(3, field=Z3).conductor_sufficient
+        assert cycle_algebra(3, field=Z7).conductor_sufficient
+        assert cycle_algebra(3, field=PrimeField(29)).conductor_sufficient
+        assert not cycle_algebra(3, field=GF7).conductor_sufficient
 
 
 class TestAutomorphismGroup:
@@ -405,6 +432,86 @@ class TestAutomorphismGroup:
         grp = automorphism_group(alg)
         assert grp.complete and set(grp.elements) == union_of_solves(alg)[0]
         assert grp.order == 4 and calls == 10
+
+    def test_k4_moved_settles_to_s4(self):
+        alg = k4_moved()
+        assert not union_of_solves(alg)[1]
+        grp = automorphism_group(alg)
+        assert grp.complete and grp.order == 24
+        assert recognize(grp, Symmetric(4)).matched
+        assert all(verify_map(alg, alg, g) for g in grp.elements)
+
+    def test_each_sigma_is_solved_once(self, monkeypatch):
+        solved = []
+        real = solver.solve_monomial
+
+        def counted(a, b, sigma):
+            solved.append(sigma)
+            return real(a, b, sigma)
+
+        monkeypatch.setattr(solver, "solve_monomial", counted)
+        assert automorphism_group(k4_moved()).complete
+        assert len(solved) == len(set(solved)) == 6
+
+    def test_dead_coset_of_the_final_image_settles_an_open_sigma(self):
+        # a transposition without lifts marks only itself while the image is
+        # trivial; once the 3-cycles lift, its coset holds the transposition
+        # whose own solve stayed open
+        z5 = CyclotomicField(5)
+        base = [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
+        alg = moved(base, (z5.one, z5.one, z5.one + z5.zeta))
+        maps, complete = union_of_solves(alg)
+        assert not complete and len(maps) == 2
+        grp = automorphism_group(alg)
+        assert grp.complete and grp.order == 3 and maps < set(grp.elements)
+
+    def test_open_identity_solve_raises(self, monkeypatch):
+        real = solver.solve_monomial
+
+        def identity_open(a, b, sigma):
+            if sigma.is_identity():
+                return SolveOutcome(SolveStatus.INDETERMINATE, unsolved=("x^3 = ?",))
+            return real(a, b, sigma)
+
+        monkeypatch.setattr(solver, "solve_monomial", identity_open)
+        with pytest.raises(RuntimeError, match="diagonal group"):
+            automorphism_group(complete_algebra(2))
+
+    def test_diagonal_part_is_d_in_every_field(self):
+        # random sparse algebras with a transversal n-cycle: the identity
+        # solve is decided, and the diagonal part of every group, partial
+        # ones included, is the Smith-normal-form D
+        fields = [
+            PrimeField(3), PrimeField(5), PrimeField(1000003), PrimeField(2**31 - 1),
+            Q, Z3, Z7, CyclotomicField(15),
+        ]
+        rng = random.Random(12)
+
+        def entry(field):
+            if isinstance(field, PrimeField):
+                return rng.randrange(1, field.p)
+            x = field.scalar(rng.choice([1, 2, -1, 3]))
+            if isinstance(field, CyclotomicField) and rng.random() < 0.5:
+                x = x + field.zeta ** rng.randrange(1, field.m)
+            return field.one if x.is_zero else x
+
+        partial = 0
+        for i in range(400):
+            field, n = fields[i % 8], rng.randint(2, 4)
+            rows = [
+                [entry(field) if j == (k + 1) % n or rng.random() < 0.5 else 0
+                 for j in range(n)]
+                for k in range(n)
+            ]
+            alg = EvolutionAlgebra(field, rows)
+            if not alg.is_idempotent:
+                continue
+            identity = solve_monomial(alg, alg, Permutation.identity(n))
+            assert identity.status is SolveStatus.COMPLETE
+            grp = automorphism_group(alg)
+            partial += not grp.complete
+            assert set(grp.diagonal_part()) == set(diagonal_subgroup(alg).maps())
+        assert partial >= 10
 
     def test_quotient_embedding(self):
         for alg in (
