@@ -56,10 +56,6 @@ class MonomialMap:
     def field(self) -> Field:
         return self.d[0].field
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.sigma.is_identity()
-
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         """Rows of P_sigma * D: column i holds d_i in row sigma(i)."""
         zero = self.field.zero
@@ -121,9 +117,69 @@ class MonomialMap:
         return f"MonomialMap({self.sigma.to_json()}, [{', '.join(map(str, self.d))}])"
 
 
+# ---------------------------------------------------------------------------
+# the int form: elements of a finite group as permutations of Omega
+#
+# Omega is a list of points (v, c), c a raw nonzero field value, whose first
+# n points are the basis points (v, 1); the map (sigma, d) sends the point
+# (v, c) to (sigma(v), c * d_v). An element is the tuple of the indices of
+# its images of the points, so its first n entries, its basis images, read
+# off sigma and d and determine it.
+
+
+def compose(a: tuple, b: tuple) -> tuple:
+    """The product a*b of two image tuples, applying b first; the same
+    for permutations of Omega and of the basis indices."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _columns(g: MonomialMap) -> tuple:
+    """The basis images (sigma(v), d_v) of g as points, d_v raw."""
+    return tuple(zip(g.sigma.images, [x.value for x in g.d]))
+
+
+def _sigma(points: list, p: tuple, n: int) -> tuple[int, ...]:
+    """The permutation part of an element, as its image tuple."""
+    return tuple([points[i][0] for i in p[:n]])
+
+
+def _perm_order(p: tuple, n: int) -> int:
+    """The order of an element from its permutation of Omega: the lcm of
+    the lengths of its cycles through the basis points, since a power of it
+    is the identity exactly when it fixes every basis point."""
+    order, seen = 1, [False] * n
+    for v in range(n):
+        if seen[v]:
+            continue
+        length, w = 1, p[v]
+        while w != v:
+            if w < n:
+                seen[w] = True
+            length += 1
+            w = p[w]
+        order = math.lcm(order, length)
+    return order
+
+
 class MonomialGroup:
     """An explicit duplicate-free set of monomial maps, sorted for
     deterministic serialization.
+
+    The elements are held in the int form above. A group built by a
+    Closure comes with its Omega, the orbit of the basis, and each element
+    as a permutation of it. A set of MonomialMaps is keyed by its basis
+    images: Omega is the set of all of them, which is the orbit of the basis
+    when the set is a group, and only the generators the proof keeps are
+    pushed over it. MonomialMaps are built from the int form only for what
+    is read: ``generators``, the diagonal part, recognition witnesses, and
+    ``elements`` on first access.
 
     ``complete`` is False when some solve came back undecided and left a
     pattern automorphism unsettled: the set is then not claimed to be the
@@ -139,43 +195,118 @@ class MonomialGroup:
         self,
         field: Field,
         n: int,
-        elements: Iterable[MonomialMap],
+        elements: Iterable[MonomialMap] | Closure,
         *,
         complete: bool = True,
     ):
-        elems = sorted(set(elements), key=MonomialMap.sort_key)
+        """``elements`` are MonomialMaps, or a Closure whose elements are
+        taken in the int form."""
         self.field = field
         self.n = n
-        self.elements = tuple(elems)
         self.complete = complete
-        for g in self.elements:
-            if g.n != n or g.field != field:
-                raise FieldMismatchError("group elements disagree on n or field")
-        self.generators: tuple[MonomialMap, ...] = ()
+        if isinstance(elements, Closure):
+            points, perms, keys = elements.points, elements.elements, elements.keys
+            given = None
+        else:
+            by_columns = {}
+            for g in elements:
+                if g.n != n or g.field != field:
+                    raise FieldMismatchError("group elements disagree on n or field")
+                by_columns.setdefault(_columns(g), g)
+            points = [(v, field.one.value) for v in range(n)]
+            index = {p: i for i, p in enumerate(points)}
+            for columns in by_columns:
+                for p in columns:
+                    if p not in index:
+                        index[p] = len(points)
+                        points.append(p)
+            given = {
+                tuple(map(index.__getitem__, columns)): g
+                for columns, g in by_columns.items()
+            }
+            perms, keys = list(given), set(given)
+        vertex = [v for v, _ in points]
+        raw_key = [field._sort_key(c) for _, c in points]
+
+        def sort_key(p):
+            key = p[:n]
+            return (
+                tuple(map(vertex.__getitem__, key)),
+                tuple(map(raw_key.__getitem__, key)),
+            )
+
+        perms = sorted(perms, key=sort_key)
+        self._points = points
+        # a set of maps never closed has only its basis images, not
+        # permutations of Omega
+        self._on_omega = given is None or complete
+        self._generator_perms: tuple = ()
+        if given is not None:
+            self.elements = tuple(map(given.__getitem__, perms))
         if complete:
             # the closure lies inside the finite set and contains all of it,
             # so the set is closed under products and hence a group
-            within = set(self.elements)
-            closure = Closure(field, n, within=within)
-            if closure.identity not in within or not all(
-                map(closure.add, self.elements)
-            ):
+            proof = Closure(field, n, points=points, within=keys)
+            if given is None:
+                def add(p):
+                    return p[:n] in proof.keys or proof._extend(p)
+            else:
+                def add(key):
+                    return proof._add([points[i] for i in key])
+            if proof.identity[:n] not in keys or not all(map(add, perms)):
                 raise UnclosedGroupError("element set is not closed under the group laws")
-            self.generators = tuple(closure.generators)
+            if given is not None:
+                full = {p[:n]: p for p in proof.elements}
+                perms = [full[key] for key in perms]
+            self._generator_perms = tuple(proof.generators)
+        self._perms = tuple(perms)
+        self.generators: tuple[MonomialMap, ...] = tuple(
+            map(self._box, self._generator_perms)
+        )
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._perms)
+
+    @functools.cached_property
+    def elements(self) -> tuple[MonomialMap, ...]:
+        return tuple(map(self._box, self._perms))
 
     @functools.cached_property
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, aligned with ``elements``; computed
-        once per group and read by ``recognize``."""
-        return tuple(g.order() for g in self.elements)
+        once per group from the permutations of Omega and read by
+        ``recognize``."""
+        if not self._on_omega:
+            raise UnclosedGroupError("element orders need a closed group")
+        n = self.n
+        return tuple(_perm_order(p, n) for p in self._perms)
+
+    def _box(self, p: tuple) -> MonomialMap:
+        columns = [self._points[i] for i in p[: self.n]]
+        return MonomialMap(
+            Permutation([v for v, _ in columns]),
+            [Scalar(self.field, c) for _, c in columns],
+        )
+
+    def _sigma(self, p: tuple) -> tuple[int, ...]:
+        return _sigma(self._points, p, self.n)
+
+    @functools.cached_property
+    def _diagonal_count(self) -> int:
+        # sigma = id is the least image tuple, so the diagonal elements
+        # sort first
+        ident = tuple(range(self.n))
+        count = 0
+        for p in self._perms:
+            if self._sigma(p) != ident:
+                break
+            count += 1
+        return count
 
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
-        return tuple(g for g in self.elements if g.is_diagonal)
+        return tuple(map(self._box, self._perms[: self._diagonal_count]))
 
     def to_json(self) -> dict:
         return {
@@ -188,18 +319,31 @@ class MonomialGroup:
 
 
 class Closure:
-    """Dimino's closure (Butler 1991; Seress 2003), grown one generator at
-    a time in O(|G| * |S|) products for the generators S it keeps.
+    """Dimino's closure (Butler 1991; Seress 2003) on the int form, grown
+    one generator at a time in O(|G| * |S|) products of permutations of
+    Omega for the generators S it keeps.
+
+    Omega starts as the basis points and grows by the images of the kept
+    generators until it is closed under them, so it is the orbit of the
+    basis. That is the only field arithmetic: |Omega| products per kept
+    generator. A candidate is tested for membership by its n basis images,
+    with no product. When Omega grows, the elements found so far are
+    permutations of the smaller Omega, so the group found so far is closed
+    again from its kept generators. Omega's size counts against ``cap`` as
+    the group's does; an element of infinite order grows Omega without end.
 
     ``add(s)`` keeps s as a new generator unless the group found so far
     already holds it. The group then grows by whole right cosets H*x of the
     previous subgroup H: every coset representative is multiplied by every
     generator so far, and a product outside the group found so far starts a
     new coset. ``elements`` lists the group in generation order, identity
-    first. With ``within`` given, ``add`` returns False as soon as a product
-    falls outside that set, leaving the closure unfinished. The constructor
-    of MonomialGroup proves sets closed with it, ``close_generators`` closes
-    generator lists, and ``automorphism_group`` grows it by lifts.
+    first, ``keys`` holds their basis images and ``generators`` the kept
+    generators. With ``points`` and ``within`` (a set of basis images)
+    given, Omega is fixed to ``points``, and ``add`` returns False as soon
+    as an image leaves Omega or a product falls outside ``within``, leaving
+    the closure unfinished. The constructor of MonomialGroup proves sets
+    closed with it, ``close_generators`` closes generator lists, and
+    ``automorphism_group`` grows it by lifts.
     """
 
     def __init__(
@@ -207,35 +351,102 @@ class Closure:
         field: Field,
         n: int,
         *,
+        points: Optional[list] = None,
         within: Optional[set] = None,
         cap: int = CLOSURE_CAP,
     ):
-        self.identity = MonomialMap.identity(field, n)
-        self.elements = [self.identity]
-        self.generators: list[MonomialMap] = []
-        self._have = {self.identity}
+        self.field = field
+        self.n = n
+        if points is None:
+            points = [(v, field.one.value) for v in range(n)]
+        self.points = points
+        self.index = {p: i for i, p in enumerate(points)}
         self._within = within
         self._cap = cap
+        # each kept generator's images of Omega, grown with it, and its
+        # basis images, which grow them
+        self._images: list[list[int]] = []
+        self._columns: list[tuple] = []
+        self._restart()
+
+    def _restart(self) -> None:
+        self.identity = tuple(range(len(self.points)))
+        self.elements = [self.identity]
+        self.keys = {self.identity[: self.n]}
+        self.generators: list[tuple] = []
+
+    def sigma(self, p: tuple) -> tuple[int, ...]:
+        return _sigma(self.points, p, self.n)
 
     def add(self, s: MonomialMap) -> bool:
-        if s in self._have:
+        if s.n != self.n or s.field is not self.field:
+            raise FieldMismatchError("closure generators disagree on n or field")
+        return self._add(_columns(s))
+
+    def _add(self, columns) -> bool:
+        if tuple(map(self.index.get, columns)) in self.keys:
             return True
+        size = len(self.points)
+        image = self._push(columns)
+        if image is None:
+            return False
+        if len(self.points) > size:
+            self._restart()
+            for kept in self._images[:-1]:
+                self._extend(tuple(kept))
+        return self._extend(tuple(image))
+
+    def _push(self, columns) -> Optional[list[int]]:
+        """The new generator's images of Omega. Omega first grows by the
+        images of every kept generator and the new one until it is closed
+        under them all; each generator meets each point once. None when
+        Omega is fixed and an image leaves it."""
+        points, index, mul = self.points, self.index, self.field._mul
+        image: list[int] = []
+        images = self._images + [image]
+        all_columns = self._columns + [columns]
+        grown = True
+        while grown:
+            grown = False
+            for done, cols in zip(images, all_columns):
+                for w, c in points[len(done):]:
+                    v, d = cols[w]
+                    p = (v, mul(c, d))
+                    i = index.get(p)
+                    if i is None:
+                        if self._within is not None:
+                            return None
+                        i = index[p] = len(points)
+                        points.append(p)
+                        grown = True
+                        if len(points) > self._cap:
+                            raise CapExceededError(
+                                f"the orbit of the basis passed the cap {self._cap}"
+                            )
+                    done.append(i)
+        self._images.append(image)
+        self._columns.append(columns)
+        return image
+
+    def _extend(self, s: tuple) -> bool:
+        """Dimino's step for a generator s outside the group found so far."""
         gens = self.generators
         gens.append(s)
-        elements, have, within = self.elements, self._have, self._within
+        elements, keys, within, n = self.elements, self.keys, self._within, self.n
         sub = elements[1:]  # H without its identity
         reps = [self.identity]
         for rep in reps:  # grows while it is walked
             for t in gens:
-                x = rep * t
-                if x in have:
+                x = compose(rep, t)
+                if x[:n] in keys:
                     continue
-                coset = [x] + [h * x for h in sub]
-                if within is not None and not within.issuperset(coset):
+                coset = [x] + [compose(h, x) for h in sub]
+                coset_keys = [y[:n] for y in coset]
+                if within is not None and not within.issuperset(coset_keys):
                     return False
                 reps.append(x)
                 elements.extend(coset)
-                have.update(coset)
+                keys.update(coset_keys)
                 if len(elements) > self._cap:
                     raise CapExceededError(f"closure passed the cap {self._cap}")
         return True
@@ -258,7 +469,7 @@ def close_generators(
     closure = Closure(field, n, cap=cap)
     for g in gens:
         closure.add(g)
-    return MonomialGroup(field, n, closure.elements)
+    return MonomialGroup(field, n, closure)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +547,30 @@ def _symmetric_histogram(k: int) -> dict[int, int]:
     return hist
 
 
-def _normal_in(group: MonomialGroup, subgroup: set[MonomialMap]) -> bool:
-    """Conjugation by the generators is enough: for a finite set S,
-    g S g^-1 inside S forces equality, so every word in them fixes S."""
-    for g in group.generators:
-        g_inv = g.inverse()
-        if any(g * s * g_inv not in subgroup for s in subgroup):
-            return False
+def _normal_in(group: MonomialGroup, subgroup: Iterable[MonomialMap]) -> bool:
+    """Whether maps of the group form a normal subset. Conjugation by the
+    generators is enough: for a finite set S, g S g^-1 inside S forces
+    equality, so every word in them fixes S. Each conjugate is read on the
+    basis points only, from the permutations of Omega."""
+    n = group.n
+    index = {p: i for i, p in enumerate(group._points)}
+    keys = {tuple(map(index.__getitem__, _columns(s))) for s in subgroup}
+    members = [p for p in group._perms if p[:n] in keys]
+    for g in group._generator_perms:
+        g_inv = _inverse(g)
+        for s in members:
+            if tuple([g[s[g_inv[v]]] for v in range(n)]) not in keys:
+                return False
     return True
 
 
-def _of_order(group: MonomialGroup, k: int) -> list[MonomialMap]:
-    """The elements of order k, in element order; none without a scan when
-    k is absent from the cached orders."""
+def _of_order(group: MonomialGroup, k: int) -> list[tuple]:
+    """The elements of order k as permutations of Omega, in element order;
+    none without a scan when k is absent from the cached orders."""
     orders = group.element_orders
     if k not in orders:
         return []
-    return [g for g, o in zip(group.elements, orders) if o == k]
+    return [p for p, o in zip(group._perms, orders) if o == k]
 
 
 def recognize(group: MonomialGroup, target) -> RecognitionReport:
@@ -382,62 +600,70 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         orders = group.element_orders
         if group.order != target.k or target.k not in orders:
             return RecognitionReport(target, False)
-        gen = group.elements[orders.index(target.k)]
+        gen = group._box(group._perms[orders.index(target.k)])
         return RecognitionReport(target, True, {"generator": gen.to_json()})
 
     if isinstance(target, Symmetric):
         if group.order != math.factorial(target.k):
             return RecognitionReport(target, False)
-        if target.k == group.n and len(group.diagonal_part()) == 1:
+        if target.k == group.n and group._diagonal_count == 1:
             return RecognitionReport(target, True, {"method": "faithful image"})
         if Counter(group.element_orders) == _symmetric_histogram(target.k):
             return RecognitionReport(target, True, {"method": "order histogram"})
         return RecognitionReport(target, False)
 
+    n = group.n
     if isinstance(target, Dihedral):
         k = target.k
         if k < 3 or group.order != 2 * k:
             return RecognitionReport(target, False)
         flips = _of_order(group, 2)
         for rot in _of_order(group, k):
-            rot_inv = rot.inverse()
             for flip in flips:
-                if flip * rot * flip == rot_inv:
+                # flip*rot*flip = rot^-1 exactly when (flip*rot)^2 fixes
+                # every basis point
+                if all(flip[rot[flip[rot[v]]]] == v for v in range(n)):
                     return RecognitionReport(
                         target,
                         True,
-                        {"rotation": rot.to_json(), "reflection": flip.to_json()},
+                        {
+                            "rotation": group._box(rot).to_json(),
+                            "reflection": group._box(flip).to_json(),
+                        },
                     )
         return RecognitionReport(target, False)
 
     if isinstance(target, SemidirectCyclic):
         m, k = target.m, target.k
-        if group.order != m * k:
+        if group.order != m * k or group._diagonal_count != m:
             return RecognitionReport(target, False)
-        diag = group.diagonal_part()
-        if len(diag) != m:
-            return RecognitionReport(target, False)
-        gen = next((g for g in _of_order(group, m) if g.is_diagonal), None)
+        # the diagonal part is the first m elements
+        gen = next(
+            (p for p, o in zip(group._perms[:m], group.element_orders) if o == m),
+            None,
+        )
         if gen is None:
             return RecognitionReport(target, False)
-        gen_powers = [MonomialMap.identity(group.field, group.n)]
-        while len(gen_powers) < m:
-            gen_powers.append(gen_powers[-1] * gen)
+        powers, power = [tuple(range(n))], gen
+        while len(powers) < m:
+            powers.append(power[:n])
+            power = compose(power, gen)
         for comp in _of_order(group, k):
             # comp^j is diagonal exactly when sigma^j is the identity, so
             # <comp> meets the diagonal part trivially iff sigma has order k
-            if comp.sigma.order() != k:
+            if Permutation(group._sigma(comp)).order() != k:
                 continue
             # conjugation action of the complement on the normal generator;
             # the conjugate is diagonal, so it is a power of gen
-            conj = comp * gen * comp.inverse()
+            comp_inv = _inverse(comp)
+            conj = tuple([comp[gen[comp_inv[v]]] for v in range(n)])
             return RecognitionReport(
                 target,
                 True,
                 {
-                    "normal_generator": gen.to_json(),
-                    "complement_generator": comp.to_json(),
-                    "action_exponent": gen_powers.index(conj),
+                    "normal_generator": group._box(gen).to_json(),
+                    "complement_generator": group._box(comp).to_json(),
+                    "action_exponent": powers.index(conj),
                 },
             )
         return RecognitionReport(target, False)
@@ -486,10 +712,11 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
         raise UnclosedGroupError("quotient check requires a closed group")
     kernel = set(group.diagonal_part())
     lattice = diagonal_subgroup(algebra)
-    image = {g.sigma for g in group.elements}
+    image = set(map(group._sigma, group._perms))
     pattern = algebra.digraph
-    image_subgroup = Permutation.identity(group.n) in image and all(
-        s * g.sigma in image for g in group.generators for s in image
+    gens = [group._sigma(g) for g in group._generator_perms]
+    image_subgroup = tuple(range(group.n)) in image and all(
+        compose(s, g) in image for g in gens for s in image
     )
     return QuotientEmbeddingReport(
         kernel_order=len(kernel),
@@ -497,7 +724,9 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
         kernel_equals_diagonal=kernel == set(lattice.maps()),
         kernel_normal=_normal_in(group, kernel),
         image_order=len(image),
-        image_in_graph_automorphisms=all(pattern.relabel(s) == pattern for s in image),
+        image_in_graph_automorphisms=all(
+            pattern.relabel(Permutation(s)) == pattern for s in image
+        ),
         image_is_subgroup=image_subgroup,
         counts_consistent=group.order == len(kernel) * len(image),
     )

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .fields import PrimeField, Scalar
-from .groups import Closure, MonomialGroup, MonomialMap
+from .groups import Closure, MonomialGroup, MonomialMap, compose
 from .snf import CongruenceSolution, solve_homogeneous_mod
 
 MATERIALIZE_CAP = 10**6
@@ -277,11 +277,13 @@ def automorphism_group(
 
     A sigma whose solve leaves a cycle equation open is recorded and the
     walk goes on. At the end it is settled when it lies in the final image
-    H (it lifts) or in a coset H*tau of a tau without lifts (it does not).
-    The group is complete when every open sigma is settled. Either way its
-    elements are the closure of D and the lifts found, so its diagonal part
-    is D; a partial group is a subgroup of Aut(E), not claimed to be all of
-    it.
+    H (it lifts), or when its double coset H*sigma*H holds a tau without
+    lifts or the inverse of one (it does not: lifts of h, sigma and h'
+    multiply to a lift of h*sigma*h', and the inverse of a lift lifts the
+    inverse). The group is complete when every open sigma is settled.
+    Either way its elements are the closure of D and the lifts found, so
+    its diagonal part is D; a partial group is a subgroup of Aut(E), not
+    claimed to be all of it.
     """
     a.require_idempotent()
     if a.n > SEARCH_DIMENSION_CAP:
@@ -293,33 +295,56 @@ def automorphism_group(
     kernel = solve_monomial(a, a, Permutation.identity(a.n))
     if kernel.status is SolveStatus.INDETERMINATE:
         raise RuntimeError(f"the diagonal group was left open: {kernel.unsolved}")
-    elements = list(kernel.maps)
-    image = {g.sigma for g in elements}
-    barren: list[Permutation] = []
-    dead: set[Permutation] = set()
-    unsettled: list[Permutation] = []
     closure = Closure(a.field, a.n)
+    for g in kernel.maps:
+        closure.add(g)
+    image = {closure.sigma(p) for p in closure.elements}
+    barren: list[tuple[int, ...]] = []
+    dead: set[tuple[int, ...]] = set()
+    unsettled: list[tuple[int, ...]] = []
     for sigma in sigmas:
-        if sigma in image or sigma in dead:
+        s = sigma.images
+        if s in image or s in dead:
             continue
         outcome = solve_monomial(a, a, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
-            unsettled.append(sigma)
+            unsettled.append(s)
         elif outcome.maps:
-            # the lifts of sigma are a coset g*D, so D comes into the
-            # closure with them; D alone is a group and needs no closing
+            # the closure only appends, and closing it again over a larger
+            # Omega replays the same generators, so the elements past the
+            # old count are the new ones
+            listed = len(closure.elements)
             for g in outcome.maps:
                 closure.add(g)
-            elements = closure.elements
-            image = {g.sigma for g in elements}
+            image.update(map(closure.sigma, closure.elements[listed:]))
         else:
-            barren.append(sigma)
-            dead.update(h * sigma for h in image)
+            barren.append(s)
+            dead.update(compose(h, s) for h in image)
+    complete = True
     if unsettled:
-        # the image may have grown since a coset was marked
-        dead = {h * tau for h in image for tau in barren}
-    complete = all(sigma in image or sigma in dead for sigma in unsettled)
-    return MonomialGroup(a.field, a.n, elements, complete=complete)
+        gens = [closure.sigma(p) for p in closure.generators]
+        ruled_out = set(barren) | {Permutation(t).inverse().images for t in barren}
+        complete = all(
+            s in image or _double_coset_meets(s, gens, ruled_out) for s in unsettled
+        )
+    return MonomialGroup(a.field, a.n, closure, complete=complete)
+
+
+def _double_coset_meets(sigma: tuple, gens: list[tuple], targets: set) -> bool:
+    """Whether H*sigma*H meets ``targets``, H generated by ``gens``: a
+    search by one generator on either side, 2 |gens| products per member of
+    the double coset rather than |H|^2. Words in the generators reach all of
+    H, which is finite."""
+    seen, todo = {sigma}, [sigma]
+    for x in todo:  # grows while it is walked
+        if x in targets:
+            return True
+        for h in gens:
+            for y in (compose(h, x), compose(x, h)):
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return False
 
 
 # ---------------------------------------------------------------------------

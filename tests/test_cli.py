@@ -188,6 +188,19 @@ class TestAut:
         assert code == 0 and report["status"] == "ok"
         assert report["order"] == 24 and "S4" in report["recognized"]
 
+    def test_double_coset_settles_to_order_two(self, tmp_path, capsys):
+        # [[0,2,1],[1,0,1],[1,2,0]] moved by diag(1, (1 + zeta_5)^2, 1): the
+        # two open sigma lie in the double coset of a sigma without lifts
+        path = write_matrix(
+            tmp_path / "m.json", "Q(zeta_5)",
+            [["0", "6 + 6*z + 10*z^3", "1"],
+             ["1 + 2*z + z^2", "0", "1 + 2*z + z^2"],
+             ["1", "6 + 6*z + 10*z^3", "0"]],
+        )
+        code, report = run_json(capsys, "aut", "--in", path)
+        assert code == 0 and report["status"] == "ok" and report["complete"]
+        assert report["order"] == 2 and report["recognized"] == ["C2", "S2"]
+
     def test_diagonal_order_is_read_off_the_group(self, tmp_path, capsys, monkeypatch):
         # the last two groups are partial; their diagonal part is still D
         paths = [

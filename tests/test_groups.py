@@ -1,9 +1,11 @@
 import contextlib
+import math
 import random
 from collections import Counter
 
 import pytest
 
+from evoalg import groups, solver
 from evoalg.algebra import mat_equal, mat_mul
 from evoalg.digraph import Permutation
 from evoalg.errors import CapExceededError, ParseError, UnclosedGroupError
@@ -209,20 +211,106 @@ class TestClosure:
         ]
 
     def test_closure_work_is_linear_in_order(self, monkeypatch):
-        # Dimino's closure costs at most |G| * (|S| + 1) products; checking
-        # every pair of K6's 720 automorphisms would take 518,400
+        # Dimino's closure costs at most |G| * (|S| + 1) products of
+        # permutations of Omega; checking every pair of K6's 720
+        # automorphisms would take 518,400. The walk's closure and the
+        # constructor's proof share that budget
         calls = 0
-        product = MonomialMap.__mul__
+        product = groups.compose
 
-        def counted(g, h):
+        def counted(a, b):
             nonlocal calls
             calls += 1
-            return product(g, h)
+            return product(a, b)
 
-        monkeypatch.setattr(MonomialMap, "__mul__", counted)
+        monkeypatch.setattr(groups, "compose", counted)
         grp = automorphism_group(complete_graph_algebra(6, Q))
         assert grp.order == 720
         assert 0 < calls <= grp.order * (len(grp.generators) + 1)
+
+    def test_field_products_only_grow_omega(self, monkeypatch):
+        # with the solves answered from a cache, the field products left
+        # are those that grow Omega: one per kept generator and point
+        alg = complete_graph_algebra(6, Q)
+        outcomes = {}
+        real = solver.solve_monomial
+
+        def recorded(a, b, sigma):
+            outcomes[sigma] = real(a, b, sigma)
+            return outcomes[sigma]
+
+        monkeypatch.setattr(solver, "solve_monomial", recorded)
+        automorphism_group(alg)
+        monkeypatch.setattr(solver, "solve_monomial", lambda a, b, sigma: outcomes[sigma])
+        calls = 0
+        mul = Q._mul
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return mul(x, y)
+
+        monkeypatch.setattr(Q, "_mul", counted)
+        grp = automorphism_group(alg)
+        assert grp.order == 720 and len(grp._points) == 6
+        assert 0 < calls <= len(grp._points) * len(grp.generators)
+
+
+def finite_random_group(field, n, rng):
+    """Two random monomial maps of finite order conjugated by a random
+    diagonal map, so the group they generate is finite while its scalings
+    need not be roots of unity."""
+    roots = field.roots_of_unity(math.gcd(field.unity_group().order, 6))
+    t = random_monomial(field, n, rng)
+    t = MonomialMap.diagonal(t.d)
+    gens = []
+    for _ in range(2):
+        sigma = random_monomial(field, n, rng).sigma
+        g = MonomialMap(sigma, [rng.choice(roots) for _ in range(n)])
+        gens.append(t.inverse() * g * t)
+    return close_generators(gens)
+
+
+class TestIntForm:
+    FIELDS = (
+        PrimeField(3),
+        PrimeField(7),
+        PrimeField(1000003),
+        Q,
+        CyclotomicField(5),
+        CyclotomicField(15),
+    )
+
+    def test_int_form_matches_monomial_maps(self):
+        rng = random.Random(31)
+        for field in self.FIELDS:
+            for _ in range(4):
+                grp = finite_random_group(field, 3, rng)
+                perms, elements = grp._perms, grp.elements
+                assert list(elements) == sorted(elements, key=MonomialMap.sort_key)
+                assert len(set(elements)) == grp.order
+                assert all(grp._box(p) == g for p, g in zip(perms, elements))
+                assert grp.element_orders == tuple(g.order() for g in elements)
+                for _ in range(20):
+                    i, j = rng.randrange(grp.order), rng.randrange(grp.order)
+                    product = groups.compose(perms[i], perms[j])
+                    assert grp._box(product) == elements[i] * elements[j]
+                    assert grp._box(groups._inverse(perms[i])) == elements[i].inverse()
+                # the same maps handed over boxed are keyed by their basis
+                # images and give the same group
+                boxed = MonomialGroup(field, 3, reversed(elements))
+                assert boxed.elements == elements
+                assert boxed.generators == grp.generators
+                assert boxed.element_orders == grp.element_orders
+
+    def test_infinite_order_generator_passes_the_cap(self):
+        # (0 1) with scalings (2, 1) squares to diag(2, 2): Omega grows
+        # without end
+        swap = MonomialMap(Permutation((1, 0)), (Q.scalar(2), Q.one))
+        with pytest.raises(CapExceededError):
+            close_generators([swap], cap=50)
+        with pytest.raises(UnclosedGroupError):
+            MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2), swap])
 
 
 class TestRecognition:
@@ -264,14 +352,14 @@ class TestRecognition:
 
         grp = self.s3_over_zeta3()
         calls = 0
-        order = MonomialMap.order
+        order = groups._perm_order
 
-        def counted(g):
+        def counted(p, n):
             nonlocal calls
             calls += 1
-            return order(g)
+            return order(p, n)
 
-        monkeypatch.setattr(MonomialMap, "order", counted)
+        monkeypatch.setattr(groups, "_perm_order", counted)
         for target in (Cyclic(6), Symmetric(3), Dihedral(3), SemidirectCyclic(3, 2)):
             recognize(grp, target)
         assert calls == grp.order

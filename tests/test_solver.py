@@ -465,6 +465,44 @@ class TestAutomorphismGroup:
         grp = automorphism_group(alg)
         assert grp.complete and grp.order == 3 and maps < set(grp.elements)
 
+    def test_double_coset_of_a_barren_sigma_settles_an_open_sigma(self):
+        # H = {id, (0 2)}; tau = (1 2) has no lift and its right coset H*tau
+        # holds no open sigma, but H*tau*H holds both open ones: tau*(0 2)
+        # and (0 2)*tau*(0 2)
+        z5 = CyclotomicField(5)
+        u = z5.one + z5.zeta
+        alg = moved([[0, 2, 1], [1, 0, 1], [1, 2, 0]], (z5.one, u * u, z5.one))
+        maps, complete = union_of_solves(alg)
+        assert not complete and len(maps) == 2
+        grp = automorphism_group(alg)
+        assert grp.complete and grp.order == 2 and set(grp.elements) == maps
+
+    def test_both_sides_of_the_double_coset_are_searched(self):
+        # the lifts give H = S3 fixing vertex 0; of the 18 sigma moving
+        # vertex 0, the 4-cycle tau = (0 1 2 3) is decided without lifts and
+        # the others the walk solves stay open. H*tau*H holds all 18, while
+        # H*tau and H*tau^-1 hold 12
+        z5 = CyclotomicField(5)
+        u = z5.one + z5.zeta
+        base = [[0, 3, 3, 3], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+        alg = moved(base, (u, u * u, u * u, u * u))
+        maps, complete = union_of_solves(alg)
+        assert not complete and len(maps) == 6
+        grp = automorphism_group(alg)
+        assert grp.complete and grp.order == 6 and set(grp.elements) == maps
+
+    def test_inverse_of_a_barren_sigma_settles_an_open_sigma(self):
+        # a 3-cycle pattern with a trivial image: (0 1 2) has no lift, and
+        # the open (0 2 1) is its inverse, which the walk never marked
+        z5 = CyclotomicField(5)
+        alg = EvolutionAlgebra(
+            z5, [[0, 2, 0], [0, 0, "-4 - 2*z - 2*z^2 - 4*z^3"], ["3 + 3*z", 0, 0]]
+        )
+        maps, complete = union_of_solves(alg)
+        assert not complete and len(maps) == 1
+        grp = automorphism_group(alg)
+        assert grp.complete and grp.order == 1
+
     def test_open_identity_solve_raises(self, monkeypatch):
         real = solver.solve_monomial
 
