@@ -118,26 +118,24 @@ class MonomialMap:
 
 
 # ---------------------------------------------------------------------------
-# the int form: elements of a finite group as permutations of Omega
+# the int form: elements of a finite group as their basis images in Omega
 #
 # Omega is a list of points (v, c), c a raw nonzero field value, whose first
 # n points are the basis points (v, 1); the map (sigma, d) sends the point
-# (v, c) to (sigma(v), c * d_v). An element is the tuple of the indices of
-# its images of the points, so its first n entries, its basis images, read
-# off sigma and d and determine it.
+# (v, c) to (sigma(v), c * d_v). An element is held as the tuple of the
+# indices of its n basis images, its key, which reads off sigma and d. Only
+# a generator the closure keeps is held as its images of all of Omega.
 
 
-def compose(a: tuple, b: tuple) -> tuple:
-    """The product a*b of two image tuples, applying b first; the same
-    for permutations of Omega and of the basis indices."""
+def compose(a, b) -> tuple:
+    """The image tuple of a*b, applying b first: b's images looked up in
+    a's."""
     return tuple(map(a.__getitem__, b))
 
 
-def _inverse(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+def sigma_of(points: list, key: tuple) -> tuple[int, ...]:
+    """The permutation part of an element, as its image tuple."""
+    return tuple([points[i][0] for i in key])
 
 
 def _columns(g: MonomialMap) -> tuple:
@@ -145,41 +143,15 @@ def _columns(g: MonomialMap) -> tuple:
     return tuple(zip(g.sigma.images, [x.value for x in g.d]))
 
 
-def _sigma(points: list, p: tuple, n: int) -> tuple[int, ...]:
-    """The permutation part of an element, as its image tuple."""
-    return tuple([points[i][0] for i in p[:n]])
-
-
-def _perm_order(p: tuple, n: int) -> int:
-    """The order of an element from its permutation of Omega: the lcm of
-    the lengths of its cycles through the basis points, since a power of it
-    is the identity exactly when it fixes every basis point."""
-    order, seen = 1, [False] * n
-    for v in range(n):
-        if seen[v]:
-            continue
-        length, w = 1, p[v]
-        while w != v:
-            if w < n:
-                seen[w] = True
-            length += 1
-            w = p[w]
-        order = math.lcm(order, length)
-    return order
-
-
 class MonomialGroup:
     """An explicit duplicate-free set of monomial maps, sorted for
     deterministic serialization.
 
-    The elements are held in the int form above. A group built by a
-    Closure comes with its Omega, the orbit of the basis, and each element
-    as a permutation of it. A set of MonomialMaps is keyed by its basis
-    images: Omega is the set of all of them, which is the orbit of the basis
-    when the set is a group, and only the generators the proof keeps are
-    pushed over it. MonomialMaps are built from the int form only for what
-    is read: ``generators``, the diagonal part, recognition witnesses, and
-    ``elements`` on first access.
+    The elements are held as keys into Omega, the orbit of the basis: a
+    Closure hands over its Omega and keys, and a set of MonomialMaps is keyed
+    by its basis images, with Omega the set of them. MonomialMaps are built
+    from the keys only for what is read: ``generators``, the diagonal part,
+    recognition witnesses, and ``elements`` on first access.
 
     ``complete`` is False when some solve came back undecided and left a
     pattern automorphism unsettled: the set is then not claimed to be the
@@ -200,13 +172,14 @@ class MonomialGroup:
         complete: bool = True,
     ):
         """``elements`` are MonomialMaps, or a Closure whose elements are
-        taken in the int form."""
+        taken as keys."""
         self.field = field
         self.n = n
         self.complete = complete
+        self._unity_orders: dict = {}
+        boxed = None
         if isinstance(elements, Closure):
-            points, perms, keys = elements.points, elements.elements, elements.keys
-            given = None
+            points, keys = elements.points, elements.elements
         else:
             by_columns = {}
             for g in elements:
@@ -215,82 +188,114 @@ class MonomialGroup:
                 by_columns.setdefault(_columns(g), g)
             points = [(v, field.one.value) for v in range(n)]
             index = {p: i for i, p in enumerate(points)}
-            for columns in by_columns:
+            boxed = {}
+            for columns, g in by_columns.items():
                 for p in columns:
                     if p not in index:
                         index[p] = len(points)
                         points.append(p)
-            given = {
-                tuple(map(index.__getitem__, columns)): g
-                for columns, g in by_columns.items()
-            }
-            perms, keys = list(given), set(given)
+                boxed[tuple(map(index.__getitem__, columns))] = g
+            keys = list(boxed)
         vertex = [v for v, _ in points]
         raw_key = [field._sort_key(c) for _, c in points]
-
-        def sort_key(p):
-            key = p[:n]
-            return (
-                tuple(map(vertex.__getitem__, key)),
-                tuple(map(raw_key.__getitem__, key)),
-            )
-
-        perms = sorted(perms, key=sort_key)
+        keys = sorted(
+            keys,
+            key=lambda k: (
+                tuple(map(vertex.__getitem__, k)),
+                tuple(map(raw_key.__getitem__, k)),
+            ),
+        )
         self._points = points
-        # a set of maps never closed has only its basis images, not
-        # permutations of Omega
-        self._on_omega = given is None or complete
-        self._generator_perms: tuple = ()
-        if given is not None:
-            self.elements = tuple(map(given.__getitem__, perms))
+        self._keys = tuple(keys)
+        if boxed is not None:
+            self.elements = tuple(map(boxed.__getitem__, keys))
+        generators = ()
         if complete:
             # the closure lies inside the finite set and contains all of it,
             # so the set is closed under products and hence a group
-            proof = Closure(field, n, points=points, within=keys)
-            if given is None:
-                def add(p):
-                    return p[:n] in proof.keys or proof._extend(p)
-            else:
-                def add(key):
-                    return proof._add([points[i] for i in key])
-            if proof.identity[:n] not in keys or not all(map(add, perms)):
+            within = set(keys)
+            proof = Closure(field, n, points=points, within=within)
+            if tuple(range(n)) not in within or not all(
+                proof._add([points[i] for i in key]) for key in keys
+            ):
                 raise UnclosedGroupError("element set is not closed under the group laws")
-            if given is not None:
-                full = {p[:n]: p for p in proof.elements}
-                perms = [full[key] for key in perms]
-            self._generator_perms = tuple(proof.generators)
-        self._perms = tuple(perms)
-        self.generators: tuple[MonomialMap, ...] = tuple(
-            map(self._box, self._generator_perms)
-        )
+            generators = proof.generators
+        self._generator_keys = tuple(generators)
+        self.generators: tuple[MonomialMap, ...] = tuple(map(self._box, generators))
 
     @property
     def order(self) -> int:
-        return len(self._perms)
+        return len(self._keys)
 
     @functools.cached_property
     def elements(self) -> tuple[MonomialMap, ...]:
-        return tuple(map(self._box, self._perms))
+        return tuple(map(self._box, self._keys))
 
     @functools.cached_property
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, aligned with ``elements``; computed
-        once per group from the permutations of Omega and read by
-        ``recognize``."""
-        if not self._on_omega:
-            raise UnclosedGroupError("element orders need a closed group")
-        n = self.n
-        return tuple(_perm_order(p, n) for p in self._perms)
+        once per group and read by ``recognize``."""
+        return tuple(map(self._order, self._keys))
 
-    def _box(self, p: tuple) -> MonomialMap:
-        columns = [self._points[i] for i in p[: self.n]]
+    def _order(self, key: tuple) -> int:
+        """Exact order from the cycles of sigma, as in MonomialMap.order:
+        the lcm over the cycles C of |C| * ord(pi_C), pi_C the product of
+        the scalings on C. A basis point scales by one, so a cycle through
+        basis points only needs no product; the order of each pi_C is
+        looked up once per group."""
+        n, points, mul = self.n, self._points, self.field._mul
+        order, seen = 1, [False] * n
+        for v in range(n):
+            if seen[v]:
+                continue
+            length, pi, w = 0, None, v
+            while not seen[w]:
+                seen[w] = True
+                length += 1
+                j = key[w]
+                if j >= n:
+                    c = points[j][1]
+                    pi = c if pi is None else mul(pi, c)
+                w = points[j][0]
+            if pi is not None:
+                k = self._unity_orders.get(pi)
+                if k is None:
+                    k = Scalar(self.field, pi).multiplicative_order()
+                    if k is None:
+                        raise CapExceededError(
+                            "a cycle product of scalings is not a root of unity; "
+                            "infinite order"
+                        )
+                    self._unity_orders[pi] = k
+                length *= k
+            order = math.lcm(order, length)
+        return order
+
+    def _box(self, key: tuple) -> MonomialMap:
+        columns = [self._points[i] for i in key]
         return MonomialMap(
             Permutation([v for v, _ in columns]),
             [Scalar(self.field, c) for _, c in columns],
         )
 
-    def _sigma(self, p: tuple) -> tuple[int, ...]:
-        return _sigma(self._points, p, self.n)
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self._points)}
+
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        """The key of a*b: a sends the point (w, c) of b's images to c times
+        its image of e_w, one field product unless c is one. Omega holds
+        every image, since it is the orbit of the basis."""
+        n, points, index, mul = self.n, self._points, self._index, self.field._mul
+        out = []
+        for j in b:
+            if j < n:
+                out.append(a[j])
+            else:
+                w, c = points[j]
+                v, d = points[a[w]]
+                out.append(index[(v, mul(c, d))])
+        return tuple(out)
 
     @functools.cached_property
     def _diagonal_count(self) -> int:
@@ -298,15 +303,15 @@ class MonomialGroup:
         # sort first
         ident = tuple(range(self.n))
         count = 0
-        for p in self._perms:
-            if self._sigma(p) != ident:
+        for key in self._keys:
+            if sigma_of(self._points, key) != ident:
                 break
             count += 1
         return count
 
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
-        return tuple(map(self._box, self._perms[: self._diagonal_count]))
+        return tuple(map(self._box, self._keys[: self._diagonal_count]))
 
     def to_json(self) -> dict:
         return {
@@ -319,30 +324,32 @@ class MonomialGroup:
 
 
 class Closure:
-    """Dimino's closure (Butler 1991; Seress 2003) on the int form, grown
-    one generator at a time in O(|G| * |S|) products of permutations of
-    Omega for the generators S it keeps.
+    """Dimino's closure (Butler 1991; Seress 2003) on keys, grown one
+    generator at a time.
 
     Omega starts as the basis points and grows by the images of the kept
     generators until it is closed under them, so it is the orbit of the
-    basis. That is the only field arithmetic: |Omega| products per kept
-    generator. A candidate is tested for membership by its n basis images,
-    with no product. When Omega grows, the elements found so far are
-    permutations of the smaller Omega, so the group found so far is closed
-    again from its kept generators. Omega's size counts against ``cap`` as
-    the group's does; an element of infinite order grows Omega without end.
+    basis. That is the only field arithmetic: each kept generator meets each
+    point once, and a basis point needs no product. A candidate is tested
+    for membership by its n basis images, with no product. A key indexes
+    points that never move, so the elements found so far stay valid as
+    Omega grows. Omega's size counts against ``cap`` as the group's does;
+    an element of infinite order grows Omega without end.
 
     ``add(s)`` keeps s as a new generator unless the group found so far
-    already holds it. The group then grows by whole right cosets H*x of the
-    previous subgroup H: every coset representative is multiplied by every
-    generator so far, and a product outside the group found so far starts a
-    new coset. ``elements`` lists the group in generation order, identity
-    first, ``keys`` holds their basis images and ``generators`` the kept
-    generators. With ``points`` and ``within`` (a set of basis images)
-    given, Omega is fixed to ``points``, and ``add`` returns False as soon
-    as an image leaves Omega or a product falls outside ``within``, leaving
-    the closure unfinished. The constructor of MonomialGroup proves sets
-    closed with it, ``close_generators`` closes generator lists, and
+    already holds it. The group then grows by whole left cosets x*H of the
+    previous subgroup H: each coset representative is multiplied on the
+    left by every generator so far, and a product outside the group found
+    so far starts a new coset. A representative is held as its images of
+    the points that H's keys reach, which give its products with H in n
+    lookups each; |G| * (|S| + 1) products in all for the generators S.
+    ``elements`` lists the keys in generation order, identity first,
+    ``keys`` holds them as a set and ``generators`` the keys of the kept
+    generators. With ``points`` and ``within`` (a set of keys) given, Omega
+    is fixed to ``points``, and ``add`` returns False as soon as an image
+    leaves Omega or a product falls outside ``within``, leaving the closure
+    unfinished. The constructor of MonomialGroup proves sets closed with
+    it, ``close_generators`` closes generator lists, and
     ``automorphism_group`` grows it by lifts.
     """
 
@@ -363,20 +370,13 @@ class Closure:
         self.index = {p: i for i, p in enumerate(points)}
         self._within = within
         self._cap = cap
+        self.elements = [tuple(range(n))]
+        self.keys = set(self.elements)
+        self.generators: list[tuple] = []
         # each kept generator's images of Omega, grown with it, and its
         # basis images, which grow them
         self._images: list[list[int]] = []
         self._columns: list[tuple] = []
-        self._restart()
-
-    def _restart(self) -> None:
-        self.identity = tuple(range(len(self.points)))
-        self.elements = [self.identity]
-        self.keys = {self.identity[: self.n]}
-        self.generators: list[tuple] = []
-
-    def sigma(self, p: tuple) -> tuple[int, ...]:
-        return _sigma(self.points, p, self.n)
 
     def add(self, s: MonomialMap) -> bool:
         if s.n != self.n or s.field is not self.field:
@@ -386,22 +386,15 @@ class Closure:
     def _add(self, columns) -> bool:
         if tuple(map(self.index.get, columns)) in self.keys:
             return True
-        size = len(self.points)
         image = self._push(columns)
-        if image is None:
-            return False
-        if len(self.points) > size:
-            self._restart()
-            for kept in self._images[:-1]:
-                self._extend(tuple(kept))
-        return self._extend(tuple(image))
+        return image is not None and self._extend(image)
 
     def _push(self, columns) -> Optional[list[int]]:
         """The new generator's images of Omega. Omega first grows by the
         images of every kept generator and the new one until it is closed
         under them all; each generator meets each point once. None when
         Omega is fixed and an image leaves it."""
-        points, index, mul = self.points, self.index, self.field._mul
+        points, index, mul, n = self.points, self.index, self.field._mul, self.n
         image: list[int] = []
         images = self._images + [image]
         all_columns = self._columns + [columns]
@@ -409,44 +402,48 @@ class Closure:
         while grown:
             grown = False
             for done, cols in zip(images, all_columns):
-                for w, c in points[len(done):]:
-                    v, d = cols[w]
-                    p = (v, mul(c, d))
-                    i = index.get(p)
-                    if i is None:
+                for i in range(len(done), len(points)):
+                    w, c = points[i]
+                    p = cols[w]
+                    if i >= n:
+                        p = (p[0], mul(c, p[1]))
+                    j = index.get(p)
+                    if j is None:
                         if self._within is not None:
                             return None
-                        i = index[p] = len(points)
+                        j = index[p] = len(points)
                         points.append(p)
                         grown = True
                         if len(points) > self._cap:
                             raise CapExceededError(
                                 f"the orbit of the basis passed the cap {self._cap}"
                             )
-                    done.append(i)
+                    done.append(j)
         self._images.append(image)
         self._columns.append(columns)
         return image
 
-    def _extend(self, s: tuple) -> bool:
+    def _extend(self, s: list[int]) -> bool:
         """Dimino's step for a generator s outside the group found so far."""
-        gens = self.generators
-        gens.append(s)
-        elements, keys, within, n = self.elements, self.keys, self._within, self.n
-        sub = elements[1:]  # H without its identity
-        reps = [self.identity]
+        n = self.n
+        self.generators.append(tuple(s[:n]))
+        elements, keys, within = self.elements, self.keys, self._within
+        # H acts on the points its keys reach; the basis points come first
+        support = sorted(set().union(*elements))
+        at = {j: i for i, j in enumerate(support)}
+        sub = [tuple(map(at.__getitem__, h)) for h in elements]
+        reps = [tuple(support)]
         for rep in reps:  # grows while it is walked
-            for t in gens:
-                x = compose(rep, t)
+            for t in self._images:
+                x = compose(t, rep)
                 if x[:n] in keys:
                     continue
-                coset = [x] + [compose(h, x) for h in sub]
-                coset_keys = [y[:n] for y in coset]
-                if within is not None and not within.issuperset(coset_keys):
+                coset = [compose(x, h) for h in sub]
+                if within is not None and not within.issuperset(coset):
                     return False
                 reps.append(x)
                 elements.extend(coset)
-                keys.update(coset_keys)
+                keys.update(coset)
                 if len(elements) > self._cap:
                     raise CapExceededError(f"closure passed the cap {self._cap}")
         return True
@@ -550,27 +547,23 @@ def _symmetric_histogram(k: int) -> dict[int, int]:
 def _normal_in(group: MonomialGroup, subgroup: Iterable[MonomialMap]) -> bool:
     """Whether maps of the group form a normal subset. Conjugation by the
     generators is enough: for a finite set S, g S g^-1 inside S forces
-    equality, so every word in them fixes S. Each conjugate is read on the
-    basis points only, from the permutations of Omega."""
-    n = group.n
-    index = {p: i for i, p in enumerate(group._points)}
-    keys = {tuple(map(index.__getitem__, _columns(s))) for s in subgroup}
-    members = [p for p in group._perms if p[:n] in keys]
-    for g in group._generator_perms:
-        g_inv = _inverse(g)
-        for s in members:
-            if tuple([g[s[g_inv[v]]] for v in range(n)]) not in keys:
-                return False
-    return True
+    equality, so every word in them fixes S; and g S g^-1 = S exactly when
+    g S = S g, which needs no inverse."""
+    index, product = group._index, group._product
+    members = [tuple(map(index.__getitem__, _columns(s))) for s in subgroup]
+    return all(
+        {product(g, s) for s in members} == {product(s, g) for s in members}
+        for g in group._generator_keys
+    )
 
 
 def _of_order(group: MonomialGroup, k: int) -> list[tuple]:
-    """The elements of order k as permutations of Omega, in element order;
-    none without a scan when k is absent from the cached orders."""
+    """The keys of the elements of order k, in element order; none without
+    a scan when k is absent from the cached orders."""
     orders = group.element_orders
     if k not in orders:
         return []
-    return [p for p, o in zip(group._perms, orders) if o == k]
+    return [p for p, o in zip(group._keys, orders) if o == k]
 
 
 def recognize(group: MonomialGroup, target) -> RecognitionReport:
@@ -600,7 +593,7 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         orders = group.element_orders
         if group.order != target.k or target.k not in orders:
             return RecognitionReport(target, False)
-        gen = group._box(group._perms[orders.index(target.k)])
+        gen = group._box(group._keys[orders.index(target.k)])
         return RecognitionReport(target, True, {"generator": gen.to_json()})
 
     if isinstance(target, Symmetric):
@@ -612,17 +605,18 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
             return RecognitionReport(target, True, {"method": "order histogram"})
         return RecognitionReport(target, False)
 
-    n = group.n
+    identity, product = tuple(range(group.n)), group._product
     if isinstance(target, Dihedral):
         k = target.k
         if k < 3 or group.order != 2 * k:
             return RecognitionReport(target, False)
-        flips = _of_order(group, 2)
-        for rot in _of_order(group, k):
+        rotations = _of_order(group, k)
+        flips = _of_order(group, 2) if rotations else []
+        for rot in rotations:
             for flip in flips:
-                # flip*rot*flip = rot^-1 exactly when (flip*rot)^2 fixes
-                # every basis point
-                if all(flip[rot[flip[rot[v]]]] == v for v in range(n)):
+                # flip*rot*flip = rot^-1 exactly when (flip*rot)^2 = 1
+                turn = product(flip, rot)
+                if product(turn, turn) == identity:
                     return RecognitionReport(
                         target,
                         True,
@@ -639,31 +633,29 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
             return RecognitionReport(target, False)
         # the diagonal part is the first m elements
         gen = next(
-            (p for p, o in zip(group._perms[:m], group.element_orders) if o == m),
+            (p for p, o in zip(group._keys[:m], group.element_orders) if o == m),
             None,
         )
         if gen is None:
             return RecognitionReport(target, False)
-        powers, power = [tuple(range(n))], gen
+        powers = [identity]
         while len(powers) < m:
-            powers.append(power[:n])
-            power = compose(power, gen)
+            powers.append(product(powers[-1], gen))
         for comp in _of_order(group, k):
             # comp^j is diagonal exactly when sigma^j is the identity, so
             # <comp> meets the diagonal part trivially iff sigma has order k
-            if Permutation(group._sigma(comp)).order() != k:
+            if Permutation(sigma_of(group._points, comp)).order() != k:
                 continue
-            # conjugation action of the complement on the normal generator;
-            # the conjugate is diagonal, so it is a power of gen
-            comp_inv = _inverse(comp)
-            conj = tuple([comp[gen[comp_inv[v]]] for v in range(n)])
+            # the conjugate of gen by the complement is diagonal, so a power
+            # gen^a, and comp*gen = gen^a*comp reads off a
+            moved = product(comp, gen)
             return RecognitionReport(
                 target,
                 True,
                 {
                     "normal_generator": group._box(gen).to_json(),
                     "complement_generator": group._box(comp).to_json(),
-                    "action_exponent": powers.index(conj),
+                    "action_exponent": [product(p, comp) for p in powers].index(moved),
                 },
             )
         return RecognitionReport(target, False)
@@ -712,9 +704,9 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
         raise UnclosedGroupError("quotient check requires a closed group")
     kernel = set(group.diagonal_part())
     lattice = diagonal_subgroup(algebra)
-    image = set(map(group._sigma, group._perms))
+    image = {sigma_of(group._points, key) for key in group._keys}
     pattern = algebra.digraph
-    gens = [group._sigma(g) for g in group._generator_perms]
+    gens = [sigma_of(group._points, key) for key in group._generator_keys]
     image_subgroup = tuple(range(group.n)) in image and all(
         compose(s, g) in image for g in gens for s in image
     )

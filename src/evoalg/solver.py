@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .fields import PrimeField, Scalar
-from .groups import Closure, MonomialGroup, MonomialMap, compose
+from .groups import CLOSURE_CAP, Closure, MonomialGroup, MonomialMap, compose, sigma_of
 from .snf import CongruenceSolution, solve_homogeneous_mod
 
 MATERIALIZE_CAP = 10**6
@@ -298,7 +298,7 @@ def automorphism_group(
     closure = Closure(a.field, a.n)
     for g in kernel.maps:
         closure.add(g)
-    image = {closure.sigma(p) for p in closure.elements}
+    image = {sigma_of(closure.points, p) for p in closure.elements}
     barren: list[tuple[int, ...]] = []
     dead: set[tuple[int, ...]] = set()
     unsettled: list[tuple[int, ...]] = []
@@ -310,41 +310,40 @@ def automorphism_group(
         if outcome.status is SolveStatus.INDETERMINATE:
             unsettled.append(s)
         elif outcome.maps:
-            # the closure only appends, and closing it again over a larger
-            # Omega replays the same generators, so the elements past the
-            # old count are the new ones
+            # the closure only appends, so the elements past the old count
+            # are the new ones
             listed = len(closure.elements)
             for g in outcome.maps:
                 closure.add(g)
-            image.update(map(closure.sigma, closure.elements[listed:]))
+            image.update(sigma_of(closure.points, p) for p in closure.elements[listed:])
         else:
             barren.append(s)
             dead.update(compose(h, s) for h in image)
     complete = True
     if unsettled:
-        gens = [closure.sigma(p) for p in closure.generators]
-        ruled_out = set(barren) | {Permutation(t).inverse().images for t in barren}
-        complete = all(
-            s in image or _double_coset_meets(s, gens, ruled_out) for s in unsettled
-        )
+        gens = [sigma_of(closure.points, p) for p in closure.generators]
+        seeds = barren + [Permutation(t).inverse().images for t in barren]
+        ruled_out = _double_cosets(seeds, gens)
+        complete = all(s in image or s in ruled_out for s in unsettled)
     return MonomialGroup(a.field, a.n, closure, complete=complete)
 
 
-def _double_coset_meets(sigma: tuple, gens: list[tuple], targets: set) -> bool:
-    """Whether H*sigma*H meets ``targets``, H generated by ``gens``: a
-    search by one generator on either side, 2 |gens| products per member of
-    the double coset rather than |H|^2. Words in the generators reach all of
-    H, which is finite."""
-    seen, todo = {sigma}, [sigma]
+def _double_cosets(seeds: list[tuple], gens: list[tuple]) -> set[tuple]:
+    """The union of the double cosets H*tau*H of the seeds, H generated by
+    ``gens``: a search by one generator on either side, 2 |gens| products
+    per member rather than |H|^2 per seed. Words in the generators reach
+    all of H, which is finite. Its size counts against the closure cap."""
+    seen = set(seeds)
+    todo = list(seen)
     for x in todo:  # grows while it is walked
-        if x in targets:
-            return True
         for h in gens:
             for y in (compose(h, x), compose(x, h)):
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
-    return False
+        if len(seen) > CLOSURE_CAP:
+            raise CapExceededError(f"double cosets passed the cap {CLOSURE_CAP}")
+    return seen
 
 
 # ---------------------------------------------------------------------------

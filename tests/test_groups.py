@@ -2,14 +2,15 @@ import contextlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from evoalg import groups, solver
-from evoalg.algebra import mat_equal, mat_mul
+from evoalg.algebra import EvolutionAlgebra, mat_equal, mat_mul
 from evoalg.digraph import Permutation
 from evoalg.errors import CapExceededError, ParseError, UnclosedGroupError
-from evoalg.families import complete_graph_algebra
+from evoalg.families import complete_graph_algebra, cycle_algebra
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
 from evoalg.groups import (
     Cyclic,
@@ -228,10 +229,40 @@ class TestClosure:
         assert grp.order == 720
         assert 0 < calls <= grp.order * (len(grp.generators) + 1)
 
+    def test_large_diagonal_group_costs_lookups_linear_in_order(self, monkeypatch):
+        # the 8-cycle over GF(1021) has |D| = 255, |G| = 2040 and an Omega
+        # of 2040 points. Elements hold n basis images each, and a coset
+        # representative only the points its subgroup reaches, so the walk
+        # and the proof together look up at most 4 (|S| + 1) n |G| images;
+        # holding every element over all of Omega would take |G| |Omega|
+        n = 8
+        looked_up = 0
+        product = groups.compose
+
+        def counted(a, b):
+            nonlocal looked_up
+            looked_up += len(b)
+            return product(a, b)
+
+        monkeypatch.setattr(groups, "compose", counted)
+        grp = automorphism_group(cycle_algebra(n, PrimeField(1021)))
+        assert grp.order == 2040 and len(grp.diagonal_part()) == 255
+        assert len(grp._points) == 2040
+        assert all(len(key) == n for key in grp._keys)
+        assert looked_up <= 4 * (len(grp.generators) + 1) * n * grp.order
+
     def test_field_products_only_grow_omega(self, monkeypatch):
-        # with the solves answered from a cache, the field products left
-        # are those that grow Omega: one per kept generator and point
-        alg = complete_graph_algebra(6, Q)
+        # K6 moved by diag(1, ..., 6): its Omega holds 36 points. With the
+        # solves answered from a cache, the field products left are those
+        # that grow Omega, one per kept generator and point off the basis,
+        # in the walk and again in the proof
+        alg = EvolutionAlgebra(
+            Q,
+            [
+                [Q.scalar(0 if k == j else Fraction(k + 1, (j + 1) ** 2)) for j in range(6)]
+                for k in range(6)
+            ],
+        )
         outcomes = {}
         real = solver.solve_monomial
 
@@ -242,19 +273,28 @@ class TestClosure:
         monkeypatch.setattr(solver, "solve_monomial", recorded)
         automorphism_group(alg)
         monkeypatch.setattr(solver, "solve_monomial", lambda a, b, sigma: outcomes[sigma])
-        calls = 0
+        calls, walk = 0, []
         mul = Q._mul
+        init = MonomialGroup.__init__
 
         def counted(x, y):
             nonlocal calls
             calls += 1
             return mul(x, y)
 
-        monkeypatch.setattr(Q, "_mul", counted)
-        grp = automorphism_group(alg)
-        assert grp.order == 720 and len(grp._points) == 6
-        assert 0 < calls <= len(grp._points) * len(grp.generators)
+        def proof(self, field, n, closure, **kwargs):
+            walk.append((calls, len(closure.generators)))
+            init(self, field, n, closure, **kwargs)
 
+        monkeypatch.setattr(Q, "_mul", counted)
+        monkeypatch.setattr(MonomialGroup, "__init__", proof)
+        grp = automorphism_group(alg)
+        assert grp.order == 720 and grp.complete
+        omega = len(grp._points) - 6
+        assert omega == 30
+        (walk_calls, walk_generators), = walk
+        assert 0 < walk_calls <= omega * walk_generators
+        assert 0 < calls - walk_calls <= omega * len(grp.generators)
 
 def finite_random_group(field, n, rng):
     """Two random monomial maps of finite order conjugated by a random
@@ -286,16 +326,18 @@ class TestIntForm:
         for field in self.FIELDS:
             for _ in range(4):
                 grp = finite_random_group(field, 3, rng)
-                perms, elements = grp._perms, grp.elements
+                keys, elements = grp._keys, grp.elements
+                identity = tuple(range(3))
                 assert list(elements) == sorted(elements, key=MonomialMap.sort_key)
                 assert len(set(elements)) == grp.order
-                assert all(grp._box(p) == g for p, g in zip(perms, elements))
+                assert all(grp._box(p) == g for p, g in zip(keys, elements))
                 assert grp.element_orders == tuple(g.order() for g in elements)
                 for _ in range(20):
                     i, j = rng.randrange(grp.order), rng.randrange(grp.order)
-                    product = groups.compose(perms[i], perms[j])
+                    product = grp._product(keys[i], keys[j])
                     assert grp._box(product) == elements[i] * elements[j]
-                    assert grp._box(groups._inverse(perms[i])) == elements[i].inverse()
+                    inverse = next(q for q in keys if grp._product(keys[i], q) == identity)
+                    assert grp._box(inverse) == elements[i].inverse()
                 # the same maps handed over boxed are keyed by their basis
                 # images and give the same group
                 boxed = MonomialGroup(field, 3, reversed(elements))
@@ -352,14 +394,14 @@ class TestRecognition:
 
         grp = self.s3_over_zeta3()
         calls = 0
-        order = groups._perm_order
+        order = MonomialGroup._order
 
-        def counted(p, n):
+        def counted(group, key):
             nonlocal calls
             calls += 1
-            return order(p, n)
+            return order(group, key)
 
-        monkeypatch.setattr(groups, "_perm_order", counted)
+        monkeypatch.setattr(MonomialGroup, "_order", counted)
         for target in (Cyclic(6), Symmetric(3), Dihedral(3), SemidirectCyclic(3, 2)):
             recognize(grp, target)
         assert calls == grp.order
@@ -373,8 +415,15 @@ class TestRecognition:
         def refuse(*_):
             raise AssertionError("an element was examined")
 
+        class Unscanned(tuple):
+            def __iter__(self):
+                refuse()
+
         for name in ("__mul__", "inverse", "order", "to_json"):
             monkeypatch.setattr(MonomialMap, name, refuse)
+        for name in ("_product", "_box", "_order"):
+            monkeypatch.setattr(MonomialGroup, name, refuse)
+        monkeypatch.setattr(k4, "_keys", Unscanned(k4._keys))
         assert not recognize(k4, Cyclic(24)).matched
         assert not recognize(k4, Dihedral(12)).matched
 
