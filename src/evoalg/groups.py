@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -82,20 +81,7 @@ class MonomialMap:
         return MonomialMap(inv, d)
 
     def order(self) -> int:
-        """Exact order from the cycles of sigma. On the span of a cycle C of
-        length L, the L-th power acts as the scalar pi_C, the product of the
-        d_v over C, so the order there is L * ord(pi_C); the order of the map
-        is the lcm of these over the cycles."""
-        total = 1
-        for cycle in self.sigma.cycles():
-            pi = functools.reduce(operator.mul, (self.d[v] for v in cycle))
-            k = pi.multiplicative_order()
-            if k is None:
-                raise CapExceededError(
-                    "a cycle product of scalings is not a root of unity; infinite order"
-                )
-            total = math.lcm(total, len(cycle) * k)
-        return total
+        return _cycle_order(self.field, self.sigma.images, [x.value for x in self.d], {})
 
     def sort_key(self):
         return (self.sigma.images, tuple(x.sort_key() for x in self.d))
@@ -136,6 +122,38 @@ def compose(a, b) -> tuple:
 def sigma_of(points: list, key: tuple) -> tuple[int, ...]:
     """The permutation part of an element, as its image tuple."""
     return tuple([points[i][0] for i in key])
+
+
+def _cycle_order(field: Field, images, scalings, orders: dict) -> int:
+    """Exact order of the map with permutation ``images`` and raw
+    ``scalings``, None for one. On the span of a cycle C of length L, the
+    L-th power acts as the scalar pi_C, the product of the scalings on C,
+    so the order there is L * ord(pi_C); the order of the map is the lcm of
+    these over the cycles. ``orders`` caches ord(pi_C) by value."""
+    order, seen = 1, [False] * len(images)
+    for v in range(len(images)):
+        if seen[v]:
+            continue
+        length, pi, w = 0, None, v
+        while not seen[w]:
+            seen[w] = True
+            length += 1
+            c = scalings[w]
+            if c is not None:
+                pi = c if pi is None else field._mul(pi, c)
+            w = images[w]
+        if pi is not None:
+            k = orders.get(pi)
+            if k is None:
+                k = Scalar(field, pi).multiplicative_order()
+                if k is None:
+                    raise CapExceededError(
+                        "a cycle product of scalings is not a root of unity; infinite order"
+                    )
+                orders[pi] = k
+            length *= k
+        order = math.lcm(order, length)
+    return order
 
 
 def _columns(g: MonomialMap) -> tuple:
@@ -179,7 +197,7 @@ class MonomialGroup:
         self._unity_orders: dict = {}
         boxed = None
         if isinstance(elements, Closure):
-            points, keys = elements.points, elements.elements
+            points, keys, index = elements.points, elements.elements, elements.index
         else:
             by_columns = {}
             for g in elements:
@@ -206,6 +224,7 @@ class MonomialGroup:
             ),
         )
         self._points = points
+        self._index = index
         self._keys = tuple(keys)
         if boxed is not None:
             self.elements = tuple(map(boxed.__getitem__, keys))
@@ -238,38 +257,13 @@ class MonomialGroup:
         return tuple(map(self._order, self._keys))
 
     def _order(self, key: tuple) -> int:
-        """Exact order from the cycles of sigma, as in MonomialMap.order:
-        the lcm over the cycles C of |C| * ord(pi_C), pi_C the product of
-        the scalings on C. A basis point scales by one, so a cycle through
-        basis points only needs no product; the order of each pi_C is
-        looked up once per group."""
-        n, points, mul = self.n, self._points, self.field._mul
-        order, seen = 1, [False] * n
-        for v in range(n):
-            if seen[v]:
-                continue
-            length, pi, w = 0, None, v
-            while not seen[w]:
-                seen[w] = True
-                length += 1
-                j = key[w]
-                if j >= n:
-                    c = points[j][1]
-                    pi = c if pi is None else mul(pi, c)
-                w = points[j][0]
-            if pi is not None:
-                k = self._unity_orders.get(pi)
-                if k is None:
-                    k = Scalar(self.field, pi).multiplicative_order()
-                    if k is None:
-                        raise CapExceededError(
-                            "a cycle product of scalings is not a root of unity; "
-                            "infinite order"
-                        )
-                    self._unity_orders[pi] = k
-                length *= k
-            order = math.lcm(order, length)
-        return order
+        n, points = self.n, self._points
+        return _cycle_order(
+            self.field,
+            sigma_of(points, key),
+            [points[j][1] if j >= n else None for j in key],
+            self._unity_orders,
+        )
 
     def _box(self, key: tuple) -> MonomialMap:
         columns = [self._points[i] for i in key]
@@ -277,10 +271,6 @@ class MonomialGroup:
             Permutation([v for v, _ in columns]),
             [Scalar(self.field, c) for _, c in columns],
         )
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self._points)}
 
     def _product(self, a: tuple, b: tuple) -> tuple:
         """The key of a*b: a sends the point (w, c) of b's images to c times
