@@ -233,10 +233,8 @@ class MonomialGroup:
             # the closure lies inside the finite set and contains all of it,
             # so the set is closed under products and hence a group
             within = set(keys)
-            proof = Closure(field, n, points=points, within=within)
-            if tuple(range(n)) not in within or not all(
-                proof._add([points[i] for i in key]) for key in keys
-            ):
+            proof = Closure(field, n, index=index, within=within)
+            if tuple(range(n)) not in within or not all(map(proof._add, keys)):
                 raise UnclosedGroupError("element set is not closed under the group laws")
             generators = proof.generators
         self._generator_keys = tuple(generators)
@@ -348,69 +346,69 @@ class Closure:
         field: Field,
         n: int,
         *,
-        points: Optional[list] = None,
+        index: Optional[dict] = None,
         within: Optional[set] = None,
         cap: int = CLOSURE_CAP,
     ):
         self.field = field
         self.n = n
-        if points is None:
-            points = [(v, field.one.value) for v in range(n)]
-        self.points = points
-        self.index = {p: i for i, p in enumerate(points)}
+        if index is None:
+            index = {(v, field.one.value): v for v in range(n)}
+        # the points of Omega in order, and each point's position
+        self.index = index
+        self.points = list(index)
         self._within = within
         self._cap = cap
         self.elements = [tuple(range(n))]
         self.keys = set(self.elements)
         self.generators: list[tuple] = []
-        # each kept generator's images of Omega, grown with it, and its
-        # basis images, which grow them
+        # each kept generator's images of Omega, its key first
         self._images: list[list[int]] = []
-        self._columns: list[tuple] = []
 
     def add(self, s: MonomialMap) -> bool:
         if s.n != self.n or s.field is not self.field:
             raise FieldMismatchError("closure generators disagree on n or field")
-        return self._add(_columns(s))
+        return self._add(tuple(map(self._point, _columns(s))))
 
-    def _add(self, columns) -> bool:
-        if tuple(map(self.index.get, columns)) in self.keys:
+    def _add(self, key: tuple) -> bool:
+        if key in self.keys:
             return True
-        image = self._push(columns)
+        image = self._push(key)
         return image is not None and self._extend(image)
 
-    def _push(self, columns) -> Optional[list[int]]:
-        """The new generator's images of Omega. Omega first grows by the
-        images of every kept generator and the new one until it is closed
-        under them all; each generator meets each point once. None when
-        Omega is fixed and an image leaves it."""
-        points, index, mul, n = self.points, self.index, self.field._mul, self.n
-        image: list[int] = []
+    def _point(self, p) -> Optional[int]:
+        """The position of point p, which joins Omega if it is new; None
+        when Omega is fixed and p is new."""
+        i = self.index.get(p)
+        if i is None and self._within is None:
+            i = self.index[p] = len(self.points)
+            self.points.append(p)
+            if len(self.points) > self._cap:
+                raise CapExceededError(f"the orbit of the basis passed the cap {self._cap}")
+        return i
+
+    def _push(self, key: tuple) -> Optional[list[int]]:
+        """The images of Omega of a new generator with this key. Omega
+        first grows by the images of every kept generator and the new one
+        until it is closed under them all; each generator meets each point
+        off the basis once, a generator's image of (w, c) being c times its
+        image of e_w. None when Omega is fixed and an image leaves it."""
+        points, mul, n = self.points, self.field._mul, self.n
+        image = list(key)
         images = self._images + [image]
-        all_columns = self._columns + [columns]
-        grown = True
-        while grown:
-            grown = False
-            for done, cols in zip(images, all_columns):
+        size = None
+        while size != len(points):
+            size = len(points)
+            for done in images:
+                columns = [points[j] for j in done[:n]]
                 for i in range(len(done), len(points)):
                     w, c = points[i]
-                    p = cols[w]
-                    if i >= n:
-                        p = (p[0], mul(c, p[1]))
-                    j = index.get(p)
+                    v, d = columns[w]
+                    j = self._point((v, mul(c, d)))
                     if j is None:
-                        if self._within is not None:
-                            return None
-                        j = index[p] = len(points)
-                        points.append(p)
-                        grown = True
-                        if len(points) > self._cap:
-                            raise CapExceededError(
-                                f"the orbit of the basis passed the cap {self._cap}"
-                            )
+                        return None
                     done.append(j)
         self._images.append(image)
-        self._columns.append(columns)
         return image
 
     def _extend(self, s: list[int]) -> bool:
