@@ -109,8 +109,8 @@ class MonomialMap:
 # Omega is a list of points (v, c), c a raw nonzero field value, whose first
 # n points are the basis points (v, 1); the map (sigma, d) sends the point
 # (v, c) to (sigma(v), c * d_v). An element is held as the tuple of the
-# indices of its n basis images, its key, which reads off sigma and d. Only
-# a generator the closure keeps is held as its images of all of Omega.
+# indices of its n basis images, its key, which reads off sigma and d, so a
+# group costs n ints per element however large Omega is.
 
 
 def compose(a, b) -> tuple:
@@ -154,6 +154,22 @@ def _cycle_order(field: Field, images, scalings, orders: dict) -> int:
             length *= k
         order = math.lcm(order, length)
     return order
+
+
+def _apply(field: Field, points: list, point, n: int, x: tuple, js) -> tuple:
+    """The images of the points ``js`` under the element with key x: it
+    sends (w, c) to c times its image of e_w, one field product unless c is
+    one. ``point`` gives a point's position in ``points``."""
+    mul = field._mul
+    out = []
+    for j in js:
+        if j < n:
+            out.append(x[j])
+        else:
+            w, c = points[j]
+            v, d = points[x[w]]
+            out.append(point((v, mul(c, d))))
+    return tuple(out)
 
 
 def _columns(g: MonomialMap) -> tuple:
@@ -271,19 +287,9 @@ class MonomialGroup:
         )
 
     def _product(self, a: tuple, b: tuple) -> tuple:
-        """The key of a*b: a sends the point (w, c) of b's images to c times
-        its image of e_w, one field product unless c is one. Omega holds
-        every image, since it is the orbit of the basis."""
-        n, points, index, mul = self.n, self._points, self._index, self.field._mul
-        out = []
-        for j in b:
-            if j < n:
-                out.append(a[j])
-            else:
-                w, c = points[j]
-                v, d = points[a[w]]
-                out.append(index[(v, mul(c, d))])
-        return tuple(out)
+        """The key of a*b; Omega holds every image, being the orbit of the
+        basis."""
+        return _apply(self.field, self._points, self._index.__getitem__, self.n, a, b)
 
     @functools.cached_property
     def _diagonal_count(self) -> int:
@@ -315,29 +321,29 @@ class Closure:
     """Dimino's closure (Butler 1991; Seress 2003) on keys, grown one
     generator at a time.
 
-    Omega starts as the basis points and grows by the images of the kept
-    generators until it is closed under them, so it is the orbit of the
-    basis. That is the only field arithmetic: each kept generator meets each
-    point once, and a basis point needs no product. A candidate is tested
-    for membership by its n basis images, with no product. A key indexes
-    points that never move, so the elements found so far stay valid as
-    Omega grows. Omega's size counts against ``cap`` as the group's does;
-    an element of infinite order grows Omega without end.
-
     ``add(s)`` keeps s as a new generator unless the group found so far
-    already holds it. The group then grows by whole left cosets x*H of the
-    previous subgroup H: each coset representative is multiplied on the
-    left by every generator so far, and a product outside the group found
-    so far starts a new coset. A representative is held as its images of
-    the points that H's keys reach, which give its products with H in n
-    lookups each; |G| * (|S| + 1) products in all for the generators S.
+    already holds it; membership is read off s's n basis images. The group
+    then grows by whole left cosets x*H of the previous subgroup H: each
+    coset representative is multiplied on the left by every generator so
+    far, and a product outside the group found so far starts a new coset.
+    A product of keys costs n lookups and a field product for each scaled
+    point. A new representative is taken to the points that H's keys
+    reach, which gives its products with H by lookups alone: |G| products
+    for the cosets and |S| per representative for the generators S.
+
+    Omega starts as the basis points and grows by the images these
+    products reach, so it is the orbit of the basis. A key indexes points
+    that never move, so the elements found so far stay valid as Omega
+    grows. Omega's size counts against ``cap`` as the group's does; an
+    element of infinite order grows Omega without end.
+
     ``elements`` lists the keys in generation order, identity first,
     ``keys`` holds them as a set and ``generators`` the keys of the kept
-    generators. With ``points`` and ``within`` (a set of keys) given, Omega
-    is fixed to ``points``, and ``add`` returns False as soon as an image
-    leaves Omega or a product falls outside ``within``, leaving the closure
-    unfinished. The constructor of MonomialGroup proves sets closed with
-    it, ``close_generators`` closes generator lists, and
+    generators. With ``index`` (each point's position) and ``within`` (a
+    set of keys) given, Omega is fixed, and ``_add`` returns False as soon
+    as an image leaves Omega or a product falls outside ``within``, leaving
+    the closure unfinished. The constructor of MonomialGroup proves sets
+    closed with it, ``close_generators`` closes generator lists, and
     ``automorphism_group`` grows it by lifts.
     """
 
@@ -362,8 +368,6 @@ class Closure:
         self.elements = [tuple(range(n))]
         self.keys = set(self.elements)
         self.generators: list[tuple] = []
-        # each kept generator's images of Omega, its key first
-        self._images: list[list[int]] = []
 
     def add(self, s: MonomialMap) -> bool:
         if s.n != self.n or s.field is not self.field:
@@ -371,10 +375,7 @@ class Closure:
         return self._add(tuple(map(self._point, _columns(s))))
 
     def _add(self, key: tuple) -> bool:
-        if key in self.keys:
-            return True
-        image = self._push(key)
-        return image is not None and self._extend(image)
+        return key in self.keys or self._extend(key)
 
     def _point(self, p) -> Optional[int]:
         """The position of point p, which joins Omega if it is new; None
@@ -387,46 +388,26 @@ class Closure:
                 raise CapExceededError(f"the orbit of the basis passed the cap {self._cap}")
         return i
 
-    def _push(self, key: tuple) -> Optional[list[int]]:
-        """The images of Omega of a new generator with this key. Omega
-        first grows by the images of every kept generator and the new one
-        until it is closed under them all; each generator meets each point
-        off the basis once, a generator's image of (w, c) being c times its
-        image of e_w. None when Omega is fixed and an image leaves it."""
-        points, mul, n = self.points, self.field._mul, self.n
-        image = list(key)
-        images = self._images + [image]
-        size = None
-        while size != len(points):
-            size = len(points)
-            for done in images:
-                columns = [points[j] for j in done[:n]]
-                for i in range(len(done), len(points)):
-                    w, c = points[i]
-                    v, d = columns[w]
-                    j = self._point((v, mul(c, d)))
-                    if j is None:
-                        return None
-                    done.append(j)
-        self._images.append(image)
-        return image
-
-    def _extend(self, s: list[int]) -> bool:
+    def _extend(self, s: tuple) -> bool:
         """Dimino's step for a generator s outside the group found so far."""
-        n = self.n
-        self.generators.append(tuple(s[:n]))
+        n, points, point = self.n, self.points, self._point
+        gens = self.generators
+        gens.append(s)
         elements, keys, within = self.elements, self.keys, self._within
         # H acts on the points its keys reach; the basis points come first
         support = sorted(set().union(*elements))
         at = {j: i for i, j in enumerate(support)}
         sub = [tuple(map(at.__getitem__, h)) for h in elements]
-        reps = [tuple(support)]
+        reps = [tuple(range(n))]
         for rep in reps:  # grows while it is walked
-            for t in self._images:
-                x = compose(t, rep)
-                if x[:n] in keys:
+            for t in gens:
+                x = _apply(self.field, points, point, n, t, rep)
+                if x in keys:
                     continue
-                coset = [compose(x, h) for h in sub]
+                on_support = _apply(self.field, points, point, n, x, support)
+                if None in on_support:
+                    return False
+                coset = [compose(on_support, h) for h in sub]
                 if within is not None and not within.issuperset(coset):
                     return False
                 reps.append(x)

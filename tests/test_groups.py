@@ -233,68 +233,84 @@ class TestClosure:
         # the 8-cycle over GF(1021) has |D| = 255, |G| = 2040 and an Omega
         # of 2040 points. Elements hold n basis images each, and a coset
         # representative only the points its subgroup reaches, so the walk
-        # and the proof together look up at most 4 (|S| + 1) n |G| images;
+        # and the proof together look up at most 4 (|S| + 2) n |G| images;
         # holding every element over all of Omega would take |G| |Omega|
         n = 8
         looked_up = 0
-        product = groups.compose
+        compose, apply = groups.compose, groups._apply
 
-        def counted(a, b):
+        def counted_compose(a, b):
             nonlocal looked_up
             looked_up += len(b)
-            return product(a, b)
+            return compose(a, b)
 
-        monkeypatch.setattr(groups, "compose", counted)
+        def counted_apply(field, points, point, n, x, js):
+            nonlocal looked_up
+            looked_up += len(js)
+            return apply(field, points, point, n, x, js)
+
+        monkeypatch.setattr(groups, "compose", counted_compose)
+        monkeypatch.setattr(groups, "_apply", counted_apply)
         grp = automorphism_group(cycle_algebra(n, PrimeField(1021)))
         assert grp.order == 2040 and len(grp.diagonal_part()) == 255
         assert len(grp._points) == 2040
         assert all(len(key) == n for key in grp._keys)
-        assert looked_up <= 4 * (len(grp.generators) + 1) * n * grp.order
+        assert looked_up <= 4 * (len(grp.generators) + 2) * n * grp.order
 
-    def test_field_products_only_grow_omega(self, monkeypatch):
-        # K6 moved by diag(1, ..., 6): its Omega holds 36 points. With the
-        # solves answered from a cache, the field products left are those
-        # that grow Omega, one per kept generator and point off the basis,
-        # in the walk and again in the proof
-        alg = EvolutionAlgebra(
+    def test_field_products_are_linear_in_order(self, monkeypatch):
+        # with the solves answered from a cache, the field products left
+        # are the closures': at most n per Dimino product and one per point
+        # a new coset representative carries, (|S| + 2) n |G| per closure.
+        # K6 over Q scales nothing, so its Omega is the basis and it needs
+        # none; K6 moved by diag(1, ..., 6) has 30 more points, and the
+        # 8-cycle over GF(1021) an Omega of n |G| points
+        moved_k6 = EvolutionAlgebra(
             Q,
             [
                 [Q.scalar(0 if k == j else Fraction(k + 1, (j + 1) ** 2)) for j in range(6)]
                 for k in range(6)
             ],
         )
-        outcomes = {}
-        real = solver.solve_monomial
+        for alg, omega in (
+            (complete_graph_algebra(6, Q), 6),
+            (moved_k6, 36),
+            (cycle_algebra(8, PrimeField(1021)), 2040),
+        ):
+            field = alg.field
+            outcomes = {}
+            real = solver.solve_monomial
 
-        def recorded(a, b, sigma):
-            outcomes[sigma] = real(a, b, sigma)
-            return outcomes[sigma]
+            def recorded(a, b, sigma):
+                outcomes[sigma] = real(a, b, sigma)
+                return outcomes[sigma]
 
-        monkeypatch.setattr(solver, "solve_monomial", recorded)
-        automorphism_group(alg)
-        monkeypatch.setattr(solver, "solve_monomial", lambda a, b, sigma: outcomes[sigma])
-        calls, walk = 0, []
-        mul = Q._mul
-        init = MonomialGroup.__init__
+            monkeypatch.setattr(solver, "solve_monomial", recorded)
+            automorphism_group(alg)
+            monkeypatch.setattr(solver, "solve_monomial", lambda a, b, sigma: outcomes[sigma])
+            calls, walk = 0, []
+            mul, init = field._mul, MonomialGroup.__init__
 
-        def counted(x, y):
-            nonlocal calls
-            calls += 1
-            return mul(x, y)
+            def counted(x, y):
+                nonlocal calls
+                calls += 1
+                return mul(x, y)
 
-        def proof(self, field, n, closure, **kwargs):
-            walk.append((calls, len(closure.generators)))
-            init(self, field, n, closure, **kwargs)
+            def proof(self, field, n, closure, **kwargs):
+                walk.append((calls, len(closure.generators)))
+                init(self, field, n, closure, **kwargs)
 
-        monkeypatch.setattr(Q, "_mul", counted)
-        monkeypatch.setattr(MonomialGroup, "__init__", proof)
-        grp = automorphism_group(alg)
-        assert grp.order == 720 and grp.complete
-        omega = len(grp._points) - 6
-        assert omega == 30
-        (walk_calls, walk_generators), = walk
-        assert 0 < walk_calls <= omega * walk_generators
-        assert 0 < calls - walk_calls <= omega * len(grp.generators)
+            monkeypatch.setattr(field, "_mul", counted)
+            monkeypatch.setattr(MonomialGroup, "__init__", proof)
+            grp = automorphism_group(alg)
+            monkeypatch.undo()
+            assert grp.complete and len(grp._points) == omega
+            (walk_calls, walk_generators), = walk
+            n, order = alg.n, grp.order
+            if omega == n:
+                assert calls == 0
+            assert walk_calls <= (walk_generators + 2) * n * order
+            assert calls - walk_calls <= (len(grp.generators) + 2) * n * order
+
 
 def finite_random_group(field, n, rng):
     """Two random monomial maps of finite order conjugated by a random
