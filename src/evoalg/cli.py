@@ -90,7 +90,7 @@ def _recognized_names(group: MonomialGroup) -> list[str]:
         targets.append(Symmetric(k))
     if order % 2 == 0 and order >= 6:
         targets.append(Dihedral(order // 2))
-    diagonal = len(group.diagonal_part())
+    diagonal = group.diagonal_order
     if diagonal > 1 and order % diagonal == 0 and order > diagonal:
         targets.append(SemidirectCyclic(diagonal, order // diagonal))
     for target in targets:
@@ -109,7 +109,7 @@ def cmd_aut(args) -> int:
     sigmas = graph_automorphisms(alg.digraph)
     group = automorphism_group(alg, sigmas)
     # the diagonal part of every group, partial ones included, is D
-    diagonal_order = len(group.diagonal_part())
+    diagonal_order = group.diagonal_order
     graph_count = len(sigmas)
     report = {
         "command": "aut",
@@ -257,7 +257,7 @@ def _census_entry(alg: EvolutionAlgebra):
     if not alg.is_idempotent:
         return None
     group = automorphism_group(alg)
-    return group.order, len(group.diagonal_part()), group.complete
+    return group.order, group.diagonal_order, group.complete
 
 
 def _unit_vectors(p: int, n: int):

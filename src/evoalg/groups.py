@@ -220,7 +220,8 @@ class MonomialGroup:
                 if g.n != n or g.field != field:
                     raise FieldMismatchError("group elements disagree on n or field")
                 by_columns.setdefault(_columns(g), g)
-            points = [(v, field.one.value) for v in range(n)]
+            one = field.one.value
+            points = [(v, one) for v in range(n)]
             index = {p: i for i, p in enumerate(points)}
             boxed = {}
             for columns, g in by_columns.items():
@@ -254,7 +255,6 @@ class MonomialGroup:
                 raise UnclosedGroupError("element set is not closed under the group laws")
             generators = proof.generators
         self._generator_keys = tuple(generators)
-        self.generators: tuple[MonomialMap, ...] = tuple(map(self._box, generators))
 
     @property
     def order(self) -> int:
@@ -263,6 +263,10 @@ class MonomialGroup:
     @functools.cached_property
     def elements(self) -> tuple[MonomialMap, ...]:
         return tuple(map(self._box, self._keys))
+
+    @functools.cached_property
+    def generators(self) -> tuple[MonomialMap, ...]:
+        return tuple(map(self._box, self._generator_keys))
 
     @functools.cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -292,9 +296,9 @@ class MonomialGroup:
         return _apply(self.field, self._points, self._index.__getitem__, self.n, a, b)
 
     @functools.cached_property
-    def _diagonal_count(self) -> int:
-        # sigma = id is the least image tuple, so the diagonal elements
-        # sort first
+    def diagonal_order(self) -> int:
+        """The order of the diagonal part; sigma = id is the least image
+        tuple, so the diagonal elements sort first."""
         ident = tuple(range(self.n))
         count = 0
         for key in self._keys:
@@ -305,7 +309,7 @@ class MonomialGroup:
 
     def diagonal_part(self) -> tuple[MonomialMap, ...]:
         """The kernel of the map onto permutations: elements with sigma = id."""
-        return tuple(map(self._box, self._keys[: self._diagonal_count]))
+        return tuple(map(self._box, self._keys[: self.diagonal_order]))
 
     def to_json(self) -> dict:
         return {
@@ -359,7 +363,8 @@ class Closure:
         self.field = field
         self.n = n
         if index is None:
-            index = {(v, field.one.value): v for v in range(n)}
+            one = field.one.value
+            index = {(v, one): v for v in range(n)}
         # the points of Omega in order, and each point's position
         self.index = index
         self.points = list(index)
@@ -568,7 +573,7 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
     if isinstance(target, Symmetric):
         if group.order != math.factorial(target.k):
             return RecognitionReport(target, False)
-        if target.k == group.n and group._diagonal_count == 1:
+        if target.k == group.n and group.diagonal_order == 1:
             return RecognitionReport(target, True, {"method": "faithful image"})
         if Counter(group.element_orders) == _symmetric_histogram(target.k):
             return RecognitionReport(target, True, {"method": "order histogram"})
@@ -598,7 +603,7 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
 
     if isinstance(target, SemidirectCyclic):
         m, k = target.m, target.k
-        if group.order != m * k or group._diagonal_count != m:
+        if group.order != m * k or group.diagonal_order != m:
             return RecognitionReport(target, False)
         # the diagonal part is the first m elements
         gen = next(

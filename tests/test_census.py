@@ -71,7 +71,7 @@ def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
     def doubled(alg, *args, **kwargs):
         group = real(alg, *args, **kwargs)
         return types.SimpleNamespace(
-            order=2 * group.order, complete=True, diagonal_part=group.diagonal_part
+            order=2 * group.order, complete=True, diagonal_order=group.diagonal_order
         )
 
     monkeypatch.setattr(cli, "automorphism_group", doubled)
@@ -86,7 +86,7 @@ def test_incomplete_group_fails_self_check(monkeypatch):
         # an undecided group's order need not be constant on an orbit
         group = real(alg, *args, **kwargs)
         return types.SimpleNamespace(
-            order=group.order, complete=False, diagonal_part=group.diagonal_part
+            order=group.order, complete=False, diagonal_order=group.diagonal_order
         )
 
     monkeypatch.setattr(cli, "automorphism_group", undecided)
