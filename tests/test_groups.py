@@ -212,19 +212,26 @@ class TestClosure:
         ]
 
     def test_closure_work_is_linear_in_order(self, monkeypatch):
-        # Dimino's closure costs at most |G| * (|S| + 1) products of
-        # permutations of Omega; checking every pair of K6's 720
-        # automorphisms would take 518,400. The walk's closure and the
-        # constructor's proof share that budget
+        # Dimino's closure costs at most |G| * (|S| + 1) products of keys:
+        # one per coset element, and the products with the generators and
+        # the support of each coset representative; checking every pair of
+        # K6's 720 automorphisms would take 518,400. The walk's closure and
+        # the constructor's proof share that budget
         calls = 0
-        product = groups.compose
+        compose, apply = groups.compose, groups._apply
 
-        def counted(a, b):
+        def counted_compose(a, b):
             nonlocal calls
             calls += 1
-            return product(a, b)
+            return compose(a, b)
 
-        monkeypatch.setattr(groups, "compose", counted)
+        def counted_apply(*args):
+            nonlocal calls
+            calls += 1
+            return apply(*args)
+
+        monkeypatch.setattr(groups, "compose", counted_compose)
+        monkeypatch.setattr(groups, "_apply", counted_apply)
         grp = automorphism_group(complete_graph_algebra(6, Q))
         assert grp.order == 720
         assert 0 < calls <= grp.order * (len(grp.generators) + 1)
