@@ -409,9 +409,9 @@ class Closure:
                 x = _apply(self.field, points, point, n, t, rep)
                 if x in keys:
                     continue
+                # off a fixed Omega a point is None, and the coset leaves
+                # ``within``
                 on_support = _apply(self.field, points, point, n, x, support)
-                if None in on_support:
-                    return False
                 coset = [compose(on_support, h) for h in sub]
                 if within is not None and not within.issuperset(coset):
                     return False
