@@ -12,7 +12,7 @@ import json
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import Digraph, min_transversal_order, transversals
+from .digraph import Digraph, cycles, min_transversal_order, transversals
 from .errors import FieldMismatchError, ParseError, SingularMatrixError
 from .fields import Field, Scalar, parse_field
 from .groups import MonomialMap
@@ -199,14 +199,14 @@ class EvolutionAlgebra:
         for k, cols in enumerate(support):
             for j in cols:
                 parent[find(k)] = find(j)
-        # Permutation.cycles() lists cycles by their least vertex, so each
-        # component's cycles come out sorted
+        # cycles() lists cycles by their least vertex, so each component's
+        # cycles come out sorted
         parts: dict[int, tuple[list, list]] = {}
-        for cycle in tau.cycles():
+        for cycle in cycles(tau):
             parts.setdefault(find(cycle[0]), ([], []))[0].append(cycle)
         for k, cols in enumerate(support):
             for j in cols:
-                if tau(j) != k:
+                if tau[j] != k:
                     parts[find(j)][1].append((j, k))
         return SolvePlan(
             support,

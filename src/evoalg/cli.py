@@ -168,7 +168,7 @@ def cmd_graph_aut(args) -> int:
         "status": "ok",
         "n": alg.n,
         "count": len(auts),
-        "automorphisms": [a.to_json() for a in auts],
+        "automorphisms": [[v + 1 for v in sigma] for sigma in auts],
     }
     _emit(report, args)
     _say(f"|Aut(pattern)| = {len(auts)}")
@@ -383,6 +383,8 @@ def cmd_census(args) -> int:
             samples = int(mode.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad sample count in {mode!r}") from exc
+        if samples < 0:
+            raise ParseError(f"negative sample count in {mode!r}")
         rng = random.Random(args.seed)
         scanned = samples
         for _ in range(samples):

@@ -1,109 +1,47 @@
 """Zero-pattern digraphs of structure matrices, their automorphisms, and
 transversal enumeration.
 
-Vertices are 0-based indices internally; the JSON wire format uses 1-based
-image arrays, e.g. [2, 3, 1] sends vertex 1 to 2.
+A permutation sigma of the vertices is its image tuple (sigma(0), ...,
+sigma(n-1)), 0-based; the JSON wire format uses 1-based image arrays, e.g.
+[2, 3, 1] sends vertex 1 to 2. Products are ``groups.compose``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionCapError, ParseError, SingularMatrixError
 
 SEARCH_DIMENSION_CAP = 12
 
 
-class Permutation:
-    """A bijection on {0, ..., n-1} stored as its image tuple."""
+def cycles(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles of the permutation, each rotated to start at its
+    least vertex and listed by that vertex; fixed points included as
+    1-cycles."""
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        cur = sigma[start]
+        while cur != start:
+            cyc.append(cur)
+            seen[cur] = True
+            cur = sigma[cur]
+        out.append(tuple(cyc))
+    return tuple(out)
 
-    __slots__ = ("images", "_cycles")
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ParseError(f"not a permutation: {images!r}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_cycles", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Permutation is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
-    def from_cycles(cls, n: int, *cycles) -> "Permutation":
-        images = list(range(n))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return cls(images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition applying the right factor first: (s*t)(i) = s(t(i))."""
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ParseError("permutation size mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(inv)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each rotated to start at its least vertex and
-        listed by that vertex; fixed points included as 1-cycles."""
-        if self._cycles is None:
-            seen = [False] * self.n
-            out = []
-            for start in range(self.n):
-                if seen[start]:
-                    continue
-                cyc = [start]
-                seen[start] = True
-                cur = self.images[start]
-                while cur != start:
-                    cyc.append(cur)
-                    seen[cur] = True
-                    cur = self.images[cur]
-                out.append(tuple(cyc))
-            object.__setattr__(self, "_cycles", tuple(out))
-        return self._cycles
-
-    def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
-    def to_json(self) -> list[int]:
-        return [v + 1 for v in self.images]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __repr__(self):
-        return f"Permutation{self.images}"
+def inverse(sigma: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of the inverse permutation."""
+    inv = [0] * len(sigma)
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    return tuple(inv)
 
 
 class Digraph:
@@ -148,13 +86,13 @@ class Digraph:
     def has_loop(self, i: int) -> bool:
         return self.edge(i, i)
 
-    def relabel(self, sigma: Permutation) -> "Digraph":
+    def relabel(self, sigma: Sequence[int]) -> "Digraph":
         """Image graph with edge (sigma(i), sigma(j)) for every edge (i, j)."""
         rows = [0] * self.n
         for i in range(self.n):
             for j in range(self.n):
                 if self.edge(i, j):
-                    rows[sigma(i)] |= 1 << sigma(j)
+                    rows[sigma[i]] |= 1 << sigma[j]
         return Digraph(self.n, rows)
 
     def __eq__(self, other):
@@ -171,7 +109,21 @@ def _invariants(g: Digraph) -> list[tuple[int, int, bool]]:
     return [(g.out_degree(v), g.in_degree(v), g.has_loop(v)) for v in range(g.n)]
 
 
-def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[Permutation]:
+def _column_masks(g: Digraph) -> list[int]:
+    """The columns as bitmasks: bit i of column j is the edge i -> j."""
+    return [sum((r >> j & 1) << i for i, r in enumerate(g.rows)) for j in range(g.n)]
+
+
+def _hall_fails(col_masks: list[int], j: int, used: int) -> bool:
+    """One-shot Hall condition on the columns j, j+1, ... still to place:
+    together they must reach as many rows outside ``used`` as they number."""
+    free_union = 0
+    for mask in col_masks[j:]:
+        free_union |= mask
+    return (free_union & ~used).bit_count() < len(col_masks) - j
+
+
+def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
     """All vertex bijections sending edges of g exactly onto edges of h,
     emitted in lexicographic image order.
 
@@ -188,12 +140,12 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[Permutation]:
     gi, hi = _invariants(g), _invariants(h)
     if sorted(gi) != sorted(hi):
         return
-    h_cols = [sum((r >> w & 1) << i for i, r in enumerate(h.rows)) for w in range(n)]
+    h_cols = _column_masks(h)
     images = [-1] * n
 
-    def place(v: int, placed: int) -> Iterator[Permutation]:
+    def place(v: int, placed: int) -> Iterator[tuple[int, ...]]:
         if v == n:
-            yield Permutation(tuple(images))
+            yield tuple(images)
             return
         want_out = want_in = 0
         for u in range(v):
@@ -216,32 +168,25 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[Permutation]:
     yield from place(0, 0)
 
 
-def graph_automorphisms(g: Digraph) -> list[Permutation]:
+def graph_automorphisms(g: Digraph) -> list[tuple[int, ...]]:
     """The full automorphism group of the digraph as an explicit sorted list."""
     return list(pattern_isomorphisms(g, g))
 
 
-def transversals(g: Digraph) -> Iterator[Permutation]:
+def transversals(g: Digraph) -> Iterator[tuple[int, ...]]:
     """All permutations tau with entry (tau(j), j) nonzero for every column j,
     i.e. the perfect matchings of the bipartite support, in lexicographic
     image order. Pruned by a one-shot Hall condition on the remaining columns.
     """
     n = g.n
-    col_masks = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if g.edge(i, j):
-                col_masks[j] |= 1 << i
+    col_masks = _column_masks(g)
     images = [0] * n
 
-    def place(j: int, used: int) -> Iterator[Permutation]:
+    def place(j: int, used: int) -> Iterator[tuple[int, ...]]:
         if j == n:
-            yield Permutation(tuple(images))
+            yield tuple(images)
             return
-        free_union = 0
-        for jj in range(j, n):
-            free_union |= col_masks[jj] & ~used
-        if free_union.bit_count() < n - j:
+        if _hall_fails(col_masks, j, used):
             return
         avail = col_masks[j] & ~used
         while avail:
@@ -263,11 +208,7 @@ def min_transversal_order(g: Digraph) -> int:
     n = g.n
     if all(g.has_loop(i) for i in range(n)):
         return 1
-    col_masks = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if g.edge(i, j):
-                col_masks[j] |= 1 << i
+    col_masks = _column_masks(g)
     best: Optional[int] = None
     images: list[Optional[int]] = [None] * n
 
@@ -290,10 +231,7 @@ def min_transversal_order(g: Digraph) -> int:
         if j == n:
             best = run_lcm if best is None else min(best, run_lcm)
             return
-        free_union = 0
-        for jj in range(j, n):
-            free_union |= col_masks[jj] & ~used
-        if free_union.bit_count() < n - j:
+        if _hall_fails(col_masks, j, used):
             return
         avail = col_masks[j] & ~used
         while avail:

@@ -7,7 +7,6 @@ import json
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
-from .digraph import Permutation
 from .errors import ParseError, SingularMatrixError
 from .fields import Field
 from .solver import SolveOutcome, solve_monomial
@@ -198,7 +197,7 @@ def cycle_normalizer(b: Sequence, field: Field) -> SolveOutcome:
     returned map D satisfies B D^(2) = D P_sigma for B = P_sigma diag(b)."""
     n = len(b)
     return solve_monomial(
-        cycle_algebra(n, field), cycle_algebra(n, field, b), Permutation.identity(n)
+        cycle_algebra(n, field), cycle_algebra(n, field, b), tuple(range(n))
     )
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .digraph import Permutation
+from .digraph import inverse
 from .errors import (
     CapExceededError,
     FieldMismatchError,
@@ -23,13 +23,16 @@ RECOGNITION_CAP = 10**5
 
 
 class MonomialMap:
-    """A permutation together with nonzero scalings; matrix form P_sigma * D."""
+    """A permutation together with nonzero scalings; matrix form P_sigma * D.
+    ``sigma`` is the image tuple (sigma(0), ..., sigma(n-1))."""
 
     __slots__ = ("sigma", "d")
 
-    def __init__(self, sigma: Permutation, d: Sequence[Scalar]):
-        d = tuple(d)
-        if len(d) != sigma.n:
+    def __init__(self, sigma: Sequence[int], d: Sequence[Scalar]):
+        sigma, d = tuple(sigma), tuple(d)
+        if sorted(sigma) != list(range(len(sigma))):
+            raise ParseError(f"not a permutation: {sigma!r}")
+        if len(d) != len(sigma):
             raise ParseError("scaling vector length does not match permutation")
         if any(x.is_zero for x in d):
             raise ZeroDivisionError("monomial map needs nonzero scalings")
@@ -41,15 +44,16 @@ class MonomialMap:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "MonomialMap":
-        return cls(Permutation.identity(n), (field.one,) * n)
+        return cls(range(n), (field.one,) * n)
 
     @classmethod
     def diagonal(cls, d: Sequence[Scalar]) -> "MonomialMap":
-        return cls(Permutation.identity(len(tuple(d))), d)
+        d = tuple(d)
+        return cls(range(len(d)), d)
 
     @property
     def n(self) -> int:
-        return self.sigma.n
+        return len(self.sigma)
 
     @property
     def field(self) -> Field:
@@ -60,7 +64,7 @@ class MonomialMap:
         zero = self.field.zero
         rows = [[zero] * self.n for _ in range(self.n)]
         for i in range(self.n):
-            rows[self.sigma(i)][i] = self.d[i]
+            rows[self.sigma[i]][i] = self.d[i]
         return tuple(tuple(row) for row in rows)
 
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
@@ -72,22 +76,23 @@ class MonomialMap:
             raise ParseError("monomial map size mismatch")
         if self.field != other.field:
             raise FieldMismatchError("monomial maps over different fields")
-        d = tuple(self.d[other.sigma(i)] * other.d[i] for i in range(self.n))
-        return MonomialMap(self.sigma * other.sigma, d)
+        d = tuple(self.d[other.sigma[i]] * other.d[i] for i in range(self.n))
+        return MonomialMap(compose(self.sigma, other.sigma), d)
 
     def inverse(self) -> "MonomialMap":
-        inv = self.sigma.inverse()
-        d = tuple(self.d[inv(j)].inverse() for j in range(self.n))
+        inv = inverse(self.sigma)
+        d = tuple(self.d[inv[j]].inverse() for j in range(self.n))
         return MonomialMap(inv, d)
 
     def order(self) -> int:
-        return _cycle_order(self.field, self.sigma.images, [x.value for x in self.d], {})
+        return _cycle_order(self.field, self.sigma, [x.value for x in self.d], {})
 
     def sort_key(self):
-        return (self.sigma.images, tuple(x.sort_key() for x in self.d))
+        return (self.sigma, tuple(x.sort_key() for x in self.d))
 
     def to_json(self) -> dict:
-        return {"sigma": self.sigma.to_json(), "d": [str(x) for x in self.d]}
+        """The wire form: sigma as a 1-based image array."""
+        return {"sigma": [v + 1 for v in self.sigma], "d": [str(x) for x in self.d]}
 
     def __eq__(self, other):
         return (
@@ -100,7 +105,7 @@ class MonomialMap:
         return hash((self.sigma, self.d))
 
     def __repr__(self):
-        return f"MonomialMap({self.sigma.to_json()}, [{', '.join(map(str, self.d))}])"
+        return f"MonomialMap({self.sigma}, [{', '.join(map(str, self.d))}])"
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +179,7 @@ def _apply(field: Field, points: list, point, n: int, x: tuple, js) -> tuple:
 
 def _columns(g: MonomialMap) -> tuple:
     """The basis images (sigma(v), d_v) of g as points, d_v raw."""
-    return tuple(zip(g.sigma.images, [x.value for x in g.d]))
+    return tuple(zip(g.sigma, [x.value for x in g.d]))
 
 
 class MonomialGroup:
@@ -284,10 +289,9 @@ class MonomialGroup:
         )
 
     def _box(self, key: tuple) -> MonomialMap:
-        columns = [self._points[i] for i in key]
+        points = self._points
         return MonomialMap(
-            Permutation([v for v, _ in columns]),
-            [Scalar(self.field, c) for _, c in columns],
+            sigma_of(points, key), [Scalar(self.field, points[i][1]) for i in key]
         )
 
     def _product(self, a: tuple, b: tuple) -> tuple:
@@ -618,7 +622,8 @@ def recognize(group: MonomialGroup, target) -> RecognitionReport:
         for comp in _of_order(group, k):
             # comp^j is diagonal exactly when sigma^j is the identity, so
             # <comp> meets the diagonal part trivially iff sigma has order k
-            if Permutation(sigma_of(group._points, comp)).order() != k:
+            sigma = sigma_of(group._points, comp)
+            if _cycle_order(group.field, sigma, [None] * group.n, {}) != k:
                 continue
             # the conjugate of gen by the complement is diagonal, so a power
             # gen^a, and comp*gen = gen^a*comp reads off a
@@ -691,7 +696,7 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
         kernel_normal=_normal_in(group, kernel),
         image_order=len(image),
         image_in_graph_automorphisms=all(
-            pattern.relabel(Permutation(s)) == pattern for s in image
+            pattern.relabel(s) == pattern for s in image
         ),
         image_is_subgroup=image_subgroup,
         counts_consistent=group.order == len(kernel) * len(image),

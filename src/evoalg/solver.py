@@ -28,9 +28,9 @@ from .algebra import (
     star_product,
 )
 from .digraph import (
-    Permutation,
     SEARCH_DIMENSION_CAP,
     graph_automorphisms,
+    inverse,
     pattern_isomorphisms,
 )
 from .errors import (
@@ -69,9 +69,10 @@ def _check_pair(a: EvolutionAlgebra, b: EvolutionAlgebra) -> None:
 
 
 def solve_monomial(
-    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: Permutation
+    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: tuple[int, ...]
 ) -> SolveOutcome:
-    """All scaling vectors d making (sigma, d) a map of E(A) onto E(B).
+    """All scaling vectors d making (sigma, d) a map of E(A) onto E(B),
+    sigma an image tuple.
 
     Steps: reject, as COMPLETE with no maps, on a zero-pattern mismatch or
     when a loop invariant I_kj = a_kj * a_kk / a_jj^2 of A differs
@@ -98,25 +99,24 @@ def solve_monomial(
     _check_pair(a, b)
     n = a.n
     field = a.field
-    if sigma.n != n:
+    if len(sigma) != n:
         raise ParseError("permutation size mismatch")
 
     plan = a.solve_plan
-    s = sigma.images
     b_pattern = b.digraph.rows
     for k, cols in enumerate(plan.support):
         image = 0
         for j in cols:
-            image |= 1 << s[j]
-        if image != b_pattern[s[k]]:
+            image |= 1 << sigma[j]
+        if image != b_pattern[sigma[k]]:
             return SolveOutcome(SolveStatus.COMPLETE)
-    if a is not b or not sigma.is_identity():
+    if a is not b or sigma != tuple(range(n)):
         # the patterns correspond, so B has an invariant wherever A has one
         entries = a.loop_invariants.entries
         if entries:
             target = b.loop_invariants.matrix
             for k, j, value in entries:
-                if target[s[k]][s[j]] != value:
+                if target[sigma[k]][sigma[j]] != value:
                     return SolveOutcome(SolveStatus.COMPLETE)
 
     mul = field._mul
@@ -125,7 +125,7 @@ def solve_monomial(
 
     def ratio(j, k):
         # d_k = d_j^2 * ratio(j, k)
-        return mul(b_raw[s[k]][s[j]], inverses[k][j])
+        return mul(b_raw[sigma[k]][sigma[j]], inverses[k][j])
 
     indeterminate: list[str] = []
     component_solutions: list[list[dict]] = []
@@ -257,7 +257,7 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 
 
 def automorphism_group(
-    a: EvolutionAlgebra, sigmas: Optional[list[Permutation]] = None
+    a: EvolutionAlgebra, sigmas: Optional[list[tuple[int, ...]]] = None
 ) -> MonomialGroup:
     """The group of all monomial self-maps of E(A); every automorphism is one.
 
@@ -292,7 +292,7 @@ def automorphism_group(
         )
     if sigmas is None:
         sigmas = graph_automorphisms(a.digraph)
-    kernel = solve_monomial(a, a, Permutation.identity(a.n))
+    kernel = solve_monomial(a, a, tuple(range(a.n)))
     if kernel.status is SolveStatus.INDETERMINATE:
         raise RuntimeError(f"the diagonal group was left open: {kernel.unsolved}")
     closure = Closure(a.field, a.n)
@@ -302,11 +302,10 @@ def automorphism_group(
     barren: list[tuple[int, ...]] = []
     dead: set[tuple[int, ...]] = set()
     unsettled: list[tuple[int, ...]] = []
-    for sigma in sigmas:
-        s = sigma.images
+    for s in sigmas:
         if s in image or s in dead:
             continue
-        outcome = solve_monomial(a, a, sigma)
+        outcome = solve_monomial(a, a, s)
         if outcome.status is SolveStatus.INDETERMINATE:
             unsettled.append(s)
         elif outcome.maps:
@@ -322,7 +321,7 @@ def automorphism_group(
     complete = True
     if unsettled:
         gens = [sigma_of(closure.points, p) for p in closure.generators]
-        seeds = barren + [Permutation(t).inverse().images for t in barren]
+        seeds = barren + [inverse(t) for t in barren]
         ruled_out = _double_cosets(seeds, gens)
         complete = all(s in image or s in ruled_out for s in unsettled)
     return MonomialGroup(a.field, a.n, closure, complete=complete)
@@ -477,9 +476,7 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
                 g[images[i]][i] = x
                 g_sq_cols[i][images[i]] = x * x
             if commutes(g, g_sq_cols):
-                found.append(
-                    MonomialMap(Permutation(images), tuple(Scalar(field, x) for x in d))
-                )
+                found.append(MonomialMap(images, tuple(Scalar(field, x) for x in d)))
                 monomial_matrices.add(tuple(map(tuple, g)))
 
     if n <= 2 and p <= 3:

@@ -386,6 +386,12 @@ class TestCensus:
         assert a == b
         assert json.loads(a)["seed"] != json.loads(c)["seed"]
 
+    def test_negative_sample_count_rejected(self, capsys):
+        code, out, _ = run(
+            capsys, "census", "--field", "GF(3)", "--n", "2", "--mode", "random:-5"
+        )
+        assert code == 1 and out == ""
+
     def test_non_prime_field_rejected(self, capsys):
         code, _, _ = run(
             capsys, "census", "--field", "Q", "--n", "2", "--mode", "exhaustive"

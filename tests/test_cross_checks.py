@@ -12,7 +12,7 @@ from evoalg.algebra import (
     mat_mul,
     transport_structure,
 )
-from evoalg.digraph import Permutation, pattern_isomorphisms
+from evoalg.digraph import pattern_isomorphisms
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
 from evoalg.groups import MonomialMap
 from evoalg.solver import SolveStatus, isomorphism, diagonal_subgroup, solve_monomial
@@ -41,7 +41,7 @@ def brute_force_maps_between(a, b):
     units = [field.scalar(v) for v in range(1, field.p)]
     out = []
     for images in itertools.permutations(range(n)):
-        sigma = Permutation(images)
+        sigma = tuple(images)
         for d in itertools.product(units, repeat=n):
             g = MonomialMap(sigma, d)
             p_mat = g.matrix()
@@ -71,7 +71,7 @@ def test_solver_finds_every_map_between_distinct_algebras():
         images = list(range(n))
         rng.shuffle(images)
         d = tuple(field.scalar(rng.randrange(1, field.p)) for _ in range(n))
-        b = transport_structure(a, MonomialMap(Permutation(images), d))
+        b = transport_structure(a, MonomialMap(tuple(images), d))
         assert brute_force_maps_between(a, b) == solver_maps_between(a, b)
         assert isomorphism(a, b).found
 
@@ -150,7 +150,7 @@ def test_transport_witness_recovered_by_solver():
                     if not x.is_zero:
                         d.append(x)
                         break
-            witness = MonomialMap(Permutation(images), tuple(d))
+            witness = MonomialMap(tuple(images), tuple(d))
             moved = transport_structure(alg, witness)
             found = solve_monomial(alg, moved, witness.sigma)
             assert found.status is SolveStatus.COMPLETE

@@ -8,7 +8,7 @@ import pytest
 
 from evoalg import groups, solver
 from evoalg.algebra import EvolutionAlgebra, mat_equal, mat_mul
-from evoalg.digraph import Permutation
+from evoalg.digraph import cycles
 from evoalg.errors import CapExceededError, ParseError, UnclosedGroupError
 from evoalg.families import complete_graph_algebra, cycle_algebra
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
@@ -22,6 +22,7 @@ from evoalg.groups import (
     Trivial,
     _normal_in,
     close_generators,
+    compose,
     recognize,
 )
 from evoalg.solver import automorphism_group
@@ -40,7 +41,7 @@ def random_monomial(field, n, rng):
             if not x.is_zero:
                 d.append(x)
                 break
-    return MonomialMap(Permutation(images), tuple(d))
+    return MonomialMap(images, tuple(d))
 
 
 class TestComposition:
@@ -53,7 +54,7 @@ class TestComposition:
 
     def test_matches_matrix_product(self):
         z = Z3.zeta
-        swap = MonomialMap(Permutation((1, 0)), (Z3.one, Z3.one))
+        swap = MonomialMap((1, 0), (Z3.one, Z3.one))
         diag = MonomialMap.diagonal((z, z * z))
         prod = swap * diag
         assert mat_equal(prod.matrix(), mat_mul(swap.matrix(), diag.matrix()))
@@ -67,10 +68,9 @@ class TestComposition:
                 assert mat_equal((g * h).matrix(), mat_mul(g.matrix(), h.matrix()))
 
     def test_inverse_of_cycle(self):
-        g = MonomialMap(Permutation.from_cycles(3, (0, 1, 2)), (Q.one,) * 3)
-        assert g.inverse() == MonomialMap(
-            Permutation.from_cycles(3, (0, 2, 1)), (Q.one,) * 3
-        )
+        # the cycle (0 1 2) and its inverse (0 2 1)
+        g = MonomialMap((1, 2, 0), (Q.one,) * 3)
+        assert g.inverse() == MonomialMap((2, 0, 1), (Q.one,) * 3)
 
     def test_inverse_random(self):
         rng = random.Random(6)
@@ -89,7 +89,7 @@ class TestComposition:
         for _ in range(15):
             g = random_monomial(Q, 4, rng)
             h = random_monomial(Q, 4, rng)
-            assert (g * h).sigma == g.sigma * h.sigma
+            assert (g * h).sigma == compose(g.sigma, h.sigma)
 
     def test_order_matches_repeated_composition(self):
         # the repeated product is the definition the cycle formula must meet;
@@ -102,10 +102,10 @@ class TestComposition:
             roots = field.roots_of_unity(field.unity_group().order)
             for _ in range(12):
                 g = random_monomial(field, 4, rng)
-                while g.sigma.is_identity():
+                while g.sigma == (0, 1, 2, 3):
                     g = random_monomial(field, 4, rng)
                 d = list(g.d)
-                for cycle in g.sigma.cycles():
+                for cycle in cycles(g.sigma):
                     rest = field.one
                     for v in cycle[:-1]:
                         rest = rest * d[v]
@@ -138,7 +138,7 @@ class TestComposition:
             )
             conj = perm.inverse() * diag * perm
             expected = MonomialMap.diagonal(
-                tuple(diag.d[perm.sigma(i)] for i in range(n))
+                tuple(diag.d[perm.sigma[i]] for i in range(n))
             )
             assert conj == expected
 
@@ -155,7 +155,7 @@ class TestClosure:
 
     def test_swap_and_diagonal_give_order_six(self):
         z = Z3.zeta
-        swap = MonomialMap(Permutation((1, 0)), (Z3.one, Z3.one))
+        swap = MonomialMap((1, 0), (Z3.one, Z3.one))
         grp = close_generators([swap, MonomialMap.diagonal((z, z * z))])
         assert grp.order == 6
 
@@ -371,7 +371,7 @@ class TestIntForm:
     def test_infinite_order_generator_passes_the_cap(self):
         # (0 1) with scalings (2, 1) squares to diag(2, 2): Omega grows
         # without end
-        swap = MonomialMap(Permutation((1, 0)), (Q.scalar(2), Q.one))
+        swap = MonomialMap((1, 0), (Q.scalar(2), Q.one))
         with pytest.raises(CapExceededError):
             close_generators([swap], cap=50)
         with pytest.raises(UnclosedGroupError):
@@ -381,7 +381,7 @@ class TestIntForm:
 class TestRecognition:
     def s3_over_zeta3(self):
         z = Z3.zeta
-        swap = MonomialMap(Permutation((1, 0)), (Z3.one, Z3.one))
+        swap = MonomialMap((1, 0), (Z3.one, Z3.one))
         return close_generators([swap, MonomialMap.diagonal((z, z * z))])
 
     def test_trivial(self):
@@ -477,7 +477,7 @@ class TestRecognition:
         assert not recognize(c6, Dihedral(3)).matched
         # C4 from (swap, (1, -1)): its square -1 is diagonal, and the only
         # element of order 2, so no complement C2 exists
-        c4 = close_generators([MonomialMap(Permutation((1, 0)), (Q.one, -Q.one))])
+        c4 = close_generators([MonomialMap((1, 0), (Q.one, -Q.one))])
         assert recognize(c4, Cyclic(4)).matched
         assert not recognize(c4, SemidirectCyclic(2, 2)).matched
 
@@ -501,7 +501,10 @@ class TestRecognition:
 
     def test_non_normal_subgroup_rejected(self):
         def perm(*cycle):
-            return MonomialMap(Permutation.from_cycles(3, cycle), (Q.one,) * 3)
+            images = list(range(3))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+            return MonomialMap(images, (Q.one,) * 3)
 
         grp = close_generators([perm(0, 1), perm(0, 1, 2)])
         assert grp.order == 6

@@ -9,7 +9,7 @@ import pytest
 
 from evoalg import solver
 from evoalg.algebra import EvolutionAlgebra, LoopInvariants, transport_structure
-from evoalg.digraph import Permutation, graph_automorphisms
+from evoalg.digraph import graph_automorphisms
 from evoalg.errors import CapExceededError, SingularMatrixError
 from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField, Scalar
 from evoalg.groups import (
@@ -109,13 +109,13 @@ def union_of_solves(a):
 class TestSolveMonomial:
     def test_k3_identity_forces_ones(self):
         alg = complete_algebra(3)
-        out = solve_monomial(alg, alg, Permutation.identity(3))
+        out = solve_monomial(alg, alg, tuple(range(3)))
         assert out.status is SolveStatus.COMPLETE
         assert out.maps == (MonomialMap.identity(Q, 3),)
 
     def test_dimension_one(self):
         alg = EvolutionAlgebra(Q, [[1]])
-        out = solve_monomial(alg, alg, Permutation.identity(1))
+        out = solve_monomial(alg, alg, tuple(range(1)))
         assert out.maps == (MonomialMap.identity(Q, 1),)
 
     def test_scaled_cycle_witness(self):
@@ -123,7 +123,7 @@ class TestSolveMonomial:
         # scalings (1/16, 1/2, 1/4)
         src = cycle_algebra(3)
         dst = cycle_algebra(3, [128, 1, 1])
-        out = solve_monomial(src, dst, Permutation.identity(3))
+        out = solve_monomial(src, dst, tuple(range(3)))
         assert out.status is SolveStatus.COMPLETE
         expected = MonomialMap.diagonal(
             (Q.scalar(Fraction(1, 16)), Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(1, 4)))
@@ -134,7 +134,7 @@ class TestSolveMonomial:
     def test_pattern_mismatch(self):
         out = solve_monomial(
             complete_algebra(2), EvolutionAlgebra(Q, [[1, 0], [0, 1]]),
-            Permutation.identity(2),
+            tuple(range(2)),
         )
         # decided, with no maps, like the invariant and cycle rejections
         assert out == SolveOutcome(SolveStatus.COMPLETE)
@@ -143,13 +143,13 @@ class TestSolveMonomial:
     def test_indeterminate_over_cyclotomic(self):
         f = CyclotomicField(5)
         alg = EvolutionAlgebra(f, [[0, 1], ["1 + z", 0]])
-        out = solve_monomial(alg, alg, Permutation((1, 0)))
+        out = solve_monomial(alg, alg, (1, 0))
         assert out.status is SolveStatus.INDETERMINATE
         assert out.unsolved
         # the loop at 0 is an edge check in the open cycle's component
         a = EvolutionAlgebra(f, [[1, 1], [1, 0]])
         b = EvolutionAlgebra(f, [[1, "1 + z"], [1, 0]])
-        out = solve_monomial(a, b, Permutation.identity(2))
+        out = solve_monomial(a, b, tuple(range(2)))
         assert out.status is SolveStatus.INDETERMINATE
         assert out.unsolved == ("x^3 = -z - z^3 over Q(zeta_5)",)
 
@@ -164,7 +164,7 @@ class TestSolveMonomial:
         b = EvolutionAlgebra(
             f, [[0, 1, 0, 0], ["1 + z", 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]
         )
-        out = solve_monomial(a, b, Permutation.identity(4))
+        out = solve_monomial(a, b, tuple(range(4)))
         assert out.status is SolveStatus.COMPLETE and out.maps == ()
 
     def test_empty_cycle_beats_indeterminate_in_either_order(self):
@@ -177,7 +177,7 @@ class TestSolveMonomial:
         b = EvolutionAlgebra(
             f, [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, "1 + z", 0]]
         )
-        out = solve_monomial(a, b, Permutation.identity(4))
+        out = solve_monomial(a, b, tuple(range(4)))
         assert out.status is SolveStatus.COMPLETE and out.maps == ()
 
     def test_decided_component_settles_beside_undecided_cycle(self):
@@ -193,14 +193,14 @@ class TestSolveMonomial:
         b = EvolutionAlgebra(
             f, [[0, 1, 0, 0], ["1 + z", 0, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]]
         )
-        out = solve_monomial(a, b, Permutation.identity(4))
+        out = solve_monomial(a, b, tuple(range(4)))
         assert out.status is SolveStatus.COMPLETE and out.maps == ()
         assert out.unsolved == ()
         # with the edge satisfied, the open cycle leaves the solve undecided
         b = EvolutionAlgebra(
             f, [[0, 1, 0, 0], ["1 + z", 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
         )
-        out = solve_monomial(a, b, Permutation.identity(4))
+        out = solve_monomial(a, b, tuple(range(4)))
         assert out.status is SolveStatus.INDETERMINATE
         assert len(out.unsolved) == 1 and out.unsolved[0].startswith("x^3 = ")
 
@@ -226,7 +226,7 @@ class TestSolveMonomial:
     def test_singular_rejected(self):
         singular = EvolutionAlgebra(Q, [[1, 1], [1, 1]])
         with pytest.raises(SingularMatrixError):
-            solve_monomial(singular, singular, Permutation.identity(2))
+            solve_monomial(singular, singular, tuple(range(2)))
 
     def test_solutions_satisfy_defining_equations(self):
         rng = random.Random(77)
@@ -271,7 +271,7 @@ class TestDiagonalSubgroup:
                 n = rng.randint(1, 3)
                 alg = random_idempotent(field, n, rng)
                 lat = diagonal_subgroup(alg)
-                out = solve_monomial(alg, alg, Permutation.identity(n))
+                out = solve_monomial(alg, alg, tuple(range(n)))
                 assert out.status is SolveStatus.COMPLETE
                 assert set(lat.maps()) == set(out.maps)
 
@@ -507,7 +507,7 @@ class TestAutomorphismGroup:
         real = solver.solve_monomial
 
         def identity_open(a, b, sigma):
-            if sigma.is_identity():
+            if sigma == tuple(range(len(sigma))):
                 return SolveOutcome(SolveStatus.INDETERMINATE, unsolved=("x^3 = ?",))
             return real(a, b, sigma)
 
@@ -544,7 +544,7 @@ class TestAutomorphismGroup:
             alg = EvolutionAlgebra(field, rows)
             if not alg.is_idempotent:
                 continue
-            identity = solve_monomial(alg, alg, Permutation.identity(n))
+            identity = solve_monomial(alg, alg, tuple(range(n)))
             assert identity.status is SolveStatus.COMPLETE
             grp = automorphism_group(alg)
             partial += not grp.complete
@@ -575,7 +575,7 @@ class TestAutomorphismGroup:
         # {id, swap} is a closed group, but the swap reverses the edge 0 -> 1
         # of this pattern; its kernel and counts are consistent
         alg = EvolutionAlgebra(Q, [[1, 1], [0, 1]])
-        swap = MonomialMap(Permutation((1, 0)), (Q.one, Q.one))
+        swap = MonomialMap((1, 0), (Q.one, Q.one))
         grp = MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2), swap])
         report = quotient_embedding_check(grp, alg)
         assert not report.image_in_graph_automorphisms and not report.ok
@@ -623,7 +623,7 @@ class TestOracle:
             alg = random_idempotent(field, rng.randint(1, 3), rng)
             oracle = brute_force_automorphisms(alg).elements
             for images in itertools.permutations(range(alg.n)):
-                sigma = Permutation(images)
+                sigma = tuple(images)
                 maps = solve_monomial(alg, alg, sigma).maps
                 assert maps == tuple(m for m in oracle if m.sigma == sigma)
 
@@ -662,7 +662,7 @@ def reference_oracle(alg):
         for d in itertools.product(range(1, field.p), repeat=n):
             lhs, rhs = _products_mod_p(alg, images, d)
             if lhs == rhs:
-                found.append(MonomialMap(Permutation(images), tuple(map(field.scalar, d))))
+                found.append(MonomialMap(tuple(images), tuple(map(field.scalar, d))))
     return MonomialGroup(field, n, found).elements
 
 
@@ -710,7 +710,7 @@ class TestOracleRowByRow:
                     lhs, rhs = _products_mod_p(alg, images, d)
                     if lhs[:-1] == rhs[:-1] and lhs[-1] != rhs[-1]:
                         near_miss = MonomialMap(
-                            Permutation(images), tuple(map(alg.field.scalar, d))
+                            tuple(images), tuple(map(alg.field.scalar, d))
                         )
                         found = brute_force_automorphisms(alg).elements
                         assert near_miss not in found
@@ -749,7 +749,7 @@ class TestIsomorphism:
     def test_scaling_witness(self):
         res = isomorphism(two_param(4, 2, 4), two_param(4, 1, 2))
         assert res.found
-        assert res.witness.sigma.is_identity()
+        assert res.witness.sigma == (0, 1, 2, 3)
         assert all(x == Q.scalar(2) for x in res.witness.d)
         assert res.certificate["checked"] == {
             "BP2_eq_PA": True,
@@ -764,7 +764,7 @@ class TestIsomorphism:
     def test_self_isomorphism_uses_identity_permutation(self):
         for alg in (complete_algebra(3), cycle_algebra(4), two_param(3, 1, 2)):
             res = isomorphism(alg, alg)
-            assert res.found and res.witness.sigma.is_identity()
+            assert res.found and res.witness.sigma == tuple(range(alg.n))
             assert verify_map(alg, alg, res.witness)
 
     def test_witnesses_compose(self):
@@ -816,7 +816,7 @@ def random_looped(field, n, rng, loops=0.8):
 def random_map(field, n, rng):
     images = list(range(n))
     rng.shuffle(images)
-    return MonomialMap(Permutation(images), tuple(random_nonzero(field, rng) for _ in range(n)))
+    return MonomialMap(tuple(images), tuple(random_nonzero(field, rng) for _ in range(n)))
 
 
 class TestLoopInvariants:
@@ -840,7 +840,7 @@ class TestLoopInvariants:
                 b = transport_structure(a, p)
                 s = p.sigma
                 for k, j, value in a.loop_invariants.entries:
-                    assert b.loop_invariants.matrix[s(k)][s(j)] == value
+                    assert b.loop_invariants.matrix[s[k]][s[j]] == value
                     checked += 1
                 assert len(b.loop_invariants.entries) == len(a.loop_invariants.entries)
             assert checked > 0
@@ -867,7 +867,7 @@ class TestLoopInvariants:
 
         def outcomes():
             return [
-                [solve_monomial(a, b, Permutation(images)) for images in itertools.permutations(range(a.n))]
+                [solve_monomial(a, b, tuple(images)) for images in itertools.permutations(range(a.n))]
                 for a, b in cases
             ]
 
@@ -899,7 +899,7 @@ class TestLoopInvariants:
         a, b = EvolutionAlgebra(f, rows_a), EvolutionAlgebra(f, rows_b)
         assert a.loop_invariants.entries == ((1, 0, f.one.value),)
         assert b.loop_invariants.matrix[1][0] == f.scalar(2).value
-        out = solve_monomial(a, b, Permutation.identity(4))
+        out = solve_monomial(a, b, tuple(range(4)))
         assert out == SolveOutcome(SolveStatus.COMPLETE)
         res = isomorphism(a, b)
         assert res.status is IsoStatus.NOT_ISOMORPHIC and res.candidates_exhausted == 1
@@ -915,9 +915,9 @@ class TestLoopInvariants:
 
     def test_identity_self_solve_builds_no_table(self):
         alg = two_param(4, 1, 2)
-        solve_monomial(alg, alg, Permutation.identity(4))
+        solve_monomial(alg, alg, tuple(range(4)))
         assert "loop_invariants" not in vars(alg)
-        solve_monomial(alg, alg, Permutation((1, 0, 2, 3)))
+        solve_monomial(alg, alg, (1, 0, 2, 3))
         assert "loop_invariants" in vars(alg)
 
     def test_twoparam_pair_needs_no_kth_roots(self, monkeypatch):
@@ -945,7 +945,7 @@ class TestVerifyMap:
 
     def test_swap_on_k2(self):
         alg = complete_algebra(2)
-        swap = MonomialMap(Permutation((1, 0)), (Q.one, Q.one))
+        swap = MonomialMap((1, 0), (Q.one, Q.one))
         assert verify_map(alg, alg, swap)
 
     def test_bad_diagonal_rejected(self):
