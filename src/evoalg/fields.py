@@ -5,14 +5,16 @@ equality of representations:
 
   * rationals      -> ``fractions.Fraction`` (reduced, positive denominator)
   * GF(p) residues -> ``int`` in ``[0, p)``
-  * Q(zeta_m)      -> tuple of Fractions of length deg(Phi_m), reduced modulo
-                      the m-th cyclotomic polynomial Phi_m
+  * Q(zeta_m)      -> int tuple (n_0, ..., n_{d-1}, den) for the value
+                      sum n_i / den * z^i reduced modulo the m-th cyclotomic
+                      polynomial Phi_m (d = deg Phi_m), in lowest terms:
+                      den >= 1 and gcd(den, n_0, ..., n_{d-1}) = 1, so zero
+                      is (0, ..., 0, 1)
 
-Q(zeta_m) products and inverses run on integers: each operand is cleared to
-integer numerators over one common denominator, multiplied by integer
-convolution and reduced with integer rows, or inverted by fraction-free
-elimination; the canonical tuple of reduced Fractions is built once per
-result, with every zero coefficient the one shared Fraction(0).
+Q(zeta_m) arithmetic runs on these integers: sums over a common denominator,
+products by integer convolution reduced with integer rows, inverses by
+fraction-free elimination, each result ending in one gcd normalisation.
+Fractions are built only to order or print a value, or to read off a rational one.
 
 Fields are interned: constructing one twice yields the same object, so
 field equality is identity. Q(zeta_1) is the rationals and constructing it
@@ -106,17 +108,17 @@ def perfect_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 # integer polynomials (ascending coefficient lists) for Phi_m
 
-# shared by every zero coefficient of a Q(zeta_m) value
-_ZERO = Fraction(0)
 
-
-def _clear(value: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of rational coefficients over their least common
-    denominator, and that denominator."""
-    den = math.lcm(*[x.denominator for x in value])
-    if den == 1:
-        return [x.numerator for x in value], 1
-    return [x.numerator * (den // x.denominator) for x in value], den
+def _lowest(nums: list[int], den: int) -> tuple[int, ...]:
+    """The Q(zeta_m) value with coefficients nums[i] / den, den >= 1, in
+    lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    nums.append(den)
+    return tuple(nums)
 
 
 def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
@@ -314,7 +316,7 @@ class Field(metaclass=_Interned):
         return Scalar(self, self._convert(value))
 
     def unity_group(self) -> UnityGroup:
-        return UnityGroup(self._unity_order(), self.scalar(self._unity_generator()))
+        return UnityGroup(self._unity_order(), Scalar(self, self._unity_generator()))
 
     def roots_of_unity(self, k: int) -> list[Scalar]:
         """All x in the field with x**k == 1; there are gcd(k, N) of them."""
@@ -643,32 +645,22 @@ class CyclotomicField(Field):
     @property
     def zeta(self) -> Scalar:
         """The distinguished primitive m-th root of unity."""
-        vec = [_ZERO] * self.degree
+        vec = [0] * self.degree + [1]
         if self.degree == 1:
             # m == 2: zeta is -1
-            vec[0] = Fraction(-1)
+            vec[0] = -1
         else:
-            vec[1] = Fraction(1)
+            vec[1] = 1
         return Scalar(self, tuple(vec))
 
     def _convert(self, value):
         if isinstance(value, bool):
             raise ParseError("bool is not a scalar")
         if isinstance(value, (int, Fraction)):
-            vec = [_ZERO] * self.degree
-            vec[0] = Fraction(value)
-            return tuple(vec)
+            return (value.numerator,) + (0,) * (self.degree - 1) + (value.denominator,)
         if isinstance(value, str):
             return self.parse(value).value
-        if isinstance(value, tuple) and len(value) == self.degree:
-            return tuple(Fraction(v) for v in value)
         raise ParseError(f"cannot coerce {value!r} into {self.descriptor()}")
-
-    def _from_ints(self, nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
-        """The canonical value with coefficients nums[i] / den."""
-        if den == 1:
-            return tuple(Fraction(c) if c else _ZERO for c in nums)
-        return tuple(Fraction(c, den) if c else _ZERO for c in nums)
 
     def _reduce_ints(self, conv: list[int]) -> list[int]:
         """Integer coefficients of z^0 .. z^(2 * degree - 1), reduced modulo
@@ -684,40 +676,45 @@ class CyclotomicField(Field):
         return out
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            return _lowest([x + y for x, y in zip(a[:-1], b)], da)
+        return _lowest([x * db + y * da for x, y in zip(a[:-1], b)], da * db)
 
     def _mul(self, a, b):
-        if not any(a[1:]):
+        if not any(a[1:-1]):
             a, b = b, a
-        if not any(b[1:]):
-            # a rational factor scales each coefficient
+        if not any(b[1:-1]):
+            # a rational factor c / b[-1] scales each numerator
             c = b[0]
             if not c:
-                return (_ZERO,) * self.degree
-            return tuple(x * c if x else _ZERO for x in a)
-        na, da = _clear(a)
-        nb, db = _clear(b)
+                return b
+            return _lowest([x * c for x in a[:-1]], a[-1] * b[-1])
+        nb = [(j, y) for j, y in enumerate(b[:-1]) if y]
         conv = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(na):
+        for i, x in enumerate(a[:-1]):
             if x:
-                for j, y in enumerate(nb):
-                    if y:
-                        conv[i + j] += x * y
-        return self._from_ints(self._reduce_ints(conv), da * db)
+                for j, y in nb:
+                    conv[i + j] += x * y
+        return _lowest(self._reduce_ints(conv), a[-1] * b[-1])
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        out = [-x for x in a[:-1]]
+        out.append(a[-1])
+        return tuple(out)
 
     def _inv(self, a):
         # a = na / da; solve na * x = 1 for the coefficients x, a linear
         # system whose matrix has column j = na * z^j reduced mod Phi_m. It is
         # nonsingular because Phi_m is irreducible.
         deg = self.degree
-        if not any(a[1:]):
-            if not a[0]:
+        na, da = list(a[:-1]), a[-1]
+        if not any(na[1:]):
+            c = na[0]
+            if not c:
                 raise ZeroDivisionError("zero has no inverse")
-            return (1 / a[0],) + (_ZERO,) * (deg - 1)
-        na, da = _clear(a)
+            # gcd(c, da) = 1 already, so da / c is in lowest terms
+            return (-da if c < 0 else da,) + (0,) * (deg - 1) + (abs(c),)
         cols, col = [na], na
         for _ in range(deg - 1):
             top = col[-1]
@@ -748,13 +745,20 @@ class CyclotomicField(Field):
             row = rows[i]
             s = det * row[deg] - sum(row[k] * x[k] for k in range(i + 1, deg))
             x[i] = s // row[i]
-        return self._from_ints([da * v for v in x], det)
+        if det < 0:
+            det, da = -det, -da
+        return _lowest([da * v for v in x], det)
 
     def _is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a[:-1])
 
     def _sort_key(self, a):
-        return a
+        # the coefficients as numbers, compared exactly: ints where the
+        # denominator divides, Fractions otherwise
+        den = a[-1]
+        if den == 1:
+            return a[:-1]
+        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in a[:-1])
 
     def _unity_order(self):
         return self.m if self.m % 2 == 0 else 2 * self.m
@@ -764,8 +768,8 @@ class CyclotomicField(Field):
         return z.value if self.m % 2 == 0 else self._neg(z.value)
 
     def _as_fraction(self, value) -> Optional[Fraction]:
-        if all(x == 0 for x in value[1:]):
-            return value[0]
+        if not any(value[1:-1]):
+            return Fraction(value[0], value[-1])
         return None
 
     def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
@@ -773,16 +777,17 @@ class CyclotomicField(Field):
 
     def format(self, value) -> str:
         parts = []
-        for i, coef in enumerate(value):
-            if coef == 0:
+        den = value[-1]
+        for i, num in enumerate(value[:-1]):
+            if not num:
                 continue
-            mag = abs(coef)
+            mag = Fraction(abs(num), den)
             if i == 0:
                 body = str(mag)
             else:
                 zpart = "z" if i == 1 else f"z^{i}"
                 body = zpart if mag == 1 else f"{mag}*{zpart}"
-            parts.append(("-" if coef < 0 else "+", body))
+            parts.append(("-" if num < 0 else "+", body))
         if not parts:
             return "0"
         sign, body = parts[0]
@@ -804,7 +809,10 @@ class CyclotomicField(Field):
             if not mt or (mt.group(2) is None and "z" not in term):
                 raise ParseError(f"bad term {term!r} in {text!r}")
             sign = -1 if mt.group(1) == "-" else 1
-            coef = Fraction(mt.group(2)) if mt.group(2) else Fraction(1)
+            try:
+                coef = Fraction(mt.group(2)) if mt.group(2) else Fraction(1)
+            except ZeroDivisionError as exc:
+                raise ParseError(f"bad term {term!r} in {text!r}") from exc
             if "z" in term:
                 # z^m = 1
                 power = int(mt.group(3)) % self.m if mt.group(3) else 1

@@ -43,10 +43,9 @@ def cofactor_det(rows):
 
 def cyclotomic_entry(field, rng):
     """A nonzero element with rational coefficients on every power of zeta."""
-    return field.scalar(
-        tuple(Fraction(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 4))
-              for _ in range(field.degree))
-    )
+    coeffs = [Fraction(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 4))
+              for _ in range(field.degree)]
+    return sum((field.scalar(c) * field.zeta**i for i, c in enumerate(coeffs)), field.zero)
 
 
 def cycle_matrix(n, b=None, field=Q):

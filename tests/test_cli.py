@@ -270,6 +270,20 @@ class TestAut:
         code, report = run_json(capsys, "aut", "--in", str(path))
         assert code == 0 and report["order"] == 1
 
+    def test_zero_denominator_over_cyclotomic_exits_1(self, tmp_path):
+        path = tmp_path / "zero-den.json"
+        path.write_text(json.dumps({"field": "Q(zeta_3)", "n": 1, "entries": [["1/0"]]}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "evoalg.cli", "aut", "--in", str(path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_threads_is_a_usage_error(self, k4_file, capsys):
         # only census takes --threads
         with pytest.raises(SystemExit) as exc:

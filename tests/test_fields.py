@@ -9,6 +9,7 @@ from evoalg.fields import (
     CyclotomicField,
     PrimeField,
     RationalField,
+    Scalar,
     cyclotomic_polynomial,
     parse_field,
 )
@@ -251,6 +252,17 @@ def _kernel_operand(field, rng, kind):
     return tuple(vec)
 
 
+def _int_form(vec):
+    """The raw Q(zeta_m) value of a tuple of Fraction coefficients."""
+    den = math.lcm(*[x.denominator for x in vec])
+    return tuple(x.numerator * (den // x.denominator) for x in vec) + (den,)
+
+
+def _coefficients(value):
+    """The Fraction coefficients of a raw Q(zeta_m) value."""
+    return tuple(Fraction(x, value[-1]) for x in value[:-1])
+
+
 class TestIntegerKernels:
     KINDS = ("dense", "sparse", "rational")
 
@@ -264,15 +276,15 @@ class TestIntegerKernels:
                 for _ in range(4):
                     a = _kernel_operand(field, rng, ka)
                     b = _kernel_operand(field, rng, kb)
-                    product = field._mul(a, b)
-                    assert product == _ref_mul(field, a, b)
-                    assert all(type(x) is Fraction for x in product)
+                    product = field._mul(_int_form(a), _int_form(b))
+                    assert _coefficients(product) == _ref_mul(field, a, b)
+                    assert all(type(x) is int for x in product)
             for _ in range(4):
                 a = _kernel_operand(field, rng, ka)
-                inv = field._inv(a)
-                assert inv == _ref_inv(field, a)
-                assert all(type(x) is Fraction for x in inv)
-                assert field._mul(a, inv) == one
+                inv = field._inv(_int_form(a))
+                assert _coefficients(inv) == _ref_inv(field, a)
+                assert all(type(x) is int for x in inv)
+                assert field._mul(_int_form(a), inv) == one
 
     # for m = 6 and 12 the powers below m reach past z^(2 * degree - 1)
     @pytest.mark.parametrize("m", [5, 6, 12, 15])
@@ -292,16 +304,98 @@ class TestIntegerKernels:
                 expected = expected + field.scalar(Fraction(c, den)) * field.zeta**i
             assert field.parse(text.replace("+ -", "- ")) == expected
 
-    def test_zero_coefficients_share_one_fraction(self):
+    def test_raw_values_hold_no_fraction(self):
         field = CyclotomicField(15)
         a = field.parse("1/2 + 3*z")
         b = field.parse("-2/3")
-        zeros = [x for v in (a * a, a * b, a.inverse(), b.inverse(), field.zeta) for x in v.value if not x]
-        assert len({id(x) for x in zeros}) == 1
+        values = [a * a, a * b, a - b, -a, a.inverse(), b.inverse(), field.zeta, field.zero,
+                  field.scalar(Fraction(5, 7)), field.unity_group().generator,
+                  *field.roots_of_unity(6), *field.kth_roots(field.scalar(4) * field.zeta**2, 2).roots]
+        for v in values:
+            assert all(type(x) is int for x in v.value), v
 
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             CyclotomicField(7)._inv(CyclotomicField(7).zero.value)
+
+
+def _is_lowest(field, value):
+    den = value[-1]
+    return (
+        type(value) is tuple
+        and len(value) == field.degree + 1
+        and all(type(x) is int for x in value)
+        and den >= 1
+        and math.gcd(*value) == 1
+    )
+
+
+class TestCanonicalForm:
+    MS = [2, 3, 4, 5, 7, 8, 12, 15]
+
+    @staticmethod
+    def operands(field, rng, count=12):
+        kinds = ("dense", "sparse", "rational") * (count // 3)
+        return [x.value for x in (field.zero, field.one, field.zeta, -field.one)] + [
+            _int_form(_kernel_operand(field, rng, kind)) for kind in kinds
+        ]
+
+    @pytest.mark.parametrize("m", MS)
+    def test_every_result_is_in_lowest_terms(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(7000 + m)
+        values = self.operands(field, rng)
+        for a in values:
+            assert _is_lowest(field, a)
+            assert _is_lowest(field, field._neg(a))
+            if not field._is_zero(a):
+                assert _is_lowest(field, field._inv(a))
+            for b in values:
+                for op in (field._add, field._sub, field._mul):
+                    assert _is_lowest(field, op(a, b))
+        for text in ("2/4*z", "6/3 - 4/6*z^2", "0*z", "z - z", "3/9 + 5/10*z^7"):
+            assert _is_lowest(field, field.parse(text).value)
+        for x in (0, 1, -6, Fraction(4, 6), Fraction(-10, 4)):
+            assert _is_lowest(field, field.scalar(x).value)
+
+    @pytest.mark.parametrize("m", MS)
+    def test_equal_numbers_have_equal_tuples(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(7100 + m)
+        pairs = [
+            (field.parse("2/4*z"), field.scalar(Fraction(1, 2)) * field.zeta),
+            (field.parse("1/2 + 1/2"), field.one),
+            (field.parse("z - z"), field.zero),
+        ]
+        for a in self.operands(field, rng):
+            a = Scalar(field, a)
+            for b in self.operands(field, rng, count=3):
+                b = Scalar(field, b)
+                pairs.append((a + b - b, a))
+                pairs.append((a * 2 / 2, a))
+                if not b.is_zero:
+                    pairs.append((a * b / b, a))
+        for x, y in pairs:
+            assert x.value == y.value
+            assert hash(x) == hash(y)
+
+    @pytest.mark.parametrize("m", MS)
+    def test_sort_key_orders_by_fraction_coefficients(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(7200 + m)
+        values = [Scalar(field, v) for v in self.operands(field, rng, count=30)]
+        values += [v * Fraction(1, 3) for v in values] + [v + Fraction(1, 2) for v in values]
+        rng.shuffle(values)
+        by_key = sorted(values, key=Scalar.sort_key)
+        by_fractions = sorted(values, key=lambda v: _coefficients(v.value))
+        assert [v.value for v in by_key] == [v.value for v in by_fractions]
+
+    @pytest.mark.parametrize("m", MS)
+    def test_format_round_trips(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(7300 + m)
+        for a in self.operands(field, rng):
+            assert field.parse(field.format(a)).value == a
 
 
 class TestRootsOfUnity:
