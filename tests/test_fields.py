@@ -320,12 +320,11 @@ class TestIntegerKernels:
 
 
 def _is_lowest(field, value):
-    den = value[-1]
     return (
         type(value) is tuple
         and len(value) == field.degree + 1
         and all(type(x) is int for x in value)
-        and den >= 1
+        and value[-1] >= 1
         and math.gcd(*value) == 1
     )
 
