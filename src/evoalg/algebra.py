@@ -293,6 +293,8 @@ class EvolutionAlgebra:
             if not isinstance(data["field"], str):
                 raise ParseError("matrix JSON field must be a string")
             fld = parse_field(data["field"])
+        if type(data["n"]) is not int:
+            raise ParseError("matrix JSON n must be an integer")
         entries = data["entries"]
         if not isinstance(entries, list) or len(entries) != data["n"]:
             raise ParseError("matrix JSON entries do not match n")

@@ -109,6 +109,8 @@ def load_graph(path: str) -> list[list[int]]:
         raise ParseError(f"cannot read graph file {path}: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data or "adjacency" not in data:
         raise ParseError("graph JSON needs keys n and adjacency")
+    if type(data["n"]) is not int:
+        raise ParseError("graph JSON n must be an integer")
     adjacency = data["adjacency"]
     if not isinstance(adjacency, list) or len(adjacency) != data["n"]:
         raise ParseError("graph adjacency must be a list of n rows")

@@ -1,15 +1,16 @@
-"""Exact field arithmetic over Q, GF(p), and the cyclotomic extensions Q(zeta_m).
+"""Exact field arithmetic over GF(p) and the cyclotomic fields Q(zeta_m),
+with Q = Q(zeta_1).
 
 Every element is kept in a canonical representation, so equality of values is
 equality of representations:
 
-  * rationals      -> ``fractions.Fraction`` (reduced, positive denominator)
   * GF(p) residues -> ``int`` in ``[0, p)``
   * Q(zeta_m)      -> int tuple (n_0, ..., n_{d-1}, den) for the value
                       sum n_i / den * z^i reduced modulo the m-th cyclotomic
                       polynomial Phi_m (d = deg Phi_m), in lowest terms:
                       den >= 1 and gcd(den, n_0, ..., n_{d-1}) = 1, so zero
-                      is (0, ..., 0, 1)
+                      is (0, ..., 0, 1) and a rational num / den is
+                      (num, 0, ..., 0, den); over Q (d = 1) that is (num, den)
 
 Q(zeta_m) arithmetic runs on these integers: sums over a common denominator,
 products by integer convolution reduced with integer rows, inverses by
@@ -17,8 +18,7 @@ fraction-free elimination, each result ending in one gcd normalisation.
 Fractions are built only to order or print a value, or to read off a rational one.
 
 Fields are interned: constructing one twice yields the same object, so
-field equality is identity. Q(zeta_1) is the rationals and constructing it
-yields the rational field.
+field equality is identity. ``RationalField()`` is ``CyclotomicField(1)``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import FieldMismatchError, ParseError
+from .errors import CapExceededError, FieldMismatchError, ParseError
 
 PRIME_LIMIT = 2**31
 DLOG_TABLE_LIMIT = 10**6
+# the largest bound 2^t - 1 that an algebra within the search dimension cap
+# can ask a cyclotomic field for; Phi_m is built before any entry is read
+CONDUCTOR_CAP = 2**12 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +290,6 @@ class Field(metaclass=_Interned):
     """Common interface; concrete classes fill in the raw-value arithmetic."""
 
     _dlog: Optional[dict] = None
-    # An order lookup may build the discrete-log table when N is bounded by
-    # the field's definition: N = 2 for Q, m or 2m for Q(zeta_m).
-    _order_builds_dlog = True
 
     def __repr__(self):
         return f"<field {self.descriptor()}>"
@@ -327,17 +327,16 @@ class Field(metaclass=_Interned):
     def multiplicative_order(self, x: Scalar) -> Optional[int]:
         """Order of x when x is a root of unity, else None.
 
-        Read from the root-of-unity table when it exists or the field builds
-        it for orders: x = g**e has order N / gcd(e, N), and x is no root of
-        unity when the table lacks it. Otherwise no table is built for the
-        question: the order strips prime factors from N while x**(N/q)
-        stays one.
+        Read from the root-of-unity table when it exists: x = g**e has order
+        N / gcd(e, N), and x is no root of unity when the table lacks it.
+        Otherwise no table is built for the question: the order strips prime
+        factors from N while x**(N/q) stays one.
         """
         x = self.scalar(x)
         if x.is_zero:
             raise ZeroDivisionError("zero has no multiplicative order")
         big_n = self._unity_order()
-        if self._dlog is not None or self._order_builds_dlog:
+        if self._dlog is not None:
             e = self._unity_dlog(x.value)
             return None if e is None else big_n // math.gcd(e, big_n)
         if x**big_n != self.one:
@@ -444,76 +443,10 @@ class Field(metaclass=_Interned):
         raise NotImplementedError
 
 
-class RationalField(Field):
-    """The rational numbers."""
-
-    def descriptor(self) -> str:
-        return "Q"
-
-    @property
-    def characteristic(self) -> int:
-        return 0
-
-    def _convert(self, value):
-        if isinstance(value, bool):
-            raise ParseError("bool is not a scalar")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
-            return self.parse(value).value
-        raise ParseError(f"cannot coerce {value!r} into Q")
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _pow(self, a, k):
-        return a**k
-
-    def _sort_key(self, a):
-        return a
-
-    def _unity_order(self):
-        return 2
-
-    def _unity_generator(self):
-        return Fraction(-1)
-
-    def _as_fraction(self, value) -> Optional[Fraction]:
-        return value
-
-    def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
-        return _char0_kth_roots(self, c, k)
-
-    def format(self, value) -> str:
-        return str(value)
-
-    def parse(self, text: str) -> Scalar:
-        try:
-            return Scalar(self, Fraction(text.strip().replace(" ", "")))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {text!r}") from exc
-
-
 class PrimeField(Field):
     """GF(p) for a prime p < 2**31. kth_roots decides x**k = c exactly when
     gcd(k, p - 1) = 1 or c = 1, and otherwise through the discrete-log
     table, which is built on first use for p <= 10**6."""
-
-    # N = p - 1 is as large as the field: orders reuse the table that
-    # kth_roots builds and otherwise test the divisors of N
-    _order_builds_dlog = False
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= PRIME_LIMIT or not is_prime(p):
@@ -610,16 +543,14 @@ _TERM_RE = re.compile(
 
 
 class CyclotomicField(Field):
-    """Q(zeta_m) for m >= 2, as Q[z] modulo Phi_m. Conductor 1 collapses to Q."""
-
-    def __new__(cls, m: int):
-        if m == 1:
-            return RationalField()
-        return super().__new__(cls)
+    """Q(zeta_m) for 1 <= m <= CONDUCTOR_CAP, as Q[z] modulo Phi_m. Conductor
+    1 is Q, with descriptor "Q" and its own scalar grammar."""
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
             raise ParseError(f"cyclotomic conductor must be a positive int, got {m!r}")
+        if m > CONDUCTOR_CAP:
+            raise CapExceededError(f"cyclotomic conductor capped at {CONDUCTOR_CAP}, got {m}")
         self.m = m
         self.phi = cyclotomic_polynomial(m)
         self.degree = len(self.phi) - 1
@@ -636,7 +567,7 @@ class CyclotomicField(Field):
         self._red = tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in red)
 
     def descriptor(self) -> str:
-        return f"Q(zeta_{self.m})"
+        return "Q" if self.m == 1 else f"Q(zeta_{self.m})"
 
     @property
     def characteristic(self) -> int:
@@ -644,14 +575,8 @@ class CyclotomicField(Field):
 
     @property
     def zeta(self) -> Scalar:
-        """The distinguished primitive m-th root of unity."""
-        vec = [0] * self.degree + [1]
-        if self.degree == 1:
-            # m == 2: zeta is -1
-            vec[0] = -1
-        else:
-            vec[1] = 1
-        return Scalar(self, tuple(vec))
+        """The distinguished primitive m-th root of unity: z reduced mod Phi_m."""
+        return Scalar(self, _lowest(self._reduce_ints([0, 1]), 1))
 
     def _convert(self, value):
         if isinstance(value, bool):
@@ -773,7 +698,42 @@ class CyclotomicField(Field):
         return None
 
     def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
-        return _char0_kth_roots(self, c, k)
+        """Splits c as u*w with u a root of unity and w > 0 rational whenever
+        c**N is a perfect N-th power of a rational; then x = r*y with r**k = w
+        rational and y ranging over the mu_N solutions of y**k = u. When the
+        split or the rational root extraction fails, the answer is decisively
+        empty over Q and honestly incomplete over a bigger cyclotomic field.
+        """
+        big_n = self._unity_order()
+        equation = f"x^{k} = {c} over {self.descriptor()}"
+        z = (c**big_n).value
+        zf = self._as_fraction(z)
+        rational_line = self._as_fraction(c.value) is not None
+        if zf is None or zf <= 0:
+            return KthRoots(False, (), equation)
+        w = perfect_kth_root(zf, big_n)
+        if w is None:
+            if rational_line:
+                raise RuntimeError("rational c**N must be a perfect N-th power")
+            return KthRoots(False, (), equation)
+        u = c / self.scalar(w)
+        e = self._unity_dlog(u.value)
+        if e is None:
+            # c = u*w with u**N = 1 by construction, so u must lie in mu_N
+            raise RuntimeError("unity part missing from the root-of-unity table")
+        r = perfect_kth_root(w, k)
+        if r is None:
+            # Any solution would put the positive real radical w^(1/k) inside the
+            # field: |x|^2 = w^(2/k) is fixed by conjugation. For odd k the other
+            # conjugates w^(1/k) * omega are non-real, so normality of subfields
+            # of an abelian extension forces w^(1/k) rational, a contradiction.
+            # Over the rationals themselves |x|^k = w settles every k.
+            if k % 2 == 1 or self.degree == 1:
+                return KthRoots(True, ())
+            return KthRoots(False, (), equation)
+        rs = self.scalar(r)
+        roots = [rs * y for y in self._solve_unity_power(k, e)]
+        return KthRoots(True, tuple(sorted(roots, key=Scalar.sort_key)))
 
     def format(self, value) -> str:
         parts = []
@@ -797,6 +757,11 @@ class CyclotomicField(Field):
         return text
 
     def parse(self, text: str) -> Scalar:
+        if self.m == 1:
+            try:
+                return self.scalar(Fraction(text.strip().replace(" ", "")))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad rational {text!r}") from exc
         s = text.replace(" ", "")
         if not s:
             raise ParseError("empty scalar string")
@@ -827,47 +792,6 @@ class CyclotomicField(Field):
         return Scalar(self, value)
 
 
-def _char0_kth_roots(field: Field, c: Scalar, k: int) -> KthRoots:
-    """Shared characteristic-zero solver for x**k = c.
-
-    Splits c as u*w with u a root of unity and w > 0 rational whenever c**N is
-    a perfect N-th power of a rational; then x = r*y with r**k = w rational
-    and y ranging over the mu_N solutions of y**k = u. When the split or the
-    rational root extraction fails, the answer is decisively empty over Q and
-    honestly incomplete over a bigger cyclotomic field.
-    """
-    big_n = field._unity_order()
-    equation = f"x^{k} = {c} over {field.descriptor()}"
-    z = (c**big_n).value
-    zf = field._as_fraction(z)
-    rational_line = field._as_fraction(c.value) is not None
-    if zf is None or zf <= 0:
-        return KthRoots(False, (), equation)
-    w = perfect_kth_root(zf, big_n)
-    if w is None:
-        if rational_line:
-            raise RuntimeError("rational c**N must be a perfect N-th power")
-        return KthRoots(False, (), equation)
-    u = c / field.scalar(w)
-    e = field._unity_dlog(u.value)
-    if e is None:
-        # c = u*w with u**N = 1 by construction, so u must lie in mu_N
-        raise RuntimeError("unity part missing from the root-of-unity table")
-    r = perfect_kth_root(w, k)
-    if r is None:
-        # Any solution would put the positive real radical w^(1/k) inside the
-        # field: |x|^2 = w^(2/k) is fixed by conjugation. For odd k the other
-        # conjugates w^(1/k) * omega are non-real, so normality of subfields
-        # of an abelian extension forces w^(1/k) rational, a contradiction.
-        # Over the rationals themselves |x|^k = w settles every k.
-        if k % 2 == 1 or getattr(field, "degree", 1) == 1:
-            return KthRoots(True, ())
-        return KthRoots(False, (), equation)
-    rs = field.scalar(r)
-    roots = [rs * y for y in field._solve_unity_power(k, e)]
-    return KthRoots(True, tuple(sorted(roots, key=Scalar.sort_key)))
-
-
 # ---------------------------------------------------------------------------
 # descriptor grammar: Q | GF(p) | Q(zeta_m)
 
@@ -875,14 +799,28 @@ _GF_RE = re.compile(r"^GF\((\d+)\)$")
 _CYCLO_RE = re.compile(r"^Q\(zeta_(\d+)\)$")
 
 
+def RationalField() -> CyclotomicField:
+    """Q, which is Q(zeta_1)."""
+    return CyclotomicField(1)
+
+
+def _descriptor_int(digits: str, limit: int, error: type) -> int:
+    """The number a descriptor spells; error, before int() converts an
+    arbitrarily long string, when it has more digits than limit."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)):
+        raise error(f"{len(digits)}-digit number in a field descriptor exceeds {limit}")
+    return int(digits)
+
+
 def parse_field(text: str) -> Field:
     s = text.strip()
     if s == "Q":
-        return RationalField()
+        return CyclotomicField(1)
     mt = _GF_RE.match(s)
     if mt:
-        return PrimeField(int(mt.group(1)))
+        return PrimeField(_descriptor_int(mt.group(1), PRIME_LIMIT, ParseError))
     mt = _CYCLO_RE.match(s)
     if mt:
-        return CyclotomicField(int(mt.group(1)))
+        return CyclotomicField(_descriptor_int(mt.group(1), CONDUCTOR_CAP, CapExceededError))
     raise ParseError(f"bad field descriptor {text!r}")

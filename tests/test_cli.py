@@ -86,6 +86,18 @@ class TestMake:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "n, adjacency", [(True, [[0]]), (2.0, [[0, 1], [1, 0]])], ids=["bool", "float"]
+    )
+    def test_graph_n_must_be_an_int(self, tmp_path, capsys, n, adjacency):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": n, "adjacency": adjacency}))
+        code, out, err = run(
+            capsys, "make", "--family", f"frucht:{graph}", "--out", str(tmp_path / "x.json")
+        )
+        assert code == 1 and out == ""
+        assert err == "error: graph JSON n must be an integer\n"
+
     def test_bad_family_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "make", "--family", "nope:n=1", "--out", str(tmp_path / "x.json")
@@ -262,6 +274,26 @@ class TestAut:
         code, out, err = run(capsys, "aut", "--in", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: matrix JSON")
+
+    @pytest.mark.parametrize("n", [True, 1.0], ids=["bool", "float"])
+    def test_matrix_n_must_be_an_int(self, tmp_path, capsys, n):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field": "Q", "n": n, "entries": [["2"]]}))
+        code, out, err = run(capsys, "aut", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: matrix JSON n must be an integer\n"
+
+    @pytest.mark.parametrize(
+        "field_text, exit_code",
+        [("Q(zeta_4096)", 5), ("Q(zeta_" + "9" * 5000 + ")", 5), ("GF(" + "9" * 5000 + ")", 1)],
+        ids=["conductor-over-cap", "long-conductor", "long-modulus"],
+    )
+    def test_descriptor_numbers_are_bounded(self, tmp_path, capsys, field_text, exit_code):
+        # the field is built before any entry is read
+        path = write_matrix(tmp_path / "m.json", field_text, [["1"]])
+        code, out, err = run(capsys, "aut", "--in", path)
+        assert code == exit_code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_large_power_of_zeta_parses(self, tmp_path, capsys):
         # z^4 = z over Q(zeta_3); a 1x1 algebra has only the identity map

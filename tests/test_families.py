@@ -191,9 +191,9 @@ class TestCycleNormalizer:
         assert len(out.maps) == 1
         d = out.maps[0].d
         assert [x.value for x in d] == [
-            Fraction(1, 16),
-            Fraction(1, 2),
-            Fraction(1, 4),
+            Q.scalar(Fraction(1, 16)).value,
+            Q.scalar(Fraction(1, 2)).value,
+            Q.scalar(Fraction(1, 4)).value,
         ]
 
     def test_seven_solutions_over_zeta7(self):
@@ -223,7 +223,8 @@ class TestCycleNormalizer:
                 cycle_algebra(n, Q), cycle_algebra(n, Q, b), tuple(range(n))
             )
             assert out.maps == direct.maps
-            assert any(tuple(x.value for x in m.d) == tuple(d) for m in out.maps)
+            values = tuple(Q.scalar(x).value for x in d)
+            assert any(tuple(x.value for x in m.d) == values for m in out.maps)
 
     def test_indeterminate_case(self):
         f = CyclotomicField(5)

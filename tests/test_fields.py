@@ -1,11 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from evoalg.errors import FieldMismatchError, ParseError
+from evoalg.errors import CapExceededError, FieldMismatchError, ParseError
 from evoalg.fields import (
+    CONDUCTOR_CAP,
     CyclotomicField,
     PrimeField,
     RationalField,
@@ -25,7 +27,7 @@ def random_scalar(field, rng, nonzero=False):
     while True:
         if isinstance(field, PrimeField):
             s = field.scalar(rng.randrange(field.p))
-        elif isinstance(field, CyclotomicField):
+        elif isinstance(field, CyclotomicField) and field.m > 1:
             s = field.zero
             for i in range(field.degree):
                 coef = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -54,6 +56,31 @@ class TestDescriptors:
     def test_cyclotomic_1_is_q(self):
         assert CyclotomicField(1) == Q
         assert parse_field("Q(zeta_1)") == Q
+
+    def test_q_is_zeta_1(self):
+        assert parse_field("Q") is RationalField() is CyclotomicField(1)
+        assert Q.descriptor() == "Q" and Q.degree == 1 and Q.phi == (-1, 1)
+        for text, value in [("0.5", (1, 2)), ("1e3", (1000, 1)), (" -3 / 4 ", (-3, 4))]:
+            assert Q.parse(text).value == value
+        for text in ["z", "1+2", "1/0"]:
+            with pytest.raises(ParseError, match=re.escape(f"bad rational {text!r}")):
+                Q.parse(text)
+        assert Q.zeta == 1 and Q.unity_group().order == 2
+        for x in (0, 1, -6, Fraction(4, 6), Fraction(-10, 4)):
+            assert Q.parse(str(Q.scalar(x))) == x
+        # Q(zeta_2) is a field of its own, with the cyclotomic grammar
+        z2 = CyclotomicField(2)
+        assert z2 is not Q and z2.descriptor() == "Q(zeta_2)"
+        assert z2.zeta == -1 and z2.parse("z + 3") == 2
+
+    def test_conductor_cap(self):
+        # Phi_m is built with the field, before any entry is read
+        for text in [f"Q(zeta_{CONDUCTOR_CAP + 1})", "Q(zeta_" + "9" * 5000 + ")"]:
+            with pytest.raises(CapExceededError):
+                parse_field(text)
+        with pytest.raises(ParseError):
+            parse_field("GF(" + "9" * 5000 + ")")
+        assert parse_field("Q(zeta_007)") is CyclotomicField(7)
 
     def test_bad_descriptors(self):
         for text in ["q", "GF(6)", "GF(x)", "Q(zeta_0)", "R"]:
@@ -486,7 +513,7 @@ class TestKthRoots:
     def test_rational_seventh_root(self):
         out = Q.kth_roots(Q.scalar(Fraction(1, 2**28)), 7)
         assert out.complete
-        assert [r.value for r in out.roots] == [Fraction(1, 16)]
+        assert [r.value for r in out.roots] == [(1, 16)]
 
     def test_gf7_cubes_of_six(self):
         out = GF7.kth_roots(GF7.scalar(6), 3)
@@ -503,7 +530,7 @@ class TestKthRoots:
 
     def test_square_root_of_four(self):
         out = Q.kth_roots(Q.scalar(4), 2)
-        assert {r.value for r in out.roots} == {2, -2}
+        assert {r.value for r in out.roots} == {(2, 1), (-2, 1)}
 
     def test_zeta3_root_of_unity_rhs(self):
         z = Z3.zeta
@@ -606,7 +633,7 @@ class TestKthRoots:
 class TestSerialization:
     def test_rational_strings(self):
         assert str(Q.scalar(Fraction(-3, 4))) == "-3/4"
-        assert Q.parse("-3/4").value == Fraction(-3, 4)
+        assert Q.parse("-3/4").value == (-3, 4)
 
     def test_gf_strings(self):
         assert str(GF7.scalar(12)) == "5"

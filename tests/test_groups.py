@@ -540,11 +540,14 @@ class TestProfile:
         assert field._dlog is None
 
     def test_orders_over_zeta15_read_the_table(self, monkeypatch):
-        # N = 2m = 30 is bounded by the conductor: the first order asked
-        # builds the table
+        # N = 2m = 30: orders test the divisors of N until the table exists,
+        # then read it, with the same answers
         field = CyclotomicField(15)
         monkeypatch.setattr(field, "_dlog", None)
         z = field.zeta
-        assert [(z**e).multiplicative_order() for e in (0, 1, 3, 5)] == [1, 15, 5, 3]
-        assert (-z).multiplicative_order() == 30
-        assert field._dlog is not None and len(field._dlog) == 30
+        elements = [z**e for e in (0, 1, 3, 5)] + [-z]
+        assert [x.multiplicative_order() for x in elements] == [1, 15, 5, 3, 30]
+        assert field._dlog is None
+        field._unity_dlog(field.one.value)
+        assert len(field._dlog) == 30
+        assert [x.multiplicative_order() for x in elements] == [1, 15, 5, 3, 30]
