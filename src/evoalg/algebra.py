@@ -100,18 +100,6 @@ def entrywise_square(a: Matrix) -> Matrix:
     return tuple(tuple(x * x for x in row) for row in a)
 
 
-def star_product(p: Matrix) -> Matrix:
-    """The n x n(n-1)/2 matrix with column (i, j), i < j, holding the
-    products p[k][i] * p[k][j]."""
-    n = len(p)
-    cols = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return tuple(tuple(p[k][i] * p[k][j] for i, j in cols) for k in range(n))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x.is_zero for row in a for x in row)
-
-
 class SolvePlan(NamedTuple):
     """The part of solving d_k * a_kj = d_j^2 * b_{sigma k sigma j} that does
     not depend on sigma or on the target B, as raw field values.
@@ -335,17 +323,22 @@ class EvolutionAlgebra:
 
 def transport_structure(algebra: EvolutionAlgebra, p: MonomialMap) -> EvolutionAlgebra:
     """Structure matrix of the same algebra after the natural-basis change by
-    the monomial matrix P: returns B = P * A * (P entrywise-squared)^{-1}.
-
-    The inverse of the entrywise square is taken in monomial form
-    (inverse permutation, reciprocal squared scalings), never by elimination.
+    the monomial matrix P = P_sigma * D: B = P * A * (P entrywise-squared)^{-1},
+    written entry by entry as b_{sigma k sigma j} = d_k * a_kj / d_j^2 on raw
+    values, with n field inversions.
     """
     algebra.require_idempotent()
     if p.n != algebra.n or p.field != algebra.field:
         raise FieldMismatchError("monomial map does not match the algebra")
-    p_sq = MonomialMap(p.sigma, tuple(x * x for x in p.d))
-    b = mat_mul(mat_mul(p.matrix(), algebra.rows), p_sq.inverse().matrix())
-    out = EvolutionAlgebra(algebra.field, b)
+    field, sigma = algebra.field, p.sigma
+    mul = field._mul
+    d = [x.value for x in p.d]
+    inv_sq = [field._inv(mul(x, x)) for x in d]
+    b = [[None] * algebra.n for _ in range(algebra.n)]
+    for d_k, a_row, b_row in zip(d, algebra.raw_rows, (b[s] for s in sigma)):
+        for j, a_kj in enumerate(a_row):
+            b_row[sigma[j]] = Scalar(field, mul(mul(d_k, a_kj), inv_sq[j]))
+    out = EvolutionAlgebra(field, b)
     if not out.is_idempotent:
         raise SingularMatrixError("transport produced a singular matrix")
     return out

@@ -79,7 +79,7 @@ def frucht_lift(graph_rows: Sequence[Sequence[int]], field: Field) -> tuple[Evol
     for row in graph_rows:
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise ParseError("adjacency matrix must be square")
-        if not all(isinstance(x, int) and x in (0, 1) for x in row):
+        if not all(type(x) is int and x in (0, 1) for x in row):
             raise ParseError("adjacency entries must be 0 or 1")
     for i, row in enumerate(graph_rows):
         for j, x in enumerate(row):

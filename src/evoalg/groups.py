@@ -188,9 +188,10 @@ class MonomialGroup:
 
     The elements are held as keys into Omega, the orbit of the basis: a
     Closure hands over its Omega and keys, and a set of MonomialMaps is keyed
-    by its basis images, with Omega the set of them. MonomialMaps are built
-    from the keys only for what is read: ``generators``, the diagonal part,
-    recognition witnesses, and ``elements`` on first access.
+    by ``Closure.key`` of a fresh closure, with Omega the set of their basis
+    images. MonomialMaps are built from the keys only for what is read:
+    ``generators``, the diagonal part, recognition witnesses, and
+    ``elements`` on first access.
 
     ``complete`` is False when some solve came back undecided and left a
     pattern automorphism unsettled: the set is then not claimed to be the
@@ -216,26 +217,13 @@ class MonomialGroup:
         self.n = n
         self.complete = complete
         self._unity_orders: dict = {}
-        boxed = None
         if isinstance(elements, Closure):
-            points, keys, index = elements.points, elements.elements, elements.index
+            closure, keys = elements, elements.elements
         else:
-            by_columns = {}
-            for g in elements:
-                if g.n != n or g.field != field:
-                    raise FieldMismatchError("group elements disagree on n or field")
-                by_columns.setdefault(_columns(g), g)
-            one = field.one.value
-            points = [(v, one) for v in range(n)]
-            index = {p: i for i, p in enumerate(points)}
-            boxed = {}
-            for columns, g in by_columns.items():
-                for p in columns:
-                    if p not in index:
-                        index[p] = len(points)
-                        points.append(p)
-                boxed[tuple(map(index.__getitem__, columns))] = g
-            keys = list(boxed)
+            closure = Closure(field, n)
+            keys = set(map(closure.key, elements))
+        points = self._points = closure.points
+        self._index = closure.index
         vertex = [v for v, _ in points]
         raw_key = [field._sort_key(c) for _, c in points]
         keys = sorted(
@@ -245,17 +233,13 @@ class MonomialGroup:
                 tuple(map(raw_key.__getitem__, k)),
             ),
         )
-        self._points = points
-        self._index = index
         self._keys = tuple(keys)
-        if boxed is not None:
-            self.elements = tuple(map(boxed.__getitem__, keys))
         generators = ()
         if complete:
             # the closure lies inside the finite set and contains all of it,
             # so the set is closed under products and hence a group
             within = set(keys)
-            proof = Closure(field, n, index=index, within=within)
+            proof = Closure(field, n, index=self._index, within=within)
             if tuple(range(n)) not in within or not all(map(proof._add, keys)):
                 raise UnclosedGroupError("element set is not closed under the group laws")
             generators = proof.generators
@@ -315,15 +299,6 @@ class MonomialGroup:
         """The kernel of the map onto permutations: elements with sigma = id."""
         return tuple(map(self._box, self._keys[: self.diagonal_order]))
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field.descriptor(),
-            "order": self.order,
-            "complete": self.complete,
-            "elements": [g.to_json() for g in self.elements],
-        }
-
 
 class Closure:
     """Dimino's closure (Butler 1991; Seress 2003) on keys, grown one
@@ -342,8 +317,8 @@ class Closure:
     Omega starts as the basis points and grows by the images these
     products reach, so it is the orbit of the basis. A key indexes points
     that never move, so the elements found so far stay valid as Omega
-    grows. Omega's size counts against ``cap`` as the group's does; an
-    element of infinite order grows Omega without end.
+    grows. Omega's size counts against CLOSURE_CAP, read at call time, as
+    the group's does; an element of infinite order grows Omega without end.
 
     ``elements`` lists the keys in generation order, identity first,
     ``keys`` holds them as a set and ``generators`` the keys of the kept
@@ -362,7 +337,6 @@ class Closure:
         *,
         index: Optional[dict] = None,
         within: Optional[set] = None,
-        cap: int = CLOSURE_CAP,
     ):
         self.field = field
         self.n = n
@@ -373,15 +347,19 @@ class Closure:
         self.index = index
         self.points = list(index)
         self._within = within
-        self._cap = cap
         self.elements = [tuple(range(n))]
         self.keys = set(self.elements)
         self.generators: list[tuple] = []
 
-    def add(self, s: MonomialMap) -> bool:
+    def key(self, s: MonomialMap) -> tuple:
+        """The key of s: the positions of its basis images, which join Omega
+        when new."""
         if s.n != self.n or s.field is not self.field:
-            raise FieldMismatchError("closure generators disagree on n or field")
-        return self._add(tuple(map(self._point, _columns(s))))
+            raise FieldMismatchError("monomial map disagrees with the closure on n or field")
+        return tuple(map(self._point, _columns(s)))
+
+    def add(self, s: MonomialMap) -> bool:
+        return self._add(self.key(s))
 
     def _add(self, key: tuple) -> bool:
         return key in self.keys or self._extend(key)
@@ -393,8 +371,8 @@ class Closure:
         if i is None and self._within is None:
             i = self.index[p] = len(self.points)
             self.points.append(p)
-            if len(self.points) > self._cap:
-                raise CapExceededError(f"the orbit of the basis passed the cap {self._cap}")
+            if len(self.points) > CLOSURE_CAP:
+                raise CapExceededError(f"the orbit of the basis passed the cap {CLOSURE_CAP}")
         return i
 
     def _extend(self, s: tuple) -> bool:
@@ -422,15 +400,14 @@ class Closure:
                 reps.append(x)
                 elements.extend(coset)
                 keys.update(coset)
-                if len(elements) > self._cap:
-                    raise CapExceededError(f"closure passed the cap {self._cap}")
+                if len(elements) > CLOSURE_CAP:
+                    raise CapExceededError(f"closure passed the cap {CLOSURE_CAP}")
         return True
 
 
 def close_generators(
     gens: Sequence[MonomialMap],
     *,
-    cap: int = CLOSURE_CAP,
     field: Optional[Field] = None,
     n: Optional[int] = None,
 ) -> MonomialGroup:
@@ -441,7 +418,7 @@ def close_generators(
         n = gens[0].n
     elif field is None or n is None:
         raise ParseError("empty generator list needs explicit field and n")
-    closure = Closure(field, n, cap=cap)
+    closure = Closure(field, n)
     for g in gens:
         closure.add(g)
     return MonomialGroup(field, n, closure)

@@ -271,11 +271,11 @@ def suite_thm23() -> SuiteResult:
     for i in range(30):
         n = rng.randint(2, 5)
         alg = random_01_nonsingular(n, rng)
-        grp = automorphism_group(alg)
+        sigmas = graph_automorphisms(alg.digraph)
+        grp = automorphism_group(alg, sigmas)
         lattice = diagonal_subgroup(alg)
-        graph_count = len(graph_automorphisms(alg.digraph))
-        if grp.order != lattice.order * graph_count:
-            bad.append((i, grp.order, lattice.order, graph_count))
+        if grp.order != lattice.order * len(sigmas):
+            bad.append((i, grp.order, lattice.order, len(sigmas)))
     res.check(
         "30 random nonsingular 0/1 matrices over Q: |Aut(E)| = |D| * |Aut(pattern)|",
         not bad,
@@ -308,13 +308,13 @@ def suite_thm31() -> SuiteResult:
         )
         alg, shift = frucht_lift(rows, Q)
         res.check(f"{label}: lifted algebra is idempotent", alg.is_idempotent)
-        lifted_graph = len(graph_automorphisms(alg.digraph))
+        sigmas = graph_automorphisms(alg.digraph)
         res.check(
             f"{label}: lift keeps the pattern automorphisms",
-            lifted_graph == expected,
-            f"shift m={shift}, got {lifted_graph}",
+            len(sigmas) == expected,
+            f"shift m={shift}, got {len(sigmas)}",
         )
-        order = automorphism_group(alg).order
+        order = automorphism_group(alg, sigmas).order
         res.check(
             f"{label}: algebra automorphism count equals {expected}",
             order == expected,
@@ -392,11 +392,7 @@ def suite_thm41() -> SuiteResult:
             b = random_orbit_b(n, rng_iso)
             scaled = cycle_algebra(n, field, b)
             outcome = isomorphism(ones, scaled)
-            if not (
-                outcome.found
-                and all(outcome.certificate["checked"].values())
-                and verify_map(ones, scaled, outcome.witness)
-            ):
+            if not (outcome.found and all(outcome.certificate["checked"].values())):
                 failures += 1
         res.check(
             f"n={n}: 10 random in-orbit b-vectors give certified isomorphisms",

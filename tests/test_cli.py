@@ -76,7 +76,11 @@ class TestMake:
         )
         assert code == 0 and report["m"] == 2
 
-    @pytest.mark.parametrize("adjacency", [5, [5, 6], [[0, 1], [1, "1"]], [[0, 1.5], [1.5, 0]]])
+    # JSON true and false load as bools, which Python counts as ints 1 and 0
+    @pytest.mark.parametrize(
+        "adjacency",
+        [5, [5, 6], [[0, 1], [1, "1"]], [[0, 1.5], [1.5, 0]], [[0, True], [True, 0]]],
+    )
     def test_malformed_graph_is_a_parse_error(self, tmp_path, capsys, adjacency):
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps({"n": 2, "adjacency": adjacency}))

@@ -159,9 +159,10 @@ class TestClosure:
         grp = close_generators([swap, MonomialMap.diagonal((z, z * z))])
         assert grp.order == 6
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "CLOSURE_CAP", 10)
         with pytest.raises(CapExceededError):
-            close_generators([MonomialMap.diagonal((Q.scalar(2),))], cap=10)
+            close_generators([MonomialMap.diagonal((Q.scalar(2),))])
 
     def test_closure_is_verified_closed(self):
         rng = random.Random(14)
@@ -368,12 +369,13 @@ class TestIntForm:
                 assert boxed.generators == grp.generators
                 assert boxed.element_orders == grp.element_orders
 
-    def test_infinite_order_generator_passes_the_cap(self):
+    def test_infinite_order_generator_passes_the_cap(self, monkeypatch):
         # (0 1) with scalings (2, 1) squares to diag(2, 2): Omega grows
         # without end
         swap = MonomialMap((1, 0), (Q.scalar(2), Q.one))
+        monkeypatch.setattr(groups, "CLOSURE_CAP", 50)
         with pytest.raises(CapExceededError):
-            close_generators([swap], cap=50)
+            close_generators([swap])
         with pytest.raises(UnclosedGroupError):
             MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2), swap])
 

@@ -7,10 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from evoalg import solver
-from evoalg.algebra import EvolutionAlgebra, LoopInvariants, transport_structure
+from evoalg import algebra, solver
+from evoalg.algebra import (
+    EvolutionAlgebra,
+    LoopInvariants,
+    entrywise_square,
+    mat_equal,
+    mat_mul,
+    transport_structure,
+)
 from evoalg.digraph import graph_automorphisms
-from evoalg.errors import CapExceededError, SingularMatrixError
+from evoalg.errors import CapExceededError, FieldMismatchError, SingularMatrixError
 from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField, Scalar
 from evoalg.groups import (
     MonomialGroup,
@@ -25,6 +32,7 @@ from evoalg.solver import (
     SolveStatus,
     automorphism_group,
     brute_force_automorphisms,
+    certificate_checks,
     diagonal_subgroup,
     isomorphism,
     solve_monomial,
@@ -680,15 +688,24 @@ class TestOracleInts:
             brute_force_automorphisms(alg)
 
     def test_no_boxed_matrix_products(self, monkeypatch):
+        # the oracle, the certificate checks and the transport read monomial
+        # maps through (sigma, d); none builds or multiplies a dense matrix
         def forbidden(*_):
-            raise AssertionError("the oracle boxed a matrix product")
+            raise AssertionError("a boxed matrix product was built")
 
-        for name in ("mat_mul", "entrywise_square", "star_product"):
-            monkeypatch.setattr(solver, name, forbidden)
+        for name in ("mat_mul", "entrywise_square"):
+            monkeypatch.setattr(algebra, name, forbidden)
+        monkeypatch.setattr(MonomialMap, "matrix", forbidden)
         rng = random.Random(77)
         for p, n in ((3, 1), (3, 2), (3, 2), (5, 2), (7, 3)):
             alg = random_idempotent(PrimeField(p), n, rng)
             assert brute_force_automorphisms(alg).elements == reference_oracle(alg)
+            m = random_map(alg.field, n, rng)
+            there = transport_structure(alg, m)
+            assert certificate_checks(alg, there, m) == {
+                "BP2_eq_PA": True,
+                "B_PstarP_zero": True,
+            }
         assert brute_force_automorphisms(complete_algebra(2, PrimeField(3))).order == 2
 
 
@@ -952,3 +969,79 @@ class TestVerifyMap:
         alg = complete_algebra(2)
         bad = MonomialMap.diagonal((Q.scalar(2), Q.one))
         assert not verify_map(alg, alg, bad)
+
+
+def dense_checks(a, b, m):
+    """Both certificate identities by boxed matrix products, for P the dense
+    form of m: B P^(2) = P A, and B (P * P) = 0 with column (i, j), i < j,
+    of P * P holding the products p_ki * p_kj."""
+    p, n = m.matrix(), m.n
+    star = tuple(
+        tuple(p[k][i] * p[k][j] for i in range(n) for j in range(i + 1, n))
+        for k in range(n)
+    )
+    return {
+        "BP2_eq_PA": mat_equal(mat_mul(b.rows, entrywise_square(p)), mat_mul(p, a.rows)),
+        "B_PstarP_zero": all(x.is_zero for row in mat_mul(b.rows, star) for x in row),
+    }
+
+
+class TestCertificateChecks:
+    """The entrywise checks agree with the dense matrix products, negative
+    cases included."""
+
+    FIELDS = (PrimeField(5), Q, CyclotomicField(5), CyclotomicField(15))
+
+    def cases(self, rng):
+        for field in self.FIELDS:
+            for _ in range(6):
+                a = random_looped(field, rng.randint(1, 4), rng, loops=0.5)
+                m = random_map(field, a.n, rng)
+                yield a, transport_structure(a, m), m
+
+    def test_true_certificates(self):
+        rng = random.Random(121)
+        for a, b, m in self.cases(rng):
+            checks = certificate_checks(a, b, m)
+            assert checks == dense_checks(a, b, m)
+            assert checks == {"BP2_eq_PA": True, "B_PstarP_zero": True}
+
+    def test_one_wrong_scaling(self):
+        # scaling d_i by 2 breaks column i of B P^(2) = P A, since 2^2 != 1
+        # and 2^2 != 2 in every field here
+        rng = random.Random(122)
+        for a, b, m in self.cases(rng):
+            i = rng.randrange(m.n)
+            two = m.field.scalar(2)
+            wrong = MonomialMap(m.sigma, [x * two if v == i else x for v, x in enumerate(m.d)])
+            checks = certificate_checks(a, b, wrong)
+            assert checks == dense_checks(a, b, wrong)
+            assert checks == {"BP2_eq_PA": False, "B_PstarP_zero": True}
+
+    def test_fails_only_at_a_zero_entry(self):
+        # B is the transport of A with one entry b_{sigma k sigma j} set to
+        # zero, or a zero one set nonzero: every other entry still holds
+        rng = random.Random(123)
+        seen = 0
+        for a, b, m in self.cases(rng):
+            s = m.sigma
+            for k, j in itertools.product(range(a.n), repeat=2):
+                rows = [list(row) for row in b.rows]
+                if a.rows[k][j].is_zero:
+                    rows[s[k]][s[j]] = a.field.one
+                else:
+                    rows[s[k]][s[j]] = a.field.zero
+                broken = EvolutionAlgebra(a.field, rows)
+                checks = certificate_checks(a, broken, m)
+                assert checks == dense_checks(a, broken, m)
+                assert checks == {"BP2_eq_PA": False, "B_PstarP_zero": True}
+                seen += 1
+        assert seen > 100
+
+    def test_field_mismatch(self):
+        a = complete_algebra(3)
+        b = complete_algebra(3, PrimeField(5))
+        with pytest.raises(FieldMismatchError):
+            certificate_checks(a, b, MonomialMap.identity(Q, 3))
+        with pytest.raises(FieldMismatchError):
+            certificate_checks(a, a, MonomialMap.identity(PrimeField(5), 3))
