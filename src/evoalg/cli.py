@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import random
 import sys
 import time
@@ -31,15 +30,7 @@ from .errors import (
 )
 from .families import build_family
 from .fields import Field, PrimeField, parse_field
-from .groups import (
-    Cyclic,
-    Dihedral,
-    MonomialGroup,
-    SemidirectCyclic,
-    Symmetric,
-    Trivial,
-    recognize,
-)
+from .groups import recognize
 from .solver import (
     IsoStatus,
     automorphism_group,
@@ -77,28 +68,6 @@ def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
     return EvolutionAlgebra.load(path, field)
 
 
-def _recognized_names(group: MonomialGroup) -> list[str]:
-    if not group.complete:
-        return []
-    names = []
-    order = group.order
-    targets = [Trivial(), Cyclic(order)]
-    k = 2
-    while math.factorial(k) < order:
-        k += 1
-    if math.factorial(k) == order:
-        targets.append(Symmetric(k))
-    if order % 2 == 0 and order >= 6:
-        targets.append(Dihedral(order // 2))
-    diagonal = group.diagonal_order
-    if diagonal > 1 and order % diagonal == 0 and order > diagonal:
-        targets.append(SemidirectCyclic(diagonal, order // diagonal))
-    for target in targets:
-        if recognize(group, target).matched:
-            names.append(target.name())
-    return names
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -118,7 +87,7 @@ def cmd_aut(args) -> int:
         "n": alg.n,
         "order": group.order,
         "complete": group.complete,
-        "recognized": _recognized_names(group),
+        "recognized": recognize(group),
         "generators": [g.to_json() for g in group.generators],
         "diagonal_order": diagonal_order,
         "t_A": alg.min_transversal_order,

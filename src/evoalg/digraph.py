@@ -226,7 +226,9 @@ def min_transversal_order(g: Digraph) -> int:
 
     def place(j: int, used: int, run_lcm: int):
         nonlocal best
-        if best == 1:
+        # some vertex has no loop, so no transversal is the identity and 2
+        # is the least order left to find
+        if best == 2:
             return
         if j == n:
             best = run_lcm if best is None else min(best, run_lcm)

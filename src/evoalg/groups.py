@@ -1,13 +1,12 @@
 """Monomial matrix maps e_i -> d_i e_{sigma(i)}, finite groups of them, and
-recognition against the handful of named targets this library cares about."""
+the names of the handful of groups this library recognizes."""
 
 from __future__ import annotations
 
 import functools
 import math
 from collections import Counter
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .digraph import inverse
 from .errors import (
@@ -190,8 +189,7 @@ class MonomialGroup:
     Closure hands over its Omega and keys, and a set of MonomialMaps is keyed
     by ``Closure.key`` of a fresh closure, with Omega the set of their basis
     images. MonomialMaps are built from the keys only for what is read:
-    ``generators``, the diagonal part, recognition witnesses, and
-    ``elements`` on first access.
+    ``generators`` and ``elements`` on first access.
 
     ``complete`` is False when some solve came back undecided and left a
     pattern automorphism unsettled: the set is then not claimed to be the
@@ -294,10 +292,6 @@ class MonomialGroup:
                 break
             count += 1
         return count
-
-    def diagonal_part(self) -> tuple[MonomialMap, ...]:
-        """The kernel of the map onto permutations: elements with sigma = id."""
-        return tuple(map(self._box, self._keys[: self.diagonal_order]))
 
 
 class Closure:
@@ -425,53 +419,7 @@ def close_generators(
 
 
 # ---------------------------------------------------------------------------
-# recognition against named targets
-
-
-# Targets are tuples: Cyclic(6) == Symmetric(6) and Trivial() is falsy, so
-# `recognize` tells them apart by isinstance and nothing compares, hashes or
-# truth-tests one.
-
-
-class Trivial(NamedTuple):
-    def name(self) -> str:
-        return "trivial"
-
-
-class Cyclic(NamedTuple):
-    k: int
-
-    def name(self) -> str:
-        return f"C{self.k}"
-
-
-class Symmetric(NamedTuple):
-    k: int
-
-    def name(self) -> str:
-        return f"S{self.k}"
-
-
-class Dihedral(NamedTuple):
-    k: int  # order 2k, k >= 3
-
-    def name(self) -> str:
-        return f"Dih{self.k}"
-
-
-class SemidirectCyclic(NamedTuple):
-    m: int
-    k: int  # normal C_m extended by C_k
-
-    def name(self) -> str:
-        return f"C{self.m}:C{self.k}"
-
-
-class RecognitionReport(NamedTuple):
-    target: object
-    matched: bool
-    # the default is shared by every report, so it is read-only
-    witness: Mapping = MappingProxyType({})
+# recognition by name
 
 
 def _symmetric_histogram(k: int) -> dict[int, int]:
@@ -499,15 +447,14 @@ def _symmetric_histogram(k: int) -> dict[int, int]:
     return hist
 
 
-def _normal_in(group: MonomialGroup, subgroup: Iterable[MonomialMap]) -> bool:
-    """Whether maps of the group form a normal subset. Conjugation by the
-    generators is enough: for a finite set S, g S g^-1 inside S forces
-    equality, so every word in them fixes S; and g S g^-1 = S exactly when
-    g S = S g, which needs no inverse."""
-    index, product = group._index, group._product
-    members = [tuple(map(index.__getitem__, _columns(s))) for s in subgroup]
+def _normal_in(group: MonomialGroup, keys: Sequence[tuple]) -> bool:
+    """Whether the elements with these keys form a normal subset. Conjugation
+    by the generators is enough: for a finite set S, g S g^-1 inside S
+    forces equality, so every word in them fixes S; and g S g^-1 = S exactly
+    when g S = S g, which needs no inverse."""
+    product = group._product
     return all(
-        {product(g, s) for s in members} == {product(s, g) for s in members}
+        {product(g, s) for s in keys} == {product(s, g) for s in keys}
         for g in group._generator_keys
     )
 
@@ -521,102 +468,79 @@ def _of_order(group: MonomialGroup, k: int) -> list[tuple]:
     return [p for p, o in zip(group._keys, orders) if o == k]
 
 
-def recognize(group: MonomialGroup, target) -> RecognitionReport:
-    """Decide whether the group matches a named target, with a witness.
+def _is_dihedral(group: MonomialGroup, k: int) -> bool:
+    """Whether the group of order 2k holds a rotation of order k and a flip
+    of order 2 that inverts it."""
+    identity, product = tuple(range(group.n)), group._product
+    rotations = _of_order(group, k)
+    flips = _of_order(group, 2) if rotations else []
+    for rot in rotations:
+        for flip in flips:
+            # flip*rot*flip = rot^-1 exactly when (flip*rot)^2 = 1
+            turn = product(flip, rot)
+            if product(turn, turn) == identity:
+                return True
+    return False
 
-    Cyclic and dihedral matches exhibit generators; the semidirect match
-    exhibits the normal cyclic diagonal part, a cyclic complement, and the
-    exponent of the conjugation action. Symmetric groups are matched either
-    through a faithful full image in the permutation quotient or through the
-    exact element-order histogram.
+
+def _is_cyclic_by_cyclic(group: MonomialGroup, m: int, k: int) -> bool:
+    """Whether the group of order mk with diagonal part of order m is C_m:C_k:
+    the diagonal part, its first m elements, is cyclic, and an element of
+    order k generates a complement."""
+    if m not in group.element_orders[:m]:
+        return False
+    # comp^j is diagonal exactly when sigma^j is the identity, so <comp>
+    # meets the diagonal part trivially iff sigma has order k
+    unscaled = [None] * group.n
+    return any(
+        _cycle_order(group.field, sigma_of(group._points, comp), unscaled, {}) == k
+        for comp in _of_order(group, k)
+    )
+
+
+def recognize(group: MonomialGroup) -> list[str]:
+    """The names of the group, in this order: ``trivial``; ``C|G|``; ``Sk``
+    for k! = |G|; ``Dihk`` for 2k = |G|, k >= 3; and ``Cm:Ck`` for the
+    diagonal part of order m > 1 and mk = |G|. A partial group gets none.
+
+    Symmetric groups are matched either through a faithful full image in
+    the permutation quotient or through the exact element-order histogram.
+    A trivial diagonal part (the kernel of g -> sigma) with |G| = k! on
+    k = n letters forces the image to be all of S_k. For k >= 4 no element
+    of S_k has order k! or k!/2, so neither C|G| nor Dih(|G|/2) can match,
+    no Cm:Ck applies with m = 1, and the name is read off without a single
+    element order.
 
     Facts that follow from the order are not re-checked: a rotation subgroup
     of index 2 is normal; a flip that inverts a rotation of order k >= 3
-    does not commute with it, so it lies outside the rotations; the diagonal
-    part is normal as the kernel of g -> sigma; and a trivial kernel with
-    |G| = k! on k letters forces the image to be all of S_k.
+    does not commute with it, so it lies outside the rotations; and the
+    diagonal part is normal as the kernel of g -> sigma.
     """
     if not group.complete:
-        raise UnclosedGroupError("recognition requires a closed group")
-    if group.order > RECOGNITION_CAP:
+        return []
+    order = group.order
+    if order > RECOGNITION_CAP:
         raise CapExceededError(f"recognition capped at order {RECOGNITION_CAP}")
+    k = 2
+    while math.factorial(k) < order:
+        k += 1
+    symmetric = math.factorial(k) == order
+    diagonal = group.diagonal_order
+    faithful = symmetric and k == group.n and diagonal == 1
+    if faithful and k >= 4:
+        return [f"S{k}"]
 
-    if isinstance(target, Trivial):
-        return RecognitionReport(target, group.order == 1)
-
-    if isinstance(target, Cyclic):
-        orders = group.element_orders
-        if group.order != target.k or target.k not in orders:
-            return RecognitionReport(target, False)
-        gen = group._box(group._keys[orders.index(target.k)])
-        return RecognitionReport(target, True, {"generator": gen.to_json()})
-
-    if isinstance(target, Symmetric):
-        if group.order != math.factorial(target.k):
-            return RecognitionReport(target, False)
-        if target.k == group.n and group.diagonal_order == 1:
-            return RecognitionReport(target, True, {"method": "faithful image"})
-        if Counter(group.element_orders) == _symmetric_histogram(target.k):
-            return RecognitionReport(target, True, {"method": "order histogram"})
-        return RecognitionReport(target, False)
-
-    identity, product = tuple(range(group.n)), group._product
-    if isinstance(target, Dihedral):
-        k = target.k
-        if k < 3 or group.order != 2 * k:
-            return RecognitionReport(target, False)
-        rotations = _of_order(group, k)
-        flips = _of_order(group, 2) if rotations else []
-        for rot in rotations:
-            for flip in flips:
-                # flip*rot*flip = rot^-1 exactly when (flip*rot)^2 = 1
-                turn = product(flip, rot)
-                if product(turn, turn) == identity:
-                    return RecognitionReport(
-                        target,
-                        True,
-                        {
-                            "rotation": group._box(rot).to_json(),
-                            "reflection": group._box(flip).to_json(),
-                        },
-                    )
-        return RecognitionReport(target, False)
-
-    if isinstance(target, SemidirectCyclic):
-        m, k = target.m, target.k
-        if group.order != m * k or group.diagonal_order != m:
-            return RecognitionReport(target, False)
-        # the diagonal part is the first m elements
-        gen = next(
-            (p for p, o in zip(group._keys[:m], group.element_orders) if o == m),
-            None,
-        )
-        if gen is None:
-            return RecognitionReport(target, False)
-        powers = [identity]
-        while len(powers) < m:
-            powers.append(product(powers[-1], gen))
-        for comp in _of_order(group, k):
-            # comp^j is diagonal exactly when sigma^j is the identity, so
-            # <comp> meets the diagonal part trivially iff sigma has order k
-            sigma = sigma_of(group._points, comp)
-            if _cycle_order(group.field, sigma, [None] * group.n, {}) != k:
-                continue
-            # the conjugate of gen by the complement is diagonal, so a power
-            # gen^a, and comp*gen = gen^a*comp reads off a
-            moved = product(comp, gen)
-            return RecognitionReport(
-                target,
-                True,
-                {
-                    "normal_generator": group._box(gen).to_json(),
-                    "complement_generator": group._box(comp).to_json(),
-                    "action_exponent": [product(p, comp) for p in powers].index(moved),
-                },
-            )
-        return RecognitionReport(target, False)
-
-    raise ParseError(f"unknown recognition target {target!r}")
+    names = ["trivial"] if order == 1 else []
+    orders = group.element_orders
+    if order in orders:
+        names.append(f"C{order}")
+    if symmetric and (faithful or Counter(orders) == _symmetric_histogram(k)):
+        names.append(f"S{k}")
+    if order % 2 == 0 and order >= 6 and _is_dihedral(group, order // 2):
+        names.append(f"Dih{order // 2}")
+    if 1 < diagonal < order and _is_cyclic_by_cyclic(group, diagonal, order // diagonal):
+        names.append(f"C{diagonal}:C{order // diagonal}")
+    return names
 
 
 class QuotientEmbeddingReport(NamedTuple):
@@ -640,10 +564,17 @@ class QuotientEmbeddingReport(NamedTuple):
         )
 
 
-def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbeddingReport:
+def quotient_embedding_check(
+    group: MonomialGroup, algebra, lattice
+) -> QuotientEmbeddingReport:
     """Confirm that the diagonal maps form the kernel of the permutation
     quotient, that they are normal, and that the quotient lands inside the
     pattern automorphisms of the algebra.
+
+    ``lattice`` is the algebra's ``diagonal_subgroup``, D solved in exponent
+    space. The kernel is compared with it on keys: a map of D whose basis
+    image is missing from Omega gets a key holding None, which no element
+    has.
 
     Each image sigma is tested directly: it is a pattern automorphism when
     relabelling the pattern by sigma gives the pattern back. Closure is
@@ -652,14 +583,10 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
     that holds the identity and is mapped into itself by each of those
     permutations contains that subgroup; |image| * |generators| products.
     """
-    # imported here: solver imports this module, so a module-level import
-    # would close the groups <-> solver cycle
-    from .solver import diagonal_subgroup
-
     if not group.complete:
         raise UnclosedGroupError("quotient check requires a closed group")
-    kernel = set(group.diagonal_part())
-    lattice = diagonal_subgroup(algebra)
+    kernel = group._keys[: group.diagonal_order]
+    diagonal = {tuple(map(group._index.get, _columns(m))) for m in lattice.maps()}
     image = {sigma_of(group._points, key) for key in group._keys}
     pattern = algebra.digraph
     gens = [sigma_of(group._points, key) for key in group._generator_keys]
@@ -669,7 +596,7 @@ def quotient_embedding_check(group: MonomialGroup, algebra) -> QuotientEmbedding
     return QuotientEmbeddingReport(
         kernel_order=len(kernel),
         diagonal_order=lattice.order,
-        kernel_equals_diagonal=kernel == set(lattice.maps()),
+        kernel_equals_diagonal=set(kernel) == diagonal,
         kernel_normal=_normal_in(group, kernel),
         image_order=len(image),
         image_in_graph_automorphisms=all(

@@ -36,7 +36,6 @@ from .fields import PrimeField, Scalar
 from .groups import CLOSURE_CAP, Closure, MonomialGroup, MonomialMap, compose, sigma_of
 from .snf import CongruenceSolution, solve_homogeneous_mod
 
-MATERIALIZE_CAP = 10**6
 ORACLE_PRIME_CAP = 13
 ORACLE_DIMENSION_CAP = 4
 
@@ -210,7 +209,7 @@ class DiagonalLattice(NamedTuple):
         return self.exponents.order
 
     def maps(self) -> tuple[MonomialMap, ...]:
-        if self.order > MATERIALIZE_CAP:
+        if self.order > CLOSURE_CAP:
             raise CapExceededError(
                 f"diagonal subgroup of order {self.order} exceeds the cap"
             )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from evoalg import digraph
 from evoalg.digraph import (
     Digraph,
     cycles,
@@ -220,6 +221,21 @@ class TestMinTransversalOrder:
     def test_no_transversal(self):
         with pytest.raises(SingularMatrixError):
             min_transversal_order(Digraph.from_bool_rows([[1, 1], [0, 0]]))
+
+    def test_stops_at_order_two(self, monkeypatch):
+        # K10 has no loop, so a fixed-point-free involution is the best there
+        # is; the search ends at the first one it meets
+        calls = 0
+        hall_fails = digraph._hall_fails
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return hall_fails(*args)
+
+        monkeypatch.setattr(digraph, "_hall_fails", counted)
+        assert min_transversal_order(complete(10)) == 2
+        assert calls <= 10
 
     def test_brute_force_oracle(self):
         rng = random.Random(23)

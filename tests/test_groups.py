@@ -1,4 +1,3 @@
-import contextlib
 import math
 import random
 from collections import Counter
@@ -9,23 +8,19 @@ import pytest
 from evoalg import groups, solver
 from evoalg.algebra import EvolutionAlgebra, mat_equal, mat_mul
 from evoalg.digraph import cycles
-from evoalg.errors import CapExceededError, ParseError, UnclosedGroupError
+from evoalg.errors import CapExceededError, UnclosedGroupError
 from evoalg.families import complete_graph_algebra, cycle_algebra
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
 from evoalg.groups import (
-    Cyclic,
-    Dihedral,
     MonomialGroup,
     MonomialMap,
-    SemidirectCyclic,
-    Symmetric,
-    Trivial,
     _normal_in,
     close_generators,
     compose,
+    quotient_embedding_check,
     recognize,
 )
-from evoalg.solver import automorphism_group
+from evoalg.solver import automorphism_group, diagonal_subgroup
 
 Q = RationalField()
 Z3 = CyclotomicField(3)
@@ -260,7 +255,7 @@ class TestClosure:
         monkeypatch.setattr(groups, "compose", counted_compose)
         monkeypatch.setattr(groups, "_apply", counted_apply)
         grp = automorphism_group(cycle_algebra(n, PrimeField(1021)))
-        assert grp.order == 2040 and len(grp.diagonal_part()) == 255
+        assert grp.order == 2040 and grp.diagonal_order == 255
         assert len(grp._points) == 2040
         assert all(len(key) == n for key in grp._keys)
         assert looked_up <= 4 * (len(grp.generators) + 2) * n * grp.order
@@ -387,21 +382,16 @@ class TestRecognition:
         return close_generators([swap, MonomialMap.diagonal((z, z * z))])
 
     def test_trivial(self):
-        assert recognize(close_generators([], field=Q, n=1), Trivial()).matched
+        assert recognize(close_generators([], field=Q, n=1)) == ["trivial", "C1"]
 
     def test_cyclic_prime_order(self):
         z = Z3.zeta
         grp = close_generators([MonomialMap.diagonal((z, z * z))])
-        report = recognize(grp, Cyclic(3))
-        assert report.matched and "generator" in report.witness
+        assert recognize(grp) == ["C3"]
 
     def test_symmetric_via_histogram(self):
         # order 6 on two indices: the faithful-image path cannot apply
-        grp = self.s3_over_zeta3()
-        assert recognize(grp, Symmetric(3)).matched
-        assert recognize(grp, Dihedral(3)).matched
-        rep = recognize(grp, SemidirectCyclic(3, 2))
-        assert rep.matched and rep.witness["action_exponent"] == 2
+        assert recognize(self.s3_over_zeta3()) == ["S3", "Dih3", "C3:C2"]
 
     def test_element_orders_are_computed_once(self, monkeypatch):
         rng = random.Random(19)
@@ -411,11 +401,6 @@ class TestRecognition:
             close_generators([random_monomial(PrimeField(7), 3, rng) for _ in range(2)]),
         ):
             assert grp.element_orders == tuple(g.order() for g in grp.elements)
-        # the cyclic witness is the first element of full order
-        c6 = close_generators([MonomialMap.diagonal((-Z3.zeta, Z3.one, Z3.one))])
-        first = next(g for g in c6.elements if g.order() == 6)
-        assert c6.elements[-1] != first
-        assert recognize(c6, Cyclic(6)).witness == {"generator": first.to_json()}
 
         grp = self.s3_over_zeta3()
         calls = 0
@@ -427,15 +412,23 @@ class TestRecognition:
             return order(group, key)
 
         monkeypatch.setattr(MonomialGroup, "_order", counted)
-        for target in (Cyclic(6), Symmetric(3), Dihedral(3), SemidirectCyclic(3, 2)):
-            recognize(grp, target)
+        recognize(grp)
+        recognize(grp)
         assert calls == grp.order
 
     def test_absent_order_rejects_without_a_scan(self, monkeypatch):
-        # S4 has no element of order 24 or 12, so neither C24 nor Dih12 needs
+        # C2^3 has no element of order 8 or 4, so neither C8 nor Dih4 needs
         # a single product once the orders are known
-        k4 = automorphism_group(complete_graph_algebra(4, Q))
-        assert 24 not in k4.element_orders and 12 not in k4.element_orders
+        one, minus = Q.one, -Q.one
+        grp = close_generators(
+            [
+                MonomialMap.diagonal((minus, one, one)),
+                MonomialMap.diagonal((one, minus, one)),
+                MonomialMap.diagonal((one, one, minus)),
+            ]
+        )
+        assert grp.order == grp.diagonal_order == 8
+        assert set(grp.element_orders) == {1, 2}
 
         def refuse(*_):
             raise AssertionError("an element was examined")
@@ -448,58 +441,50 @@ class TestRecognition:
             monkeypatch.setattr(MonomialMap, name, refuse)
         for name in ("_product", "_box", "_order"):
             monkeypatch.setattr(MonomialGroup, name, refuse)
-        monkeypatch.setattr(k4, "_keys", Unscanned(k4._keys))
-        assert not recognize(k4, Cyclic(24)).matched
-        assert not recognize(k4, Dihedral(12)).matched
+        monkeypatch.setattr(grp, "_keys", Unscanned(grp._keys))
+        assert recognize(grp) == []
 
-    def test_golden_matches_and_witnesses(self):
-        # S3 over Q(zeta_3) acts on two indices, so Symmetric needs the
-        # histogram; K4's S4 is a faithful image with trivial diagonal part
-        grp = self.s3_over_zeta3()
-        rot = {"sigma": [1, 2], "d": ["-1 - z", "z"]}
-        flip = {"sigma": [2, 1], "d": ["-1 - z", "z"]}
-        assert recognize(grp, Symmetric(3)).witness == {"method": "order histogram"}
-        assert recognize(grp, Dihedral(3)).witness == {
-            "rotation": rot, "reflection": flip
-        }
-        assert recognize(grp, SemidirectCyclic(3, 2)).witness == {
-            "normal_generator": rot,
-            "complement_generator": flip,
-            "action_exponent": 2,
-        }
+    def test_faithful_symmetric_reads_no_order(self, monkeypatch):
+        # K5's group has trivial diagonal part and order 5! on five indices,
+        # and S5 has no element of order 120 or 60
+        k5 = automorphism_group(complete_graph_algebra(5, Q))
+
+        def refuse(*_):
+            raise AssertionError("an element order was computed")
+
+        monkeypatch.setattr(MonomialGroup, "_order", refuse)
+        assert recognize(k5) == ["S5"]
+
+    def test_golden_names(self):
+        z = Z3.zeta
+        # K4's S4 is a faithful image with trivial diagonal part
         k4 = automorphism_group(complete_graph_algebra(4, Q))
-        assert recognize(k4, Symmetric(4)).witness == {"method": "faithful image"}
-        assert not recognize(k4, Dihedral(12)).matched
-        assert not recognize(k4, Symmetric(3)).matched
         # C6 on three indices has order 3! but a nontrivial diagonal part,
         # and its element of order 2 commutes with those of order 3
-        c6 = close_generators([MonomialMap.diagonal((-Z3.zeta, Z3.one, Z3.one))])
-        assert recognize(c6, Cyclic(6)).matched
-        assert not recognize(c6, Symmetric(3)).matched
-        assert not recognize(c6, Dihedral(3)).matched
+        c6 = close_generators([MonomialMap.diagonal((-z, Z3.one, Z3.one))])
         # C4 from (swap, (1, -1)): its square -1 is diagonal, and the only
         # element of order 2, so no complement C2 exists
         c4 = close_generators([MonomialMap((1, 0), (Q.one, -Q.one))])
-        assert recognize(c4, Cyclic(4)).matched
-        assert not recognize(c4, SemidirectCyclic(2, 2)).matched
-
-    def test_unmatched_witnesses_are_not_shared(self):
-        grp = self.s3_over_zeta3()
-        one = recognize(grp, Cyclic(6))
-        other = recognize(grp, Symmetric(4))
-        assert not one.matched and not other.matched
-        with contextlib.suppress(TypeError):  # a read-only witness refuses
-            one.witness["generator"] = "x"
-        assert other.witness == {}
+        partial = MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2)], complete=False)
+        table = [
+            (close_generators([], field=Q, n=1), ["trivial", "C1"]),
+            (close_generators([MonomialMap.diagonal((z, z * z))]), ["C3"]),
+            (self.s3_over_zeta3(), ["S3", "Dih3", "C3:C2"]),
+            (k4, ["S4"]),
+            (c6, ["C6"]),
+            (c4, ["C4"]),
+            (partial, []),
+        ]
+        for grp, names in table:
+            assert recognize(grp) == names
 
     def test_cyclic_6_rejected_for_s3(self):
-        assert not recognize(self.s3_over_zeta3(), Cyclic(6)).matched
+        assert "C6" not in recognize(self.s3_over_zeta3())
 
     def test_unclosed_rejected(self):
         grp = MonomialGroup(Q, 2, [MonomialMap.identity(Q, 2)], complete=False)
         assert grp.generators == ()
-        with pytest.raises(UnclosedGroupError):
-            recognize(grp, Trivial())
+        assert recognize(grp) == []
 
     def test_non_normal_subgroup_rejected(self):
         def perm(*cycle):
@@ -510,23 +495,33 @@ class TestRecognition:
 
         grp = close_generators([perm(0, 1), perm(0, 1, 2)])
         assert grp.order == 6
+
+        def keys(*maps):
+            return [grp._keys[grp.elements.index(m)] for m in maps]
+
         ident = MonomialMap.identity(Q, 3)
         # each {id, swap} is normalized by its own swap, a possible generator
         for swap in (perm(0, 1), perm(0, 2), perm(1, 2)):
-            assert not _normal_in(grp, {ident, swap})
-        assert _normal_in(grp, {ident, perm(0, 1, 2), perm(0, 2, 1)})
+            assert not _normal_in(grp, keys(ident, swap))
+        assert _normal_in(grp, keys(ident, perm(0, 1, 2), perm(0, 2, 1)))
 
-    def test_unknown_target(self):
-        with pytest.raises(ParseError):
-            recognize(close_generators([], field=Q, n=1), "S3")
+    def test_quotient_check_rejects_a_kernel_off_the_diagonal(self):
+        # K2 over Q(zeta_3) has |D| = 3, whose maps diag(z, z^2) and
+        # diag(z^2, z) leave the trivial group's Omega
+        alg = complete_graph_algebra(2, Z3)
+        report = quotient_embedding_check(
+            close_generators([], field=Z3, n=2), alg, diagonal_subgroup(alg)
+        )
+        assert report.diagonal_order == 3 and report.kernel_order == 1
+        assert not report.kernel_equals_diagonal and not report.ok
 
 
 class TestProfile:
     def test_histogram_sums_to_order(self):
         grp = TestRecognition().s3_over_zeta3()
         assert sum(Counter(grp.element_orders).values()) == grp.order == 6
-        assert len(grp.diagonal_part()) == 3
-        assert grp.order // len(grp.diagonal_part()) == 2
+        assert grp.diagonal_order == 3
+        assert grp.order // grp.diagonal_order == 2
 
     def test_orders_over_a_large_prime_build_no_table(self):
         # N = 999982 is within the kth_roots table limit, yet K3's six
@@ -535,7 +530,7 @@ class TestProfile:
         grp = automorphism_group(complete_graph_algebra(3, field))
         assert grp.complete and grp.order == 6
         assert sorted(grp.element_orders) == [1, 2, 2, 2, 3, 3]
-        assert recognize(grp, Symmetric(3)).matched
+        assert "S3" in recognize(grp)
         g = field.unity_group().generator
         assert field.scalar(-1).multiplicative_order() == 2
         assert (g**2).multiplicative_order() == 999982 // 2
