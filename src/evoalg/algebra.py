@@ -20,8 +20,9 @@ from .groups import MonomialMap
 Matrix = tuple[tuple[Scalar, ...], ...]
 
 
-def determinant(rows: Matrix) -> Scalar:
-    """Exact determinant by fraction-free Bareiss elimination.
+def determinant(rows, field: Optional[Field] = None) -> Scalar:
+    """Exact determinant by fraction-free Bareiss elimination. ``rows`` holds
+    Scalars, or raw values of ``field`` when it is given.
 
     The elimination runs on raw field values and boxes only the result. Each
     step divides by the previous pivot, so that pivot is inverted once and
@@ -29,11 +30,14 @@ def determinant(rows: Matrix) -> Scalar:
     most n - 2 field inversions.
     """
     n = len(rows)
-    field = rows[0][0].field
     if any(len(row) != n for row in rows):
         raise ParseError("determinant needs a square matrix")
+    if field is None:
+        field = rows[0][0].field
+        work = [[x.value for x in row] for row in rows]
+    else:
+        work = [list(row) for row in rows]
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
-    work = [[x.value for x in row] for row in rows]
     negate = False
     prev_inv = None  # the first step divides by one
     for c in range(n - 1):
@@ -102,7 +106,8 @@ def entrywise_square(a: Matrix) -> Matrix:
 
 class SolvePlan(NamedTuple):
     """The part of solving d_k * a_kj = d_j^2 * b_{sigma k sigma j} that does
-    not depend on sigma or on the target B, as raw field values.
+    not depend on sigma or on the target B, as raw field values: A's
+    inverses, one transversal and the constraint components.
 
     An edge (j, k) stands for a nonzero entry a_kj. `components` lists the
     weakly connected components of the edges, each with its transversal
@@ -111,7 +116,6 @@ class SolvePlan(NamedTuple):
     by construction.
     """
 
-    support: tuple[tuple[int, ...], ...]  # per row k, the columns j with a_kj != 0
     inverses: tuple[tuple, ...]  # raw a_kj^-1, None where a_kj = 0
     components: tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]
 
@@ -129,23 +133,27 @@ class LoopInvariants(NamedTuple):
 
 
 class EvolutionAlgebra:
-    """An evolution algebra with its structure matrix, cached determinant,
-    and cached zero-pattern digraph. Immutable."""
+    """An evolution algebra with its structure matrix, determinant and
+    zero-pattern digraph. Immutable.
+
+    The entries are held as raw field values, which are canonical, so
+    equality and hashing read them; the boxed ``rows`` are built on first
+    read."""
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
-        rows = []
+        raw = []
         n = len(entries)
         for row in entries:
             if len(row) != n:
                 raise ParseError("structure matrix must be square")
-            rows.append(tuple(field.scalar(x) for x in row))
+            raw.append(tuple(map(field.raw, row)))
         if n == 0:
             raise ParseError("structure matrix must have dimension >= 1")
         self.field = field
         self.n = n
-        self.rows: Matrix = tuple(rows)
-        self.det = determinant(self.rows)
-        self.digraph = Digraph.from_scalar_rows(self.rows)
+        self.raw_rows: tuple[tuple, ...] = tuple(raw)
+        self.det = determinant(self.raw_rows, field)
+        self.digraph = Digraph.from_raw_rows(self.raw_rows, field._is_zero)
 
     @property
     def is_idempotent(self) -> bool:
@@ -159,18 +167,25 @@ class EvolutionAlgebra:
         return self
 
     @cached_property
-    def raw_rows(self) -> tuple[tuple, ...]:
-        """The structure matrix as raw field values."""
-        return tuple(tuple(x.value for x in row) for row in self.rows)
+    def rows(self) -> Matrix:
+        """The structure matrix as Scalars."""
+        field = self.field
+        return tuple(tuple(Scalar(field, x) for x in row) for row in self.raw_rows)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """Per row k, the columns j with a_kj != 0, read off the digraph."""
+        return tuple(
+            tuple(j for j in range(self.n) if row >> j & 1) for row in self.digraph.rows
+        )
 
     @cached_property
     def solve_plan(self) -> SolvePlan:
-        """Built on first use, once per algebra; needs a nonsingular matrix,
-        which always has a transversal."""
-        n, field = self.n, self.field
-        support = tuple(
-            tuple(j for j in range(n) if self.digraph.edge(k, j)) for k in range(n)
-        )
+        """Built on first use, at most once per algebra: `solve_monomial`
+        asks for it only for a sigma that passes its zero-pattern and
+        loop-invariant screens. Needs a nonsingular matrix, which always has
+        a transversal."""
+        n, field, support = self.n, self.field, self.support
         inverses = tuple(
             tuple(None if field._is_zero(x) else field._inv(x) for x in row)
             for row in self.raw_rows
@@ -197,7 +212,6 @@ class EvolutionAlgebra:
                 if tau[j] != k:
                     parts[find(j)][1].append((j, k))
         return SolvePlan(
-            support,
             inverses,
             tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values()),
         )
@@ -266,7 +280,7 @@ class EvolutionAlgebra:
         return {
             "field": self.field.descriptor(),
             "n": self.n,
-            "entries": [[str(x) for x in row] for row in self.rows],
+            "entries": [[self.field.format(x) for x in row] for row in self.raw_rows],
         }
 
     @classmethod
@@ -311,11 +325,11 @@ class EvolutionAlgebra:
         return (
             isinstance(other, EvolutionAlgebra)
             and self.field == other.field
-            and self.rows == other.rows
+            and self.raw_rows == other.raw_rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.raw_rows))
 
     def __repr__(self):
         return f"EvolutionAlgebra({self.field.descriptor()}, n={self.n})"

@@ -33,9 +33,11 @@ from .fields import Field, PrimeField, parse_field
 from .groups import recognize
 from .solver import (
     IsoStatus,
+    PatternSolve,
     automorphism_group,
     diagonal_subgroup,
     isomorphism,
+    pattern_solve,
 )
 from .suites import SUITES, random_idempotent, run_suite
 
@@ -75,11 +77,11 @@ def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
 def cmd_aut(args) -> int:
     alg = _load_algebra(args.infile, args.field).require_idempotent()
     t0 = time.monotonic()
-    sigmas = graph_automorphisms(alg.digraph)
-    group = automorphism_group(alg, sigmas)
+    pattern = pattern_solve(alg)
+    group = automorphism_group(alg, pattern)
     # the diagonal part of every group, partial ones included, is D
     diagonal_order = group.diagonal_order
-    graph_count = len(sigmas)
+    graph_count = len(pattern.sigmas)
     report = {
         "command": "aut",
         "status": "ok" if group.complete else "indeterminate",
@@ -216,16 +218,51 @@ def _census_algebra(field: Field, n: int, flat) -> EvolutionAlgebra:
     return EvolutionAlgebra(field, [flat[i * n : (i + 1) * n] for i in range(n)])
 
 
-def _census_entry(alg: EvolutionAlgebra):
+class _PatternMemo:
+    """One census run's ``pattern_solve`` results, keyed by zero pattern:
+    the digraph's row bitmasks, packed into one int, since a run fixes the
+    field and n.
+
+    Equal sigma tuples, sigma lists, kernel solves and records are stored
+    once, so the memo costs little beyond its keys. It lives as long as the
+    run that made it; nothing outlives the run.
+    """
+
+    def __init__(self):
+        self._by_pattern: dict[int, PatternSolve] = {}
+        self._shared: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._by_pattern)
+
+    def __call__(self, alg: EvolutionAlgebra) -> PatternSolve:
+        key = 0
+        for row in alg.digraph.rows:
+            key = key << alg.n | row
+        pattern = self._by_pattern.get(key)
+        if pattern is None:
+            share = self._shared.setdefault
+            fresh = pattern_solve(alg)
+            sigmas = tuple(share(s, s) for s in fresh.sigmas)
+            pattern = PatternSolve(share(sigmas, sigmas), share(fresh.kernel, fresh.kernel))
+            pattern = self._by_pattern[key] = share(pattern, pattern)
+        return pattern
+
+
+def _census_entry(alg: EvolutionAlgebra, patterns: _PatternMemo | None = None):
     """(|Aut|, |D|, whether Aut is complete) for a nonsingular algebra, or
     None for a singular one.
 
-    |D| is read off the group: a complete group's diagonal part is D, and
-    the census tallies complete groups only.
+    ``patterns`` is the run's memo: the pattern automorphisms and the
+    sigma = id solve depend only on the zero pattern and the field, so the
+    algebras of a run that share a pattern compute them once. Without it
+    they are computed for this algebra alone. |D| is read off the group: a
+    complete group's diagonal part is D, and the census tallies complete
+    groups only.
     """
     if not alg.is_idempotent:
         return None
-    group = automorphism_group(alg)
+    group = automorphism_group(alg, None if patterns is None else patterns(alg))
     return group.order, group.diagonal_order, group.complete
 
 
@@ -239,7 +276,7 @@ def _unit_vectors(p: int, n: int):
     return ((u,) for u in units) if n == 1 else itertools.product(units, repeat=n)
 
 
-def _orbit_census(field: PrimeField, n: int, tally) -> int:
+def _orbit_census(field: PrimeField, n: int, tally, patterns: _PatternMemo) -> int:
     """Exhaustive census of the n x n matrices over GF(p), one solve per
     orbit of the monomial group M; returns the number of nonsingular orbits,
     that is, of isomorphism classes of idempotent algebras.
@@ -249,7 +286,7 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
     (sigma, d) carries A to B[sigma k][sigma j] = d_k a_kj d_j^-2. Codes are
     base-p numbers in itertools.product order, and a bitmap marks those seen.
     `tally(entry, weight)` receives each class entry weighted by its orbit
-    size.
+    size. `patterns` is the run's memo for `_census_entry`.
 
     Self-checks, exact: every nonsingular class has a complete group (kth_roots
     decides every equation the cap admits: x^1 = c at n = 1, p <= 100 above),
@@ -275,7 +312,7 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
             continue
         seen[code >> 3] |= 1 << (code & 7)
         flat = decode(code)
-        entry = _census_entry(_census_algebra(field, n, flat))
+        entry = _census_entry(_census_algebra(field, n, flat), patterns)
         classes += entry is not None
         if entry is not None and not entry[2]:
             raise RuntimeError(
@@ -327,6 +364,7 @@ def cmd_census(args) -> int:
     aut_hist: dict[int, int] = {}
     diag_hist: dict[int, int] = {}
     nonsingular = incomplete = 0
+    patterns = _PatternMemo()
 
     def tally(entry, weight):
         nonlocal nonsingular
@@ -344,7 +382,7 @@ def cmd_census(args) -> int:
                 f"exhaustive census of {scanned} matrices exceeds the cap"
             )
         samples = None
-        classes = _orbit_census(field, n, tally)
+        classes = _orbit_census(field, n, tally, patterns)
     else:
         if not mode.startswith("random:"):
             raise ParseError("census --mode must be exhaustive or random:<k>")
@@ -357,7 +395,7 @@ def cmd_census(args) -> int:
         rng = random.Random(args.seed)
         scanned = samples
         for _ in range(samples):
-            entry = _census_entry(random_idempotent(field, n, rng))
+            entry = _census_entry(random_idempotent(field, n, rng), patterns)
             if entry is not None and not entry[2]:
                 # a partial group's order is not |Aut|: count, never tally
                 incomplete += 1
@@ -386,7 +424,7 @@ def cmd_census(args) -> int:
     left_out = f", {incomplete} undecided left out" if incomplete else ""
     _say(
         f"census: {nonsingular} algebras{in_classes}{left_out} over "
-        f"{field.descriptor()}, n = {n} "
+        f"{field.descriptor()}, n = {n}, {len(patterns)} patterns "
         f"[{time.monotonic() - t0:.2f}s, {args.threads} threads]"
     )
     return EXIT_INDETERMINATE if incomplete else EXIT_OK

@@ -57,17 +57,13 @@ class Digraph:
             raise ParseError("adjacency rows do not match vertex count")
 
     @classmethod
-    def from_scalar_rows(cls, rows) -> "Digraph":
-        """Zero-pattern of a square matrix of scalars."""
-        n = len(rows)
-        bits = []
-        for row in rows:
-            mask = 0
-            for j, entry in enumerate(row):
-                if not entry.is_zero:
-                    mask |= 1 << j
-            bits.append(mask)
-        return cls(n, bits)
+    def from_raw_rows(cls, rows, is_zero) -> "Digraph":
+        """Zero-pattern of a square matrix of raw field values, ``is_zero``
+        the field's raw zero test."""
+        return cls(
+            len(rows),
+            (sum(1 << j for j, x in enumerate(row) if not is_zero(x)) for row in rows),
+        )
 
     @classmethod
     def from_bool_rows(cls, rows) -> "Digraph":

@@ -307,13 +307,19 @@ class Field(metaclass=_Interned):
 
     def scalar(self, value) -> Scalar:
         """Coerce an int, Fraction, string, or same-field Scalar."""
+        if isinstance(value, Scalar) and value.field is self:
+            return value
+        return Scalar(self, self.raw(value))
+
+    def raw(self, value):
+        """The raw value of what ``scalar`` accepts, without boxing it."""
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise FieldMismatchError(
                     f"scalar from {value.field.descriptor()} used in {self.descriptor()}"
                 )
-            return value
-        return Scalar(self, self._convert(value))
+            return value.value
+        return self._convert(value)
 
     def unity_group(self) -> UnityGroup:
         return UnityGroup(self._unity_order(), Scalar(self, self._unity_generator()))

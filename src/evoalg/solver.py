@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
 from .digraph import (
@@ -82,11 +82,13 @@ def solve_monomial(
     component settles it. An unsatisfiable cycle, or a decided component
     with no solution, settles it as COMPLETE with no maps.
 
-    What does not depend on sigma (the transversal, the components, the
-    inverses of A's entries) is A's `solve_plan`, built once per algebra.
-    Each call works on raw field values, computes a ratio r_kj only when a
-    cycle or a check reaches it, and boxes only the kth_roots arguments and
-    the scaling vectors it returns.
+    The screens read A's support off its digraph. What does not depend on
+    sigma (the transversal, the components, the inverses of A's entries) is
+    A's `solve_plan`, built on the first sigma that passes both screens, so
+    an algebra whose every sigma is screened out never builds it. Each call
+    works on raw field values, computes a ratio r_kj only when a cycle or a
+    check reaches it, and boxes only the kth_roots arguments and the scaling
+    vectors it returns.
     """
     _check_pair(a, b)
     n = a.n
@@ -94,9 +96,8 @@ def solve_monomial(
     if len(sigma) != n:
         raise ParseError("permutation size mismatch")
 
-    plan = a.solve_plan
     b_pattern = b.digraph.rows
-    for k, cols in enumerate(plan.support):
+    for k, cols in enumerate(a.support):
         image = 0
         for j in cols:
             image |= 1 << sigma[j]
@@ -111,6 +112,7 @@ def solve_monomial(
                 if target[sigma[k]][sigma[j]] != value:
                     return SolveOutcome(SolveStatus.COMPLETE)
 
+    plan = a.solve_plan
     mul = field._mul
     b_raw = b.raw_rows
     inverses = plan.inverses
@@ -248,13 +250,35 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 # full automorphism group
 
 
+class PatternSolve(NamedTuple):
+    """What the automorphism search of E(A) reads that depends only on A's
+    zero pattern and the field, so every algebra with that pattern can share
+    it.
+
+    ``kernel`` is the sigma = id solve, whose maps are D: with b = a and
+    sigma = id every ratio b_kj * a_kj^-1 is one, so the cycle equations
+    read x^k = 1 and the edge checks d_k = d_j^2 involve no entry of A.
+    """
+
+    sigmas: Sequence[tuple[int, ...]]  # graph_automorphisms(a.digraph)
+    kernel: SolveOutcome
+
+
+def pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
+    """The pattern automorphisms of A and its sigma = id solve."""
+    return PatternSolve(
+        graph_automorphisms(a.digraph), solve_monomial(a, a, tuple(range(a.n)))
+    )
+
+
 def automorphism_group(
-    a: EvolutionAlgebra, sigmas: Optional[list[tuple[int, ...]]] = None
+    a: EvolutionAlgebra, pattern: Optional[PatternSolve] = None
 ) -> MonomialGroup:
     """The group of all monomial self-maps of E(A); every automorphism is one.
 
-    ``sigmas`` is ``graph_automorphisms(a.digraph)`` when the caller has
-    listed it already; otherwise it is listed here.
+    ``pattern`` is ``pattern_solve(a)``, or that of any algebra over the same
+    field with A's zero pattern, when the caller has it already; otherwise it
+    is computed here.
 
     Aut(E) is an extension of the diagonal group D, the lifts of the
     identity, by the subgroup L of pattern automorphisms that lift, and the
@@ -282,9 +306,9 @@ def automorphism_group(
         raise DimensionCapError(
             f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}"
         )
-    if sigmas is None:
-        sigmas = graph_automorphisms(a.digraph)
-    kernel = solve_monomial(a, a, tuple(range(a.n)))
+    if pattern is None:
+        pattern = pattern_solve(a)
+    kernel = pattern.kernel
     if kernel.status is SolveStatus.INDETERMINATE:
         raise RuntimeError(f"the diagonal group was left open: {kernel.unsolved}")
     closure = Closure(a.field, a.n)
@@ -294,7 +318,7 @@ def automorphism_group(
     barren: list[tuple[int, ...]] = []
     dead: set[tuple[int, ...]] = set()
     unsettled: list[tuple[int, ...]] = []
-    for s in sigmas:
+    for s in pattern.sigmas:
         if s in image or s in dead:
             continue
         outcome = solve_monomial(a, a, s)

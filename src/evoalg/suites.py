@@ -37,6 +37,7 @@ from .solver import (
     brute_force_automorphisms,
     diagonal_subgroup,
     isomorphism,
+    pattern_solve,
     verify_map,
 )
 
@@ -269,11 +270,12 @@ def suite_thm23() -> SuiteResult:
     for i in range(30):
         n = rng.randint(2, 5)
         alg = random_01_nonsingular(n, rng)
-        sigmas = graph_automorphisms(alg.digraph)
-        grp = automorphism_group(alg, sigmas)
+        pattern = pattern_solve(alg)
+        grp = automorphism_group(alg, pattern)
         lattice = diagonal_subgroup(alg)
-        if grp.order != lattice.order * len(sigmas):
-            bad.append((i, grp.order, lattice.order, len(sigmas)))
+        count = len(pattern.sigmas)
+        if grp.order != lattice.order * count:
+            bad.append((i, grp.order, lattice.order, count))
     res.check(
         "30 random nonsingular 0/1 matrices over Q: |Aut(E)| = |D| * |Aut(pattern)|",
         not bad,
@@ -306,13 +308,13 @@ def suite_thm31() -> SuiteResult:
         )
         alg, shift = frucht_lift(rows, Q)
         res.check(f"{label}: lifted algebra is idempotent", alg.is_idempotent)
-        sigmas = graph_automorphisms(alg.digraph)
+        pattern = pattern_solve(alg)
         res.check(
             f"{label}: lift keeps the pattern automorphisms",
-            len(sigmas) == expected,
-            f"shift m={shift}, got {len(sigmas)}",
+            len(pattern.sigmas) == expected,
+            f"shift m={shift}, got {len(pattern.sigmas)}",
         )
-        order = automorphism_group(alg, sigmas).order
+        order = automorphism_group(alg, pattern).order
         res.check(
             f"{label}: algebra automorphism count equals {expected}",
             order == expected,

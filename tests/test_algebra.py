@@ -12,7 +12,7 @@ from evoalg.algebra import (
     rank,
     transport_structure,
 )
-from evoalg.errors import ParseError, SingularMatrixError
+from evoalg.errors import FieldMismatchError, ParseError, SingularMatrixError
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
 from evoalg.groups import MonomialMap
 
@@ -74,6 +74,55 @@ class TestConstruction:
     def test_non_square_rejected(self):
         with pytest.raises(ParseError):
             EvolutionAlgebra(Q, [[1, 2]])
+
+    @pytest.mark.parametrize(
+        "field", [PrimeField(7), Q, CyclotomicField(3)], ids=lambda f: f.descriptor()
+    )
+    def test_entry_forms_give_one_algebra(self, field):
+        # the constructor converts every entry to its raw value once; ints,
+        # strings, Fractions and Scalars of one value must agree everywhere
+        values = [
+            [2, 0, Fraction(1, 2)],
+            [0, -1, 3],
+            [Fraction(-3, 4), 1, 0],
+        ]
+        forms = {
+            "native": lambda x: x,
+            "str": str,
+            "Fraction": Fraction,
+            "Scalar": field.scalar,
+        }
+        built = [
+            EvolutionAlgebra(field, [[form(x) for x in row] for row in values])
+            for form in forms.values()
+        ]
+        mixed = [[list(forms.values())[(i + j) % 4](x) for j, x in enumerate(row)]
+                 for i, row in enumerate(values)]
+        built.append(EvolutionAlgebra(field, mixed))
+        boxed = tuple(tuple(field.scalar(x) for x in row) for row in values)
+        first = built[0]
+        assert first.rows == boxed
+        assert first.det == determinant(boxed) == cofactor_det(boxed)
+        for alg in built:
+            assert alg.raw_rows == first.raw_rows
+            assert alg.rows == first.rows
+            assert alg.det == first.det
+            assert alg.digraph == first.digraph
+            assert alg == first and hash(alg) == hash(first)
+        assert first.raw_rows == tuple(tuple(x.value for x in row) for row in boxed)
+        assert first != EvolutionAlgebra(field, [[3, 0, 0], [0, -1, 3], [1, 1, 0]])
+
+    def test_scalar_from_another_field_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            EvolutionAlgebra(PrimeField(5), [[1, 0], [0, PrimeField(7).scalar(1)]])
+        with pytest.raises(FieldMismatchError):
+            EvolutionAlgebra(Q, [[CyclotomicField(3).scalar(2)]])
+
+    def test_non_square_rejected_over_every_field_kind(self):
+        with pytest.raises(ParseError, match="square"):
+            EvolutionAlgebra(PrimeField(5), [[1, 0], [0, 1, 2]])
+        with pytest.raises(ParseError, match="square"):
+            EvolutionAlgebra(CyclotomicField(3), [["z", 0, 1], [0, 1, 0]])
 
     def test_digraph_pattern(self):
         alg = EvolutionAlgebra(Q, two_param_matrix(3, 1, 2))

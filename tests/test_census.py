@@ -1,13 +1,19 @@
 """The exhaustive census solves one algebra per monomial orbit; these tests
 hold it to a per-matrix scan and to its orbit-stabilizer self-check."""
 
+import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
 
+import evoalg
 from evoalg import cli, snf, solver, suites
+from evoalg.algebra import EvolutionAlgebra
 from evoalg.fields import PrimeField
 
 
@@ -181,3 +187,121 @@ def test_random_sample_with_partial_group_is_left_out(monkeypatch, capsys):
     assert report["aut_histogram"] == {"2": 1}
     assert "2 undecided left out" in captured.err
 
+
+
+def group_summary(group):
+    return (
+        group.order,
+        group.diagonal_order,
+        group.complete,
+        [g.to_json() for g in group.generators],
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--field", "GF(3)", "--n", "2"],
+        ["--field", "GF(2)", "--n", "3"],
+        ["--field", "GF(7)", "--n", "4", "--mode", "random:200", "--seed", "5"],
+    ],
+)
+def test_memoized_group_matches_a_fresh_solve(monkeypatch, capsys, argv):
+    # every class (or sample) the census solves through the run's memo gets
+    # the group that automorphism_group builds for it alone
+    real = cli.automorphism_group
+    seen = []
+
+    def recorded(alg, pattern=None):
+        group = real(alg, pattern)
+        seen.append((alg, pattern, group))
+        return group
+
+    monkeypatch.setattr(cli, "automorphism_group", recorded)
+    assert cli.main(["census", *argv]) == 0
+    capsys.readouterr()
+    assert seen
+    for alg, pattern, group in seen:
+        # the entry may come from another algebra with the same pattern
+        fresh = solver.pattern_solve(alg)
+        assert pattern.sigmas == tuple(fresh.sigmas)
+        assert pattern.kernel == fresh.kernel
+        assert group_summary(group) == group_summary(solver.automorphism_group(alg))
+
+
+def test_pattern_memo_belongs_to_one_run(capsys):
+    # back-to-back runs in one process print what fresh processes print, and
+    # no pattern memo is left behind in a module
+    runs = [
+        ["census", "--field", "GF(3)", "--n", "2"],
+        ["census", "--field", "GF(5)", "--n", "2"],
+        ["census", "--field", "GF(2)", "--n", "3"],
+        ["census", "--field", "GF(3)", "--n", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
+    for argv in runs:
+        assert cli.main(argv) == 0
+        in_process = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "evoalg.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert in_process == fresh.stdout
+    for module in (cli, solver):
+        for name, value in vars(module).items():
+            assert not isinstance(value, cli._PatternMemo), name
+            if isinstance(value, dict):
+                assert all(isinstance(k, str) for k in value), name
+
+
+def count_pattern_work(monkeypatch):
+    """Counters of graph_automorphisms calls, sigma = id solves of an algebra
+    against itself, and solve_plan builds."""
+    counts = {"graph_automorphisms": 0, "identity_solves": 0, "solve_plans": 0}
+    real_auts, real_solve = solver.graph_automorphisms, solver.solve_monomial
+    real_plan = EvolutionAlgebra.solve_plan.func
+
+    def auts(g):
+        counts["graph_automorphisms"] += 1
+        return real_auts(g)
+
+    def solve(a, b, sigma):
+        counts["identity_solves"] += a is b and sigma == tuple(range(a.n))
+        return real_solve(a, b, sigma)
+
+    def plan(alg):
+        counts["solve_plans"] += 1
+        return real_plan(alg)
+
+    cached = functools.cached_property(plan)
+    cached.__set_name__(EvolutionAlgebra, "solve_plan")
+    monkeypatch.setattr(solver, "graph_automorphisms", auts)
+    monkeypatch.setattr(solver, "solve_monomial", solve)
+    monkeypatch.setattr(EvolutionAlgebra, "solve_plan", cached)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, patterns, plans",
+    [
+        # 1,500 samples over 654 patterns
+        (["--field", "GF(7)", "--n", "4", "--mode", "random:1500", "--seed", "7"], 654, 668),
+        # 249 classes over 57 patterns
+        (["--field", "GF(3)", "--n", "3"], 57, 80),
+    ],
+)
+def test_pattern_work_runs_once_per_pattern(monkeypatch, capsys, argv, patterns, plans):
+    counts = count_pattern_work(monkeypatch)
+    assert cli.main(["census", *argv]) == 0
+    err = capsys.readouterr().err
+    assert counts == {
+        "graph_automorphisms": patterns,
+        "identity_solves": patterns,
+        # one per pattern, for its sigma = id solve, plus one per later
+        # algebra of a pattern with a sigma != id that passes the screens
+        "solve_plans": plans,
+    }
+    assert f", {patterns} patterns [" in err
