@@ -153,11 +153,8 @@ class EvolutionAlgebra:
         self.n = n
         self.raw_rows: tuple[tuple, ...] = tuple(raw)
         self.det = determinant(self.raw_rows, field)
+        self.is_idempotent: bool = not self.det.is_zero
         self.digraph = Digraph.from_raw_rows(self.raw_rows, field._is_zero)
-
-    @property
-    def is_idempotent(self) -> bool:
-        return not self.det.is_zero
 
     def require_idempotent(self) -> "EvolutionAlgebra":
         if not self.is_idempotent:

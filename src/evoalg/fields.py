@@ -478,6 +478,8 @@ class PrimeField(Field):
         return self.p
 
     def _convert(self, value):
+        if type(value) is int:  # the common case; bool is not int
+            return value % self.p
         if isinstance(value, bool):
             raise ParseError("bool is not a scalar")
         if isinstance(value, int):

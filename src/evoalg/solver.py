@@ -466,15 +466,40 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
 # brute-force oracle over small prime fields
 
 
+def _entry_pairs(
+    rows: tuple[tuple[int, ...], ...], sigma: tuple[int, ...]
+) -> Optional[list[tuple[int, int, int, int]]]:
+    """The entries (k, i, a_ki, a_{sigma k sigma i}) with both values
+    nonzero, or None when some entry has exactly one of them zero."""
+    pairs = []
+    for k, a_row in enumerate(rows):
+        b_row = rows[sigma[k]]
+        for i, x in enumerate(a_row):
+            y = b_row[sigma[i]]
+            if x and y:
+                pairs.append((k, i, x, y))
+            elif x or y:
+                return None
+    return pairs
+
+
 def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
     """Oracle: enumerate every nonsingular monomial matrix G over GF(p) and
-    keep those with A G^(2) = G A. The identity is checked literally on int
-    matrices mod p, row by row until a row differs; only the maps that pass
-    are built as MonomialMaps, so each has had every entry compared.
+    keep those with A G^(2) = G A, on int residues mod p.
+
+    Let G send e_k to d_k e_{sigma k}. Then every entry of both products is
+    one product: at (sigma k, i), G A holds d_k a_ki and A G^(2) holds
+    a_{sigma k sigma i} d_i^2. So each sigma pairs the n^2 entries
+    (a_ki, a_{sigma k sigma i}) once. A pair of zeros holds for every d and
+    is dropped; a pair with one zero fails for every unit d and settles
+    sigma with no scaling tried. For every other sigma each d in
+    (GF(p)^*)^n is tried, entry by entry through (sigma, d) until an entry
+    differs. Only the maps that pass are built as MonomialMaps, so each has
+    had all n^2 entries compared.
 
     For n <= 2 and p <= 3 additionally sweeps every invertible matrix with
-    the same predicate plus the annihilation A (G * G) = 0, on the same
-    ints, and confirms that nothing non-monomial shows up.
+    dense products: the same predicate plus the annihilation A (G * G) = 0,
+    and confirms that nothing non-monomial shows up.
     """
     a.require_idempotent()
     field = a.field
@@ -484,32 +509,38 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
         raise CapExceededError("oracle capped at n <= 4")
     n, p = a.n, field.p
     rows = a.raw_rows
-    cols = tuple(zip(*rows))
-    mul = operator.mul
 
-    def commutes(g, g_sq_cols):
-        # row r of A G^(2) against row r of G A, up to the first row that
-        # differs
-        return all(
-            [sum(map(mul, a_row, col)) % p for col in g_sq_cols]
-            == [sum(map(mul, g_row, col)) % p for col in cols]
-            for a_row, g_row in zip(rows, g)
-        )
-
-    found = []
-    monomial_matrices = set()
+    found = []  # (sigma, d) on raw values
     for images in itertools.permutations(range(n)):
+        pairs = _entry_pairs(rows, images)
+        if pairs is None:
+            continue
         for d in itertools.product(range(1, p), repeat=n):
-            g = [[0] * n for _ in range(n)]
-            g_sq_cols = [[0] * n for _ in range(n)]
-            for i, x in enumerate(d):
-                g[images[i]][i] = x
-                g_sq_cols[i][images[i]] = x * x
-            if commutes(g, g_sq_cols):
-                found.append(MonomialMap(images, tuple(Scalar(field, x) for x in d)))
-                monomial_matrices.add(tuple(map(tuple, g)))
+            for k, i, x, y in pairs:
+                if (d[k] * x - y * d[i] * d[i]) % p:
+                    break
+            else:
+                found.append((images, d))
 
     if n <= 2 and p <= 3:
+        mul = operator.mul
+        cols = tuple(zip(*rows))
+
+        def commutes(g, g_sq_cols):
+            # row r of A G^(2) against row r of G A, up to the first row
+            # that differs
+            return all(
+                [sum(map(mul, a_row, col)) % p for col in g_sq_cols]
+                == [sum(map(mul, g_row, col)) % p for col in cols]
+                for a_row, g_row in zip(rows, g)
+            )
+
+        monomial_matrices = set()
+        for images, d in found:
+            g = [[0] * n for _ in range(n)]
+            for i, x in enumerate(d):
+                g[images[i]][i] = x
+            monomial_matrices.add(tuple(map(tuple, g)))
         for flat in itertools.product(range(p), repeat=n * n):
             g = tuple(flat[i * n : (i + 1) * n] for i in range(n))
             # n <= 2, so the determinant is written out
@@ -533,4 +564,5 @@ def brute_force_automorphisms(a: EvolutionAlgebra) -> MonomialGroup:
                     "an invertible non-monomial automorphism appeared; "
                     "this contradicts the monomial form of algebra maps"
                 )
-    return MonomialGroup(field, n, found)
+    maps = [MonomialMap(s, tuple(Scalar(field, x) for x in d)) for s, d in found]
+    return MonomialGroup(field, n, maps)

@@ -71,6 +71,11 @@ class TestConstruction:
         with pytest.raises(SingularMatrixError):
             alg.require_idempotent()
 
+    def test_idempotence_is_decided_at_construction(self):
+        for rows, expected in (([[0, 1], [1, 0]], True), ([[1, 1], [1, 1]], False)):
+            alg = EvolutionAlgebra(Q, rows)
+            assert vars(alg)["is_idempotent"] is expected
+
     def test_non_square_rejected(self):
         with pytest.raises(ParseError):
             EvolutionAlgebra(Q, [[1, 2]])

@@ -341,6 +341,12 @@ class TestIntegerKernels:
         for v in values:
             assert all(type(x) is int for x in v.value), v
 
+    def test_raw_rejects_bool(self):
+        for field, value in ((PrimeField(7), True), (CyclotomicField(3), False)):
+            with pytest.raises(ParseError, match="bool is not a scalar"):
+                field.raw(value)
+        assert PrimeField(7).raw(9) == 2 and type(PrimeField(7).raw(9)) is int
+
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             CyclotomicField(7)._inv(CyclotomicField(7).zero.value)

@@ -235,6 +235,17 @@ class TestSolveMonomial:
         with pytest.raises(SingularMatrixError):
             solve_monomial(singular, singular, tuple(range(2)))
 
+    def test_singular_target_rejected_on_every_call(self):
+        # the check reads a flag set at construction, on every call
+        a = complete_algebra(2)
+        singular = EvolutionAlgebra(Q, [[1, 1], [1, 1]])
+        assert solve_monomial(a, a, (1, 0)).maps
+        for sigma in ((0, 1), (1, 0)):
+            with pytest.raises(SingularMatrixError):
+                solve_monomial(a, singular, sigma)
+            with pytest.raises(SingularMatrixError):
+                solve_monomial(singular, a, sigma)
+
     def test_solutions_satisfy_defining_equations(self):
         rng = random.Random(77)
         for _ in range(25):
@@ -735,6 +746,61 @@ class TestOracleRowByRow:
                         assert found == reference_oracle(alg)
                         return
         pytest.fail("no candidate agreeing on every row but the last")
+
+
+class TestOracleEntryByEntry:
+    def test_rejects_map_that_fails_at_one_entry_only(self):
+        # for each entry (r, c) of the 3 x 3 products, a monomial G whose
+        # dense A G^(2) and G A differ only there; such an entry has both
+        # values nonzero, since A and its image under sigma have equally
+        # many zeros, so one-sided zeros come at least in pairs
+        rng = random.Random(911)
+        near_misses = {}
+        for _ in range(500):
+            alg = random_idempotent(PrimeField(rng.choice([3, 5, 7])), 3, rng)
+            for images in itertools.permutations(range(3)):
+                for d in itertools.product(range(1, alg.field.p), repeat=3):
+                    lhs, rhs = _products_mod_p(alg, images, d)
+                    differ = [
+                        (r, c)
+                        for r in range(3)
+                        for c in range(3)
+                        if lhs[r][c] != rhs[r][c]
+                    ]
+                    if len(differ) == 1:
+                        near_misses.setdefault(differ[0], (alg, images, d))
+            if len(near_misses) == 9:
+                break
+        assert sorted(near_misses) == list(itertools.product(range(3), repeat=2))
+        for alg, images, d in near_misses.values():
+            near_miss = MonomialMap(images, tuple(map(alg.field.scalar, d)))
+            found = brute_force_automorphisms(alg).elements
+            assert near_miss not in found
+            assert found == reference_oracle(alg)
+
+    def test_tries_scalings_only_for_pattern_automorphisms(self, monkeypatch):
+        # a sigma off the zero pattern pairs a zero with a nonzero entry and
+        # is settled before any d is tried, so the monomial sweep makes one
+        # product call per pattern automorphism; the general sweep over
+        # every invertible matrix makes one more when n <= 2 and p <= 3
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return itertools.product(*args, **kwargs)
+
+        counting = types.SimpleNamespace(
+            permutations=itertools.permutations, product=counted
+        )
+        monkeypatch.setattr(solver, "itertools", counting)
+        rng = random.Random(912)
+        for _ in range(50):
+            alg = random_idempotent(PrimeField(rng.choice([3, 5])), rng.randint(1, 3), rng)
+            calls.clear()
+            found = brute_force_automorphisms(alg).elements
+            general = alg.n <= 2 and alg.field.p <= 3
+            assert len(calls) - general == len(graph_automorphisms(alg.digraph))
+            assert found == reference_oracle(alg)
 
 
 class TestIsomorphism:
