@@ -18,6 +18,8 @@ from .fields import Field, Scalar, parse_field
 from .groups import MonomialMap
 
 Matrix = tuple[tuple[Scalar, ...], ...]
+# a constraint component: its transversal cycles and its other edges (j, k)
+Component = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]
 
 
 def determinant(rows, field: Optional[Field] = None) -> Scalar:
@@ -104,22 +106,6 @@ def entrywise_square(a: Matrix) -> Matrix:
     return tuple(tuple(x * x for x in row) for row in a)
 
 
-class SolvePlan(NamedTuple):
-    """The part of solving d_k * a_kj = d_j^2 * b_{sigma k sigma j} that does
-    not depend on sigma or on the target B, as raw field values: A's
-    inverses, one transversal and the constraint components.
-
-    An edge (j, k) stands for a nonzero entry a_kj. `components` lists the
-    weakly connected components of the edges, each with its transversal
-    cycles in ascending order and its edges in row-major order of (k, j),
-    leaving out the transversal's own edges: the cycle solve satisfies those
-    by construction.
-    """
-
-    inverses: tuple[tuple, ...]  # raw a_kj^-1, None where a_kj = 0
-    components: tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]
-
-
 class LoopInvariants(NamedTuple):
     """The scaling invariants between looped basis vectors, as raw values.
 
@@ -177,16 +163,19 @@ class EvolutionAlgebra:
         )
 
     @cached_property
-    def solve_plan(self) -> SolvePlan:
-        """Built on first use, at most once per algebra: `solve_monomial`
-        asks for it only for a sigma that passes its zero-pattern and
-        loop-invariant screens. Needs a nonsingular matrix, which always has
-        a transversal."""
-        n, field, support = self.n, self.field, self.support
-        inverses = tuple(
-            tuple(None if field._is_zero(x) else field._inv(x) for x in row)
-            for row in self.raw_rows
-        )
+    def components(self) -> tuple[Component, ...]:
+        """The part of solving d_k * a_kj = d_j^2 * b_{sigma k sigma j} that
+        depends only on A's zero pattern: one transversal and the constraint
+        components. Needs a nonsingular matrix, which always has a
+        transversal.
+
+        An edge (j, k) stands for a nonzero entry a_kj. Each weakly connected
+        component of the edges is listed with its transversal cycles in
+        ascending order and its edges in row-major order of (k, j), leaving
+        out the transversal's own edges: the cycle solve satisfies those by
+        construction.
+        """
+        n, support = self.n, self.support
         tau = next(transversals(self.digraph))
         parent = list(range(n))
 
@@ -208,9 +197,18 @@ class EvolutionAlgebra:
             for j in cols:
                 if tau[j] != k:
                     parts[find(j)][1].append((j, k))
-        return SolvePlan(
-            inverses,
-            tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values()),
+        return tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values())
+
+    @cached_property
+    def inverses(self) -> tuple[tuple, ...]:
+        """Raw a_kj^-1, None where a_kj = 0: the part of the solve that reads
+        A's entries. Built on first use, at most once per algebra;
+        `solve_monomial` asks for it only for a sigma that passes its
+        zero-pattern and loop-invariant screens."""
+        field = self.field
+        return tuple(
+            tuple(None if field._is_zero(x) else field._inv(x) for x in row)
+            for row in self.raw_rows
         )
 
     @cached_property

@@ -32,8 +32,9 @@ from .families import build_family
 from .fields import Field, PrimeField, parse_field
 from .groups import recognize
 from .solver import (
+    RUN_PATTERNS,
     IsoStatus,
-    PatternSolve,
+    PatternMemo,
     automorphism_group,
     diagonal_subgroup,
     isomorphism,
@@ -77,11 +78,11 @@ def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
 def cmd_aut(args) -> int:
     alg = _load_algebra(args.infile, args.field).require_idempotent()
     t0 = time.monotonic()
-    pattern = pattern_solve(alg)
-    group = automorphism_group(alg, pattern)
+    group = automorphism_group(alg)
     # the diagonal part of every group, partial ones included, is D
     diagonal_order = group.diagonal_order
-    graph_count = len(pattern.sigmas)
+    # the run's memo holds the pattern automorphisms the group was built from
+    graph_count = len(pattern_solve(alg).sigmas)
     report = {
         "command": "aut",
         "status": "ok" if group.complete else "indeterminate",
@@ -218,51 +219,18 @@ def _census_algebra(field: Field, n: int, flat) -> EvolutionAlgebra:
     return EvolutionAlgebra(field, [flat[i * n : (i + 1) * n] for i in range(n)])
 
 
-class _PatternMemo:
-    """One census run's ``pattern_solve`` results, keyed by zero pattern:
-    the digraph's row bitmasks, packed into one int, since a run fixes the
-    field and n.
-
-    Equal sigma tuples, sigma lists, kernel solves and records are stored
-    once, so the memo costs little beyond its keys. It lives as long as the
-    run that made it; nothing outlives the run.
-    """
-
-    def __init__(self):
-        self._by_pattern: dict[int, PatternSolve] = {}
-        self._shared: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._by_pattern)
-
-    def __call__(self, alg: EvolutionAlgebra) -> PatternSolve:
-        key = 0
-        for row in alg.digraph.rows:
-            key = key << alg.n | row
-        pattern = self._by_pattern.get(key)
-        if pattern is None:
-            share = self._shared.setdefault
-            fresh = pattern_solve(alg)
-            sigmas = tuple(share(s, s) for s in fresh.sigmas)
-            pattern = PatternSolve(share(sigmas, sigmas), share(fresh.kernel, fresh.kernel))
-            pattern = self._by_pattern[key] = share(pattern, pattern)
-        return pattern
-
-
-def _census_entry(alg: EvolutionAlgebra, patterns: _PatternMemo | None = None):
+def _census_entry(alg: EvolutionAlgebra):
     """(|Aut|, |D|, whether Aut is complete) for a nonsingular algebra, or
     None for a singular one.
 
-    ``patterns`` is the run's memo: the pattern automorphisms and the
-    sigma = id solve depend only on the zero pattern and the field, so the
-    algebras of a run that share a pattern compute them once. Without it
-    they are computed for this algebra alone. |D| is read off the group: a
-    complete group's diagonal part is D, and the census tallies complete
-    groups only.
+    The pattern automorphisms and D depend only on the zero pattern and the
+    field, so the algebras of a run that share a pattern compute them once,
+    through the run's memo. |D| is read off the group: a complete group's
+    diagonal part is D, and the census tallies complete groups only.
     """
     if not alg.is_idempotent:
         return None
-    group = automorphism_group(alg, None if patterns is None else patterns(alg))
+    group = automorphism_group(alg)
     return group.order, group.diagonal_order, group.complete
 
 
@@ -276,7 +244,7 @@ def _unit_vectors(p: int, n: int):
     return ((u,) for u in units) if n == 1 else itertools.product(units, repeat=n)
 
 
-def _orbit_census(field: PrimeField, n: int, tally, patterns: _PatternMemo) -> int:
+def _orbit_census(field: PrimeField, n: int, tally) -> int:
     """Exhaustive census of the n x n matrices over GF(p), one solve per
     orbit of the monomial group M; returns the number of nonsingular orbits,
     that is, of isomorphism classes of idempotent algebras.
@@ -286,7 +254,7 @@ def _orbit_census(field: PrimeField, n: int, tally, patterns: _PatternMemo) -> i
     (sigma, d) carries A to B[sigma k][sigma j] = d_k a_kj d_j^-2. Codes are
     base-p numbers in itertools.product order, and a bitmap marks those seen.
     `tally(entry, weight)` receives each class entry weighted by its orbit
-    size. `patterns` is the run's memo for `_census_entry`.
+    size.
 
     Self-checks, exact: every nonsingular class has a complete group (kth_roots
     decides every equation the cap admits: x^1 = c at n = 1, p <= 100 above),
@@ -312,7 +280,7 @@ def _orbit_census(field: PrimeField, n: int, tally, patterns: _PatternMemo) -> i
             continue
         seen[code >> 3] |= 1 << (code & 7)
         flat = decode(code)
-        entry = _census_entry(_census_algebra(field, n, flat), patterns)
+        entry = _census_entry(_census_algebra(field, n, flat))
         classes += entry is not None
         if entry is not None and not entry[2]:
             raise RuntimeError(
@@ -364,7 +332,6 @@ def cmd_census(args) -> int:
     aut_hist: dict[int, int] = {}
     diag_hist: dict[int, int] = {}
     nonsingular = incomplete = 0
-    patterns = _PatternMemo()
 
     def tally(entry, weight):
         nonlocal nonsingular
@@ -382,7 +349,7 @@ def cmd_census(args) -> int:
                 f"exhaustive census of {scanned} matrices exceeds the cap"
             )
         samples = None
-        classes = _orbit_census(field, n, tally, patterns)
+        classes = _orbit_census(field, n, tally)
     else:
         if not mode.startswith("random:"):
             raise ParseError("census --mode must be exhaustive or random:<k>")
@@ -395,7 +362,7 @@ def cmd_census(args) -> int:
         rng = random.Random(args.seed)
         scanned = samples
         for _ in range(samples):
-            entry = _census_entry(random_idempotent(field, n, rng), patterns)
+            entry = _census_entry(random_idempotent(field, n, rng))
             if entry is not None and not entry[2]:
                 # a partial group's order is not |Aut|: count, never tally
                 incomplete += 1
@@ -424,7 +391,7 @@ def cmd_census(args) -> int:
     left_out = f", {incomplete} undecided left out" if incomplete else ""
     _say(
         f"census: {nonsingular} algebras{in_classes}{left_out} over "
-        f"{field.descriptor()}, n = {n}, {len(patterns)} patterns "
+        f"{field.descriptor()}, n = {n}, {len(RUN_PATTERNS.get())} patterns "
         f"[{time.monotonic() - t0:.2f}s, {args.threads} threads]"
     )
     return EXIT_INDETERMINATE if incomplete else EXIT_OK
@@ -508,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one pattern memo per run, so no pattern work outlives it
+    token = RUN_PATTERNS.set(PatternMemo())
     try:
         return args.func(args)
     except ParseError as exc:
@@ -522,6 +491,8 @@ def main(argv=None) -> int:
     except EvoAlgError as exc:
         _say(f"error: {exc}")
         return EXIT_PARSE
+    finally:
+        RUN_PATTERNS.reset(token)
 
 
 if __name__ == "__main__":

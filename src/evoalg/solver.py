@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+from contextvars import ContextVar
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
@@ -67,33 +68,14 @@ def solve_monomial(
     sigma an image tuple.
 
     Steps: reject, as COMPLETE with no maps, on a zero-pattern mismatch or
-    when a loop invariant I_kj = a_kj * a_kk / a_jj^2 of A differs
-    from B's at (sigma k, sigma j), a test that cannot fail for a is b and
-    the identity sigma and is skipped there; read off the multiplicative
-    constraints d_k = d_j^2 * r_kj at nonzero entries; then, for each
-    weakly-connected constraint component, root every cycle of one
-    transversal inside it, solve its closing equation with kth_roots, and
-    combine the cycle candidates, checking every remaining constraint of the
-    component; multiply the components out. Output is sorted by scaling
-    vector, so it is deterministic.
-
-    Components are independent. One with an undecided cycle equation is
-    skipped and its equation reported; the solve is INDETERMINATE only if no
-    component settles it. An unsatisfiable cycle, or a decided component
-    with no solution, settles it as COMPLETE with no maps.
-
-    The screens read A's support off its digraph. What does not depend on
-    sigma (the transversal, the components, the inverses of A's entries) is
-    A's `solve_plan`, built on the first sigma that passes both screens, so
-    an algebra whose every sigma is screened out never builds it. Each call
-    works on raw field values, computes a ratio r_kj only when a cycle or a
-    check reaches it, and boxes only the kth_roots arguments and the scaling
-    vectors it returns.
+    when a loop invariant I_kj = a_kj * a_kk / a_jj^2 of A differs from B's
+    at (sigma k, sigma j); then solve d_k = d_j^2 * r_kj at the nonzero
+    entries with `_solve_components`. The screens read A's support off its
+    digraph, and A's `inverses` are built on the first sigma that passes
+    both, so an algebra whose every sigma is screened out never builds them.
     """
     _check_pair(a, b)
-    n = a.n
-    field = a.field
-    if len(sigma) != n:
+    if len(sigma) != a.n:
         raise ParseError("permutation size mismatch")
 
     b_pattern = b.digraph.rows
@@ -103,27 +85,41 @@ def solve_monomial(
             image |= 1 << sigma[j]
         if image != b_pattern[sigma[k]]:
             return SolveOutcome(SolveStatus.COMPLETE)
-    if a is not b or sigma != tuple(range(n)):
-        # the patterns correspond, so B has an invariant wherever A has one
-        entries = a.loop_invariants.entries
-        if entries:
-            target = b.loop_invariants.matrix
-            for k, j, value in entries:
-                if target[sigma[k]][sigma[j]] != value:
-                    return SolveOutcome(SolveStatus.COMPLETE)
+    # the patterns correspond, so B has an invariant wherever A has one
+    entries = a.loop_invariants.entries
+    if entries:
+        target = b.loop_invariants.matrix
+        for k, j, value in entries:
+            if target[sigma[k]][sigma[j]] != value:
+                return SolveOutcome(SolveStatus.COMPLETE)
 
-    plan = a.solve_plan
-    mul = field._mul
-    b_raw = b.raw_rows
-    inverses = plan.inverses
+    mul, b_raw, inverses = a.field._mul, b.raw_rows, a.inverses
 
     def ratio(j, k):
         # d_k = d_j^2 * ratio(j, k)
         return mul(b_raw[sigma[k]][sigma[j]], inverses[k][j])
 
+    return _solve_components(a, sigma, ratio)
+
+
+def _solve_components(a: EvolutionAlgebra, sigma: tuple[int, ...], ratio) -> SolveOutcome:
+    """The maps (sigma, d) with d_k = d_j^2 * ratio(j, k) on every edge
+    (j, k) of A's pattern, on raw field values; a ratio is computed only
+    when a cycle or a check reaches it.
+
+    For each of A's constraint components, root every transversal cycle in
+    it, solve its closing equation with kth_roots, and combine the cycle
+    candidates, checking the component's other edges; multiply the
+    components out, sorted by scaling vector. Components are independent:
+    one with an undecided cycle equation is skipped and its equation
+    reported, and the outcome is INDETERMINATE only if no component settles
+    it. An unsatisfiable cycle, or a decided component with no solution,
+    settles it as COMPLETE with no maps.
+    """
+    field, mul = a.field, a.field._mul
     indeterminate: list[str] = []
     component_solutions: list[list[dict]] = []
-    for cycles, edges in plan.components:
+    for cycles, edges in a.components:
         cycle_options = []
         for cycle in cycles:
             # d at the idx-th cycle vertex is coeff[idx] * root^(2^idx);
@@ -185,7 +181,7 @@ def solve_monomial(
         merged = {}
         for part in combo:
             merged.update(part)
-        d = tuple(Scalar(field, merged[v]) for v in range(n))
+        d = tuple(Scalar(field, merged[v]) for v in range(a.n))
         maps.append(MonomialMap(sigma, d))
     maps = sorted(set(maps), key=MonomialMap.sort_key)
     return SolveOutcome(SolveStatus.COMPLETE, tuple(maps))
@@ -232,13 +228,12 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
     a.require_idempotent()
     n = a.n
     rows = []
-    for i in range(n):
-        for j in range(n):
-            if not a.rows[i][j].is_zero:
-                row = [0] * n
-                row[j] += 2
-                row[i] -= 1
-                rows.append(row)
+    for i, cols in enumerate(a.support):
+        for j in cols:
+            row = [0] * n
+            row[j] += 2
+            row[i] -= 1
+            rows.append(row)
     unity = a.field.unity_group()
     return DiagonalLattice(
         generator=unity.generator,
@@ -253,43 +248,79 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 class PatternSolve(NamedTuple):
     """What the automorphism search of E(A) reads that depends only on A's
     zero pattern and the field, so every algebra with that pattern can share
-    it.
-
-    ``kernel`` is the sigma = id solve, whose maps are D: with b = a and
-    sigma = id every ratio b_kj * a_kj^-1 is one, so the cycle equations
-    read x^k = 1 and the edge checks d_k = d_j^2 involve no entry of A.
-    """
+    it."""
 
     sigmas: Sequence[tuple[int, ...]]  # graph_automorphisms(a.digraph)
-    kernel: SolveOutcome
+    diagonal: tuple[MonomialMap, ...]  # D, sorted
+
+
+def _pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
+    a.require_idempotent()
+    one = a.field.one.value
+    diagonal = _solve_components(a, tuple(range(a.n)), lambda j, k: one).maps
+    return PatternSolve(graph_automorphisms(a.digraph), diagonal)
+
+
+class PatternMemo:
+    """One run's ``pattern_solve`` results, keyed by field and zero pattern
+    (the digraph's row bitmasks).
+
+    Equal sigma tuples, sigma lists, diagonal groups and records are stored
+    once, so the memo costs little beyond its keys.
+    """
+
+    def __init__(self):
+        self._by_pattern: dict[tuple, PatternSolve] = {}
+        self._shared: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._by_pattern)
+
+    def __call__(self, a: EvolutionAlgebra) -> PatternSolve:
+        key = (a.field, a.digraph.rows)
+        pattern = self._by_pattern.get(key)
+        if pattern is None:
+            share = self._shared.setdefault
+            fresh = _pattern_solve(a)
+            sigmas = tuple(share(s, s) for s in fresh.sigmas)
+            pattern = PatternSolve(
+                share(sigmas, sigmas), share(fresh.diagonal, fresh.diagonal)
+            )
+            pattern = self._by_pattern[key] = share(pattern, pattern)
+        return pattern
+
+
+# the memo of the current run: cli.main sets a fresh one for each run and
+# resets it when the run ends; library calls outside a run see None
+RUN_PATTERNS: ContextVar[Optional[PatternMemo]] = ContextVar("run_patterns", default=None)
 
 
 def pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
-    """The pattern automorphisms of A and its sigma = id solve."""
-    return PatternSolve(
-        graph_automorphisms(a.digraph), solve_monomial(a, a, tuple(range(a.n)))
-    )
+    """The pattern automorphisms of A and its diagonal group D, from the
+    run's memo inside a run and computed afresh outside one.
+
+    D is read off the zero pattern: it is the solve of A against itself
+    under sigma = id, where every ratio b_kj * a_kj^-1 is one. So each cycle
+    equation reads x^(2^L - 1) = 1, which every field decides, the edge
+    checks read d_k = d_j^2, and no entry of A is read or inverted.
+    """
+    memo = RUN_PATTERNS.get()
+    return _pattern_solve(a) if memo is None else memo(a)
 
 
-def automorphism_group(
-    a: EvolutionAlgebra, pattern: Optional[PatternSolve] = None
-) -> MonomialGroup:
+def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     """The group of all monomial self-maps of E(A); every automorphism is one.
-
-    ``pattern`` is ``pattern_solve(a)``, or that of any algebra over the same
-    field with A's zero pattern, when the caller has it already; otherwise it
-    is computed here.
 
     Aut(E) is an extension of the diagonal group D, the lifts of the
     identity, by the subgroup L of pattern automorphisms that lift, and the
-    lifts of each sigma in L form one coset of D. So D is solved first; its
-    cycle equations read x^k = 1, which every field decides. One walk over
-    the pattern automorphisms then keeps a closure of D and the lifts found
-    so far, with its image H in L. A sigma in H is skipped: its lifts are
+    lifts of each sigma in L form one coset of D. So D, with the pattern
+    automorphisms, comes first from ``pattern_solve``. One walk over the
+    pattern automorphisms then keeps a closure of D and the lifts found so
+    far, with its image H in L. A sigma in H is skipped: its lifts are
     already products in the closure. A sigma without lifts marks its coset
     H*sigma dead, since h*sigma lifting would make sigma lift, and a sigma
     in a dead coset is skipped too. Every other sigma is solved once, and
-    its lifts extend the closure. K_n over Q takes n solves, not n!.
+    its lifts extend the closure. K_n over Q takes n - 1 solves, not n!.
 
     A sigma whose solve leaves a cycle equation open is recorded and the
     walk goes on. At the end it is settled when it lies in the final image
@@ -306,13 +337,9 @@ def automorphism_group(
         raise DimensionCapError(
             f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}"
         )
-    if pattern is None:
-        pattern = pattern_solve(a)
-    kernel = pattern.kernel
-    if kernel.status is SolveStatus.INDETERMINATE:
-        raise RuntimeError(f"the diagonal group was left open: {kernel.unsolved}")
+    pattern = pattern_solve(a)
     closure = Closure(a.field, a.n)
-    for g in kernel.maps:
+    for g in pattern.diagonal:
         closure.add(g)
     image = {sigma_of(closure.points, p) for p in closure.elements}
     barren: list[tuple[int, ...]] = []

@@ -212,36 +212,44 @@ def test_memoized_group_matches_a_fresh_solve(monkeypatch, capsys, argv):
     real = cli.automorphism_group
     seen = []
 
-    def recorded(alg, pattern=None):
-        group = real(alg, pattern)
-        seen.append((alg, pattern, group))
+    def recorded(alg):
+        group = real(alg)
+        # inside the run, pattern_solve answers from the run's memo
+        seen.append((alg, solver.pattern_solve(alg), group))
         return group
 
     monkeypatch.setattr(cli, "automorphism_group", recorded)
     assert cli.main(["census", *argv]) == 0
     capsys.readouterr()
     assert seen
+    # algebras that share a pattern share one record
+    assert len({id(pattern) for _, pattern, _ in seen}) < len(seen)
     for alg, pattern, group in seen:
-        # the entry may come from another algebra with the same pattern
+        # the entry may come from another algebra with the same pattern;
+        # outside the run, pattern_solve computes afresh
         fresh = solver.pattern_solve(alg)
+        assert fresh is not pattern
         assert pattern.sigmas == tuple(fresh.sigmas)
-        assert pattern.kernel == fresh.kernel
+        assert pattern.diagonal == fresh.diagonal
         assert group_summary(group) == group_summary(solver.automorphism_group(alg))
 
 
 def test_pattern_memo_belongs_to_one_run(capsys):
-    # back-to-back runs in one process print what fresh processes print, and
-    # no pattern memo is left behind in a module
+    # back-to-back runs in one process print what fresh processes print,
+    # verify included, and no pattern memo is left behind in a module or in
+    # the context
     runs = [
         ["census", "--field", "GF(3)", "--n", "2"],
         ["census", "--field", "GF(5)", "--n", "2"],
         ["census", "--field", "GF(2)", "--n", "3"],
         ["census", "--field", "GF(3)", "--n", "3"],
+        ["verify", "--suite", "thm22"],
+        ["census", "--field", "GF(3)", "--n", "3"],
     ]
     src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
     for argv in runs:
         assert cli.main(argv) == 0
-        in_process = capsys.readouterr().out
+        in_process = capsys.readouterr()
         fresh = subprocess.run(
             [sys.executable, "-m", "evoalg.cli", *argv],
             env=dict(os.environ, PYTHONPATH=src),
@@ -249,59 +257,94 @@ def test_pattern_memo_belongs_to_one_run(capsys):
             text=True,
             check=True,
         )
-        assert in_process == fresh.stdout
+        assert in_process.out == fresh.stdout
+        if argv[0] == "census":
+            # the pattern count, with the timing cut off
+            assert in_process.err.split("[")[0] == fresh.stderr.split("[")[0]
+        assert solver.RUN_PATTERNS.get() is None
     for module in (cli, solver):
         for name, value in vars(module).items():
-            assert not isinstance(value, cli._PatternMemo), name
+            assert not isinstance(value, solver.PatternMemo), name
             if isinstance(value, dict):
                 assert all(isinstance(k, str) for k in value), name
 
 
 def count_pattern_work(monkeypatch):
-    """Counters of graph_automorphisms calls, sigma = id solves of an algebra
-    against itself, and solve_plan builds."""
-    counts = {"graph_automorphisms": 0, "identity_solves": 0, "solve_plans": 0}
+    """Counters of graph_automorphisms calls, D solves, sigma = id solves of
+    an algebra against itself, and builds of an algebra's entry inverses."""
+    counts = {
+        "graph_automorphisms": 0,
+        "diagonal_solves": 0,
+        "identity_solves": 0,
+        "inverses": 0,
+    }
     real_auts, real_solve = solver.graph_automorphisms, solver.solve_monomial
-    real_plan = EvolutionAlgebra.solve_plan.func
+    real_diagonal = solver._pattern_solve
+    real_inverses = EvolutionAlgebra.inverses.func
 
     def auts(g):
         counts["graph_automorphisms"] += 1
         return real_auts(g)
 
+    def diagonal(alg):
+        counts["diagonal_solves"] += 1
+        return real_diagonal(alg)
+
     def solve(a, b, sigma):
         counts["identity_solves"] += a is b and sigma == tuple(range(a.n))
         return real_solve(a, b, sigma)
 
-    def plan(alg):
-        counts["solve_plans"] += 1
-        return real_plan(alg)
+    def inverses(alg):
+        counts["inverses"] += 1
+        return real_inverses(alg)
 
-    cached = functools.cached_property(plan)
-    cached.__set_name__(EvolutionAlgebra, "solve_plan")
+    cached = functools.cached_property(inverses)
+    cached.__set_name__(EvolutionAlgebra, "inverses")
     monkeypatch.setattr(solver, "graph_automorphisms", auts)
+    monkeypatch.setattr(solver, "_pattern_solve", diagonal)
     monkeypatch.setattr(solver, "solve_monomial", solve)
-    monkeypatch.setattr(EvolutionAlgebra, "solve_plan", cached)
+    monkeypatch.setattr(EvolutionAlgebra, "inverses", cached)
     return counts
 
 
 @pytest.mark.parametrize(
-    "argv, patterns, plans",
+    "argv, patterns, inverses",
     [
         # 1,500 samples over 654 patterns
-        (["--field", "GF(7)", "--n", "4", "--mode", "random:1500", "--seed", "7"], 654, 668),
+        (["--field", "GF(7)", "--n", "4", "--mode", "random:1500", "--seed", "7"], 654, 34),
         # 249 classes over 57 patterns
-        (["--field", "GF(3)", "--n", "3"], 57, 80),
+        (["--field", "GF(3)", "--n", "3"], 57, 36),
     ],
+    ids=["gf7-n4-random", "gf3-n3-exhaustive"],
 )
-def test_pattern_work_runs_once_per_pattern(monkeypatch, capsys, argv, patterns, plans):
+def test_pattern_work_runs_once_per_pattern(monkeypatch, capsys, argv, patterns, inverses):
     counts = count_pattern_work(monkeypatch)
     assert cli.main(["census", *argv]) == 0
     err = capsys.readouterr().err
     assert counts == {
         "graph_automorphisms": patterns,
-        "identity_solves": patterns,
-        # one per pattern, for its sigma = id solve, plus one per later
-        # algebra of a pattern with a sigma != id that passes the screens
-        "solve_plans": plans,
+        "diagonal_solves": patterns,
+        # D is read off the pattern, never solved as A against A
+        "identity_solves": 0,
+        # one per algebra with a sigma != id that passes the screens
+        "inverses": inverses,
     }
     assert f", {patterns} patterns [" in err
+
+
+def test_verify_thm22_solves_each_pattern_once(monkeypatch, capsys):
+    # thm22 builds 450 groups over 194 zero patterns
+    counts = count_pattern_work(monkeypatch)
+    groups = []
+    real = solver.automorphism_group
+
+    def counted(alg):
+        groups.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(suites, "automorphism_group", counted)
+    assert cli.main(["verify", "--suite", "thm22"]) == 0
+    capsys.readouterr()
+    assert len(groups) == 450
+    assert counts["graph_automorphisms"] == counts["diagonal_solves"] == 194
+    assert counts["identity_solves"] == 0

@@ -136,7 +136,7 @@ class TestAut:
         assert calls == 1
 
     def test_k7_is_s7(self, tmp_path, capsys):
-        # seven solves (the diagonal group, then one per new generator), not 5,040
+        # six solves (one per new generator; D is read off the pattern), not 5,040
         path = tmp_path / "k7.json"
         run_json(capsys, "make", "--family", "complete:n=7", "--out", str(path))
         code, report = run_json(capsys, "aut", "--in", str(path))

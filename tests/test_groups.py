@@ -261,7 +261,7 @@ class TestClosure:
         assert looked_up <= 4 * (len(grp.generators) + 2) * n * grp.order
 
     def test_field_products_are_linear_in_order(self, monkeypatch):
-        # with the solves answered from a cache, the field products left
+        # with the solves and D answered from a cache, the field products left
         # are the closures': at most n per Dimino product and one per point
         # a new coset representative carries, (|S| + 2) n |G| per closure.
         # K6 over Q scales nothing, so its Omega is the basis and it needs
@@ -290,6 +290,9 @@ class TestClosure:
             monkeypatch.setattr(solver, "solve_monomial", recorded)
             automorphism_group(alg)
             monkeypatch.setattr(solver, "solve_monomial", lambda a, b, sigma: outcomes[sigma])
+            # D is read off the pattern: answered from a cache as well
+            pattern = solver.pattern_solve(alg)
+            monkeypatch.setattr(solver, "pattern_solve", lambda a: pattern)
             calls, walk = 0, []
             mul, init = field._mul, MonomialGroup.__init__
 

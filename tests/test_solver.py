@@ -16,7 +16,7 @@ from evoalg.algebra import (
     mat_mul,
     transport_structure,
 )
-from evoalg.digraph import graph_automorphisms
+from evoalg.digraph import Digraph, graph_automorphisms, transversals
 from evoalg.errors import CapExceededError, FieldMismatchError, SingularMatrixError
 from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField, Scalar
 from evoalg.groups import (
@@ -323,12 +323,91 @@ class TestDiagonalSubgroup:
         assert all(m.order() in (1, 7) for m in maps)
         assert len(products) < 100
 
+    def test_constraints_read_the_support(self):
+        # the congruence rows come from the zero pattern; no entry is boxed
+        rng = random.Random(43)
+        for field in (GF7, Q, Z7):
+            alg = random_idempotent(field, 3, rng)
+            diagonal_subgroup(alg)
+            assert "rows" not in vars(alg)
+
     def test_conductor_flag(self):
         # the 3-cycle allows |D| up to 2^3 - 1 = 7: mu_6 lacks those roots
         assert not cycle_algebra(3, field=Z3).conductor_sufficient
         assert cycle_algebra(3, field=Z7).conductor_sufficient
         assert cycle_algebra(3, field=PrimeField(29)).conductor_sufficient
         assert not cycle_algebra(3, field=GF7).conductor_sufficient
+
+
+def with_pattern(field, n, bits, rng, tries=200):
+    """A nonsingular algebra over ``field`` whose zero pattern has bit
+    k * n + j set exactly where a_kj != 0, or None if none turned up."""
+    for _ in range(tries):
+        alg = EvolutionAlgebra(
+            field,
+            [
+                [random_nonzero(field, rng) if bits >> (k * n + j) & 1 else 0 for j in range(n)]
+                for k in range(n)
+            ],
+        )
+        if alg.is_idempotent:
+            return alg
+    return None
+
+
+class TestDiagonalFromPattern:
+    """D read off the zero pattern is the solve of A against itself under
+    sigma = id, which stays here as the reference."""
+
+    @staticmethod
+    def check(alg):
+        reference = solve_monomial(alg, alg, tuple(range(alg.n)))
+        assert reference.status is SolveStatus.COMPLETE
+        diagonal = solver.pattern_solve(alg).diagonal
+        assert diagonal == reference.maps
+        return diagonal
+
+    @pytest.mark.parametrize(
+        "field",
+        [PrimeField(3), PrimeField(5), GF7, Q, Z3, Z7],
+        ids=lambda field: field.descriptor(),
+    )
+    def test_every_small_pattern(self, field):
+        rng = random.Random(211)
+        checked = 0
+        for n in (1, 2, 3):
+            for bits in range(2 ** (n * n)):
+                rows = [bits >> (k * n) & (2**n - 1) for k in range(n)]
+                if next(transversals(Digraph(n, rows)), None) is None:
+                    continue  # every matrix with this pattern is singular
+                alg = with_pattern(field, n, bits, rng)
+                assert alg is not None, (n, rows)
+                assert alg.digraph.rows == tuple(rows)
+                self.check(alg)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("field", [GF7, CyclotomicField(15)], ids=["GF(7)", "Q(zeta_15)"])
+    def test_random_n4_patterns(self, field):
+        rng = random.Random(223)
+        checked = 0
+        while checked < 300:
+            alg = with_pattern(field, 4, rng.getrandbits(16), rng, tries=1)
+            if alg is not None:
+                self.check(alg)
+                checked += 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_all_ones_cycle_has_full_d(self, n):
+        field = CyclotomicField(2**n - 1)
+        assert len(self.check(cycle_algebra(n, field=field))) == 2**n - 1
+
+    def test_entries_are_not_inverted(self):
+        rng = random.Random(227)
+        for field in (GF7, Q, Z7):
+            alg = random_idempotent(field, 3, rng)
+            solver.pattern_solve(alg)
+            assert "inverses" not in vars(alg) and "loop_invariants" not in vars(alg)
 
 
 class TestAutomorphismGroup:
@@ -442,14 +521,15 @@ class TestAutomorphismGroup:
             calls = 0
             grp = automorphism_group(complete_algebra(n))
             assert grp.complete and grp.order == math.factorial(n)
-            assert calls <= n
+            # D is read off the pattern; one solve per new generator
+            assert calls == n - 1
         # 24 pattern automorphisms, 4 of which lift: the lifts and the dead
-        # cosets of the sigma without lifts leave 10 to solve
+        # cosets of the sigma without lifts leave 9 to solve
         alg = EvolutionAlgebra(Q, [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         calls = 0
         grp = automorphism_group(alg)
         assert grp.complete and set(grp.elements) == union_of_solves(alg)[0]
-        assert grp.order == 4 and calls == 10
+        assert grp.order == 4 and calls == 9
 
     def test_k4_moved_settles_to_s4(self):
         alg = k4_moved()
@@ -469,7 +549,8 @@ class TestAutomorphismGroup:
 
         monkeypatch.setattr(solver, "solve_monomial", counted)
         assert automorphism_group(k4_moved()).complete
-        assert len(solved) == len(set(solved)) == 6
+        assert len(solved) == len(set(solved)) == 5
+        assert tuple(range(4)) not in solved  # D comes from the pattern
 
     def test_dead_coset_of_the_final_image_settles_an_open_sigma(self):
         # a transposition without lifts marks only itself while the image is
@@ -520,18 +601,6 @@ class TestAutomorphismGroup:
         assert not complete and len(maps) == 1
         grp = automorphism_group(alg)
         assert grp.complete and grp.order == 1
-
-    def test_open_identity_solve_raises(self, monkeypatch):
-        real = solver.solve_monomial
-
-        def identity_open(a, b, sigma):
-            if sigma == tuple(range(len(sigma))):
-                return SolveOutcome(SolveStatus.INDETERMINATE, unsolved=("x^3 = ?",))
-            return real(a, b, sigma)
-
-        monkeypatch.setattr(solver, "solve_monomial", identity_open)
-        with pytest.raises(RuntimeError, match="diagonal group"):
-            automorphism_group(complete_algebra(2))
 
     def test_diagonal_part_is_d_in_every_field(self):
         # random sparse algebras with a transversal n-cycle: the identity
@@ -997,10 +1066,10 @@ class TestLoopInvariants:
         assert main(["iso", "--in", paths[0], "--b", paths[1]]) == 4
         assert '"status":"non-isomorphic"' in capsys.readouterr().out.replace(" ", "")
 
-    def test_identity_self_solve_builds_no_table(self):
+    def test_pattern_solve_builds_no_table(self):
         alg = two_param(4, 1, 2)
-        solve_monomial(alg, alg, tuple(range(4)))
-        assert "loop_invariants" not in vars(alg)
+        solver.pattern_solve(alg)
+        assert "loop_invariants" not in vars(alg) and "inverses" not in vars(alg)
         solve_monomial(alg, alg, (1, 0, 2, 3))
         assert "loop_invariants" in vars(alg)
 
