@@ -64,29 +64,6 @@ def determinant(rows, field: Optional[Field] = None) -> Scalar:
     return Scalar(field, field._neg(det) if negate else det)
 
 
-def rank(rows: Matrix) -> int:
-    """Rank over the field by plain elimination."""
-    if not rows:
-        return 0
-    work = [list(row) for row in rows]
-    n_rows, n_cols = len(work), len(work[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if not work[i][c].is_zero), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, n_rows):
-            if not work[i][c].is_zero:
-                f = work[i][c] / work[r][c]
-                for k in range(c, n_cols):
-                    work[i][k] = work[i][k] - f * work[r][k]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     inner = len(b)
     return tuple(
@@ -96,14 +73,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         )
         for i in range(len(a))
     )
-
-
-def mat_equal(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def entrywise_square(a: Matrix) -> Matrix:
-    return tuple(tuple(x * x for x in row) for row in a)
 
 
 class LoopInvariants(NamedTuple):

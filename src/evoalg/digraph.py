@@ -9,7 +9,7 @@ sigma(n-1)), 0-based; the JSON wire format uses 1-based image arrays, e.g.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionCapError, ParseError, SingularMatrixError
 
@@ -198,53 +198,47 @@ def transversals(g: Digraph) -> Iterator[tuple[int, ...]]:
 def min_transversal_order(g: Digraph) -> int:
     """The least permutation order among the transversals of the pattern.
 
-    Branch-and-bound over the transversal search tree: a branch dies as soon
-    as the lcm of its already-closed cycles reaches the best known order.
+    A transversal's cycles are the pattern's cycles run backwards (a loop is
+    a 1-cycle), so this is the least lcm of cycle lengths over the covers of
+    the vertices by disjoint cycles. Held-Karp over the vertex subsets: mark
+    each subset that one cycle runs through, by paths from its least vertex;
+    then collect the lcms each subset's covers reach, splitting off each
+    marked block that holds its least vertex (3^n subset pairs in all).
     """
     n = g.n
     if all(g.has_loop(i) for i in range(n)):
         return 1
+    if n > SEARCH_DIMENSION_CAP:
+        raise DimensionCapError(f"transversal order capped at n = {SEARCH_DIMENSION_CAP}")
     col_masks = _column_masks(g)
-    best: Optional[int] = None
-    images: list[Optional[int]] = [None] * n
-
-    def closed_cycle_length(j: int, i: int) -> Optional[int]:
-        # adding tau(j) = i closes a cycle iff following existing images from
-        # i leads back to j
-        length = 1
-        cur = i
-        while cur != j:
-            if images[cur] is None:
-                return None
-            cur = images[cur]
-            length += 1
-        return length
-
-    def place(j: int, used: int, run_lcm: int):
-        nonlocal best
-        # some vertex has no loop, so no transversal is the identity and 2
-        # is the least order left to find
-        if best == 2:
-            return
-        if j == n:
-            best = run_lcm if best is None else min(best, run_lcm)
-            return
-        if _hall_fails(col_masks, j, used):
-            return
-        avail = col_masks[j] & ~used
-        while avail:
-            low = avail & -avail
-            i = low.bit_length() - 1
-            avail ^= low
-            length = closed_cycle_length(j, i)
-            nxt_lcm = run_lcm if length is None else math.lcm(run_lcm, length)
-            if best is not None and nxt_lcm >= best:
-                continue
-            images[j] = i
-            place(j + 1, used | low, nxt_lcm)
-            images[j] = None
-
-    place(0, 0, 1)
-    if best is None:
+    size = 1 << n
+    ends = [0] * size  # ends[s]: where the paths from min(s) through s end
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    is_cycle = [False] * size
+    for s in range(1, size):
+        tails = ends[s]
+        if not tails:
+            continue
+        least = (s & -s).bit_length() - 1
+        is_cycle[s] = bool(tails & col_masks[least])
+        for w in range(least + 1, n):
+            if not s >> w & 1 and tails & col_masks[w]:
+                ends[s | 1 << w] |= 1 << w
+    orders: list[set[int]] = [{1}]  # orders[s]: the lcms the covers of s reach
+    for s in range(1, size):
+        low = s & -s
+        rest = s ^ low
+        reached = set()
+        t = rest
+        while True:
+            block = t | low
+            if is_cycle[block] and orders[s ^ block]:
+                reached.update(math.lcm(block.bit_count(), k) for k in orders[s ^ block])
+            if not t:
+                break
+            t = (t - 1) & rest
+        orders.append(reached)
+    if not orders[-1]:
         raise SingularMatrixError("pattern admits no transversal")
-    return best
+    return min(orders[-1])

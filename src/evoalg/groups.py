@@ -58,14 +58,6 @@ class MonomialMap:
     def field(self) -> Field:
         return self.d[0].field
 
-    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Rows of P_sigma * D: column i holds d_i in row sigma(i)."""
-        zero = self.field.zero
-        rows = [[zero] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            rows[self.sigma[i]][i] = self.d[i]
-        return tuple(tuple(row) for row in rows)
-
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
         """Map composition applying the right factor first, matching the
         matrix product of the P_sigma * D forms."""

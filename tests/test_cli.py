@@ -342,6 +342,16 @@ class TestDiag:
         assert len(report["elements"]) == 3
         assert report["conductor_sufficient"]
 
+    def test_t_a_past_the_dimension_cap(self, tmp_path, capsys):
+        # past n = 12 t_A is given only when every vertex has a loop
+        cycle, loops = str(tmp_path / "c13.json"), str(tmp_path / "t14.json")
+        run_json(capsys, "make", "--family", "cycle:n=13", "--out", cycle)
+        run_json(capsys, "make", "--family", "twoparam:n=14,a=1,b=2", "--out", loops)
+        code, _, err = run(capsys, "diag", "--in", cycle)
+        assert code == 5 and "capped at n = 12" in err
+        code, report = run_json(capsys, "diag", "--in", loops)
+        assert code == 0 and report["t_A"] == 1
+
 
 class TestGraphAut:
     def test_k4_pattern(self, k4_file, capsys):

@@ -5,13 +5,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from evoalg.algebra import (
-    EvolutionAlgebra,
-    entrywise_square,
-    mat_equal,
-    mat_mul,
-    transport_structure,
-)
+from dense import entrywise_square, mat_equal, matrix
+from evoalg.algebra import EvolutionAlgebra, mat_mul, transport_structure
 from evoalg.digraph import pattern_isomorphisms
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
 from evoalg.groups import MonomialMap
@@ -44,7 +39,7 @@ def brute_force_maps_between(a, b):
         sigma = tuple(images)
         for d in itertools.product(units, repeat=n):
             g = MonomialMap(sigma, d)
-            p_mat = g.matrix()
+            p_mat = matrix(g)
             if mat_equal(
                 mat_mul(b.rows, entrywise_square(p_mat)), mat_mul(p_mat, a.rows)
             ):

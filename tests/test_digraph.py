@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from evoalg import digraph
 from evoalg.digraph import (
     Digraph,
     cycles,
@@ -222,26 +221,40 @@ class TestMinTransversalOrder:
         with pytest.raises(SingularMatrixError):
             min_transversal_order(Digraph.from_bool_rows([[1, 1], [0, 0]]))
 
-    def test_stops_at_order_two(self, monkeypatch):
-        # K10 has no loop, so a fixed-point-free involution is the best there
-        # is; the search ends at the first one it meets
-        calls = 0
-        hall_fails = digraph._hall_fails
+    def test_complete_graphs_match_closed_form(self):
+        # K_n has every cycle of length >= 2 and no loop, so t_A is the least
+        # lcm over the partitions of n into parts >= 2
+        def partitions(n, smallest=2):
+            if n == 0:
+                yield ()
+            for part in range(smallest, n + 1):
+                for tail in partitions(n - part, part):
+                    yield (part, *tail)
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return hall_fails(*args)
+        got = [min_transversal_order(complete(n)) for n in range(2, 13)]
+        assert got == [min(math.lcm(*p) for p in partitions(n)) for n in range(2, 13)]
+        assert got == [2, 3, 2, 5, 2, 6, 2, 3, 2, 6, 2]
 
-        monkeypatch.setattr(digraph, "_hall_fails", counted)
-        assert min_transversal_order(complete(10)) == 2
-        assert calls <= 10
+    def test_dimension_cap(self):
+        # past the cap only the all-loops answer is given
+        with pytest.raises(DimensionCapError):
+            min_transversal_order(complete(13))
+        assert min_transversal_order(complete(13, loops=True)) == 1
 
     def test_brute_force_oracle(self):
+        # every 0/1 pattern up to n = 3, then random ones up to n = 7
+        patterns = [
+            [bits[i * n : (i + 1) * n] for i in range(n)]
+            for n in range(1, 4)
+            for bits in itertools.product((0, 1), repeat=n * n)
+        ]
         rng = random.Random(23)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            rows = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        for _ in range(40):
+            n = rng.randint(4, 7)
+            density = rng.choice((0.3, 0.5, 0.7))
+            patterns.append([[rng.random() < density for _ in range(n)] for _ in range(n)])
+        for rows in patterns:
+            n = len(rows)
             g = Digraph.from_bool_rows(rows)
             orders = [
                 order(images)

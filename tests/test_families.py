@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from evoalg.algebra import EvolutionAlgebra, entrywise_square, mat_equal, mat_mul
+from dense import entrywise_square, mat_equal, matrix
+from evoalg.algebra import EvolutionAlgebra, mat_mul
 from evoalg.digraph import graph_automorphisms
 from evoalg.errors import ParseError, SingularMatrixError
 from evoalg.families import (
@@ -207,8 +208,8 @@ class TestCycleNormalizer:
             target = cycle_algebra(len(b), field, b)
             out = cycle_normalizer(b, field)
             for m in out.maps:
-                lhs = mat_mul(target.rows, entrywise_square(m.matrix()))
-                rhs = mat_mul(m.matrix(), source.rows)
+                lhs = mat_mul(target.rows, entrywise_square(matrix(m)))
+                rhs = mat_mul(matrix(m), source.rows)
                 assert mat_equal(lhs, rhs)
                 assert verify_map(source, target, m)
 
