@@ -20,7 +20,7 @@ import sys
 import time
 
 from .algebra import EvolutionAlgebra
-from .digraph import graph_automorphisms
+from .digraph import SEARCH_DIMENSION_CAP, graph_automorphisms
 from .errors import (
     CapExceededError,
     DimensionCapError,
@@ -34,10 +34,10 @@ from .groups import recognize
 from .solver import (
     RUN_PATTERNS,
     IsoStatus,
-    PatternMemo,
     automorphism_group,
     diagonal_subgroup,
     isomorphism,
+    pattern_run,
     pattern_solve,
 )
 from .suites import SUITES, random_idempotent, run_suite
@@ -326,6 +326,10 @@ def cmd_census(args) -> int:
     n = args.n
     if n is None or n < 1:
         raise ParseError("census needs --n >= 1")
+    if n > SEARCH_DIMENSION_CAP:
+        # every class goes through automorphism_group, which refuses it;
+        # refuse before p^(n^2) or a first sample is built
+        raise DimensionCapError(f"census capped at n = {SEARCH_DIMENSION_CAP}")
     p = field.p
     mode = args.mode
     t0 = time.monotonic()
@@ -475,10 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # one pattern memo per run, so no pattern work outlives it
-    token = RUN_PATTERNS.set(PatternMemo())
     try:
-        return args.func(args)
+        with pattern_run():
+            return args.func(args)
     except ParseError as exc:
         _say(f"error: {exc}")
         return EXIT_PARSE
@@ -491,8 +494,6 @@ def main(argv=None) -> int:
     except EvoAlgError as exc:
         _say(f"error: {exc}")
         return EXIT_PARSE
-    finally:
-        RUN_PATTERNS.reset(token)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .solver import (
     brute_force_automorphisms,
     diagonal_subgroup,
     isomorphism,
+    pattern_run,
     pattern_solve,
     verify_map,
 )
@@ -88,14 +89,17 @@ class SuiteResult(NamedTuple):
 # shared random generators
 
 
-def random_idempotent(field: Field, n: int, rng: random.Random) -> EvolutionAlgebra:
-    """Uniform entries over GF(p), rejection-sampled to a nonsingular matrix."""
+def _nonsingular(field: Field, n: int, draw: Callable[[], object]) -> EvolutionAlgebra:
+    """Draw n x n entries in row-major order until the matrix is nonsingular."""
     while True:
-        alg = EvolutionAlgebra(
-            field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
-        )
+        alg = EvolutionAlgebra(field, [[draw() for _ in range(n)] for _ in range(n)])
         if alg.is_idempotent:
             return alg
+
+
+def random_idempotent(field: Field, n: int, rng: random.Random) -> EvolutionAlgebra:
+    """Uniform entries over GF(p), rejection-sampled to a nonsingular matrix."""
+    return _nonsingular(field, n, lambda: rng.randrange(field.p))
 
 
 _CYCLO_COEFFS = [1, 2, 3, -1, -2, Fraction(1, 2), Fraction(3, 2), -3]
@@ -107,29 +111,17 @@ def random_cyclotomic_idempotent(
     """Nonsingular matrices with entries q * zeta^j (q rational), a family the
     scaling solver decides exactly."""
     z = field.zeta
-    while True:
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                if rng.random() < 0.3:
-                    row.append(field.zero)
-                else:
-                    q = field.scalar(rng.choice(_CYCLO_COEFFS))
-                    row.append(q * z ** rng.randrange(field.m))
-            rows.append(row)
-        alg = EvolutionAlgebra(field, rows)
-        if alg.is_idempotent:
-            return alg
+
+    def draw():
+        if rng.random() < 0.3:
+            return field.zero
+        return field.scalar(rng.choice(_CYCLO_COEFFS)) * z ** rng.randrange(field.m)
+
+    return _nonsingular(field, n, draw)
 
 
 def random_01_nonsingular(n: int, rng: random.Random) -> EvolutionAlgebra:
-    while True:
-        alg = EvolutionAlgebra(
-            Q, [[1 if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
-        )
-        if alg.is_idempotent:
-            return alg
+    return _nonsingular(Q, n, lambda: 1 if rng.random() < 0.5 else 0)
 
 
 def random_orbit_b(n: int, rng: random.Random) -> list[Fraction]:
@@ -446,4 +438,5 @@ SUITES: dict[str, Callable[[], SuiteResult]] = {
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise ParseError(f"unknown suite {name!r}; pick one of {sorted(SUITES)}")
-    return SUITES[name]()
+    with pattern_run():
+        return SUITES[name]()

@@ -234,10 +234,26 @@ def test_memoized_group_matches_a_fresh_solve(monkeypatch, capsys, argv):
         assert group_summary(group) == group_summary(solver.automorphism_group(alg))
 
 
-def test_pattern_memo_belongs_to_one_run(capsys):
+@pytest.mark.parametrize("mode", ["exhaustive", "random:1"])
+@pytest.mark.parametrize("n", [13, 120])
+def test_census_refuses_n_above_the_search_cap(monkeypatch, capsys, mode, n):
+    # every class would meet automorphism_group's cap, so the census stops
+    # before it computes 2^(n^2) (4,335 digits at n = 120) or builds a sample
+    def built(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(EvolutionAlgebra, "__init__", built)
+    code = cli.main(["census", "--field", "GF(2)", "--n", str(n), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "census capped at n = 12" in captured.err
+
+
+def test_pattern_memo_belongs_to_one_run(monkeypatch, capsys):
     # back-to-back runs in one process print what fresh processes print,
     # verify included, and no pattern memo is left behind in a module or in
-    # the context
+    # the context, also by a suite run alone or by a suite that raises
     runs = [
         ["census", "--field", "GF(3)", "--n", "2"],
         ["census", "--field", "GF(5)", "--n", "2"],
@@ -262,7 +278,25 @@ def test_pattern_memo_belongs_to_one_run(capsys):
             # the pattern count, with the timing cut off
             assert in_process.err.split("[")[0] == fresh.stderr.split("[")[0]
         assert solver.RUN_PATTERNS.get() is None
-    for module in (cli, solver):
+    assert suites.run_suite("thm31").ok
+    assert solver.RUN_PATTERNS.get() is None
+
+    memos = []
+
+    def raising():
+        memos.append(solver.RUN_PATTERNS.get())
+        raise RuntimeError("suite raised")
+
+    monkeypatch.setitem(suites.SUITES, "thm31", raising)
+    with pytest.raises(RuntimeError, match="suite raised"):
+        suites.run_suite("thm31")
+    assert solver.RUN_PATTERNS.get() is None
+    with pytest.raises(RuntimeError, match="suite raised"):
+        cli.main(["verify", "--suite", "thm31"])
+    assert solver.RUN_PATTERNS.get() is None
+    assert all(isinstance(memo, solver.PatternMemo) for memo in memos)
+    assert len(memos) == 2
+    for module in (cli, solver, suites):
         for name, value in vars(module).items():
             assert not isinstance(value, solver.PatternMemo), name
             if isinstance(value, dict):
@@ -332,19 +366,40 @@ def test_pattern_work_runs_once_per_pattern(monkeypatch, capsys, argv, patterns,
     assert f", {patterns} patterns [" in err
 
 
-def test_verify_thm22_solves_each_pattern_once(monkeypatch, capsys):
-    # thm22 builds 450 groups over 194 zero patterns
+def verify_through_cli(suite):
+    return cli.main(["verify", "--suite", suite]) == 0
+
+
+def verify_alone(suite):
+    return suites.run_suite(suite).ok
+
+
+@pytest.mark.parametrize("run", [verify_through_cli, verify_alone], ids=["cli-main", "run-suite"])
+@pytest.mark.parametrize(
+    "suite, groups, patterns",
+    [
+        # 450 groups over 194 zero patterns
+        ("thm22", 450, 194),
+        # thm23 and thm31 ask pattern_solve for the count after
+        # automorphism_group has listed the same automorphisms
+        ("thm23", 30, 28),
+        ("thm31", 3, 3),
+    ],
+    ids=["thm22", "thm23", "thm31"],
+)
+def test_verify_solves_each_pattern_once(monkeypatch, capsys, run, suite, groups, patterns):
+    # run_suite opens its own run, so the tests and the CLI do the same work
     counts = count_pattern_work(monkeypatch)
-    groups = []
+    built = []
     real = solver.automorphism_group
 
     def counted(alg):
-        groups.append(alg)
+        built.append(alg)
         return real(alg)
 
     monkeypatch.setattr(suites, "automorphism_group", counted)
-    assert cli.main(["verify", "--suite", "thm22"]) == 0
+    assert run(suite)
     capsys.readouterr()
-    assert len(groups) == 450
-    assert counts["graph_automorphisms"] == counts["diagonal_solves"] == 194
+    assert len(built) == groups
+    assert counts["graph_automorphisms"] == counts["diagonal_solves"] == patterns
     assert counts["identity_solves"] == 0
