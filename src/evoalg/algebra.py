@@ -271,14 +271,18 @@ class EvolutionAlgebra:
             raise ParseError("matrix JSON entries must be lists of strings")
         return cls(fld, [[fld.parse(x) for x in row] for row in entries])
 
-    @classmethod
-    def load(cls, path: str, field: Optional[Field] = None) -> "EvolutionAlgebra":
+    @staticmethod
+    def read_json(path: str):
+        """The parsed JSON document of a matrix file, not yet validated."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                return json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-        return cls.from_json(data, field)
+
+    @classmethod
+    def load(cls, path: str, field: Optional[Field] = None) -> "EvolutionAlgebra":
+        return cls.from_json(cls.read_json(path), field)
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

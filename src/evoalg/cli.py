@@ -66,9 +66,18 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
-    field = parse_field(field_text) if field_text else None
-    return EvolutionAlgebra.load(path, field)
+def _load_algebra(
+    path: str, field_text: str | None, search: str | None = None
+) -> EvolutionAlgebra:
+    """The algebra of a matrix file. `search` names the exhaustive search
+    the command runs on it: a file whose n exceeds the search's cap is
+    refused from that n, before the matrix is built and its determinant
+    taken."""
+    data = EvolutionAlgebra.read_json(path)
+    n = data.get("n") if isinstance(data, dict) else None
+    if search and type(n) is int and n > SEARCH_DIMENSION_CAP:
+        raise DimensionCapError(f"{search} capped at n = {SEARCH_DIMENSION_CAP}")
+    return EvolutionAlgebra.from_json(data, parse_field(field_text) if field_text else None)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +85,7 @@ def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
 
 
 def cmd_aut(args) -> int:
-    alg = _load_algebra(args.infile, args.field).require_idempotent()
+    alg = _load_algebra(args.infile, args.field, "automorphism search").require_idempotent()
     t0 = time.monotonic()
     group = automorphism_group(alg)
     # the diagonal part of every group, partial ones included, is D
@@ -133,7 +142,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_graph_aut(args) -> int:
-    alg = _load_algebra(args.infile, args.field)
+    alg = _load_algebra(args.infile, args.field, "pattern search")
     auts = graph_automorphisms(alg.digraph)
     report = {
         "command": "graph-aut",
@@ -148,9 +157,8 @@ def cmd_graph_aut(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    field = parse_field(args.field) if args.field else None
-    a = EvolutionAlgebra.load(args.infile, field).require_idempotent()
-    b = EvolutionAlgebra.load(args.bfile, field).require_idempotent()
+    a = _load_algebra(args.infile, args.field, "isomorphism search").require_idempotent()
+    b = _load_algebra(args.bfile, args.field, "isomorphism search").require_idempotent()
     result = isomorphism(a, b)
     report = {
         "command": "iso",
@@ -220,18 +228,25 @@ def _census_algebra(field: Field, n: int, flat) -> EvolutionAlgebra:
 
 
 def _census_entry(alg: EvolutionAlgebra):
-    """(|Aut|, |D|, whether Aut is complete) for a nonsingular algebra, or
-    None for a singular one.
+    """(|Aut|, |D|) for a nonsingular algebra, or None for a singular one.
 
     The pattern automorphisms and D depend only on the zero pattern and the
     field, so the algebras of a run that share a pattern compute them once,
-    through the run's memo. |D| is read off the group: a complete group's
-    diagonal part is D, and the census tallies complete groups only.
+    through the run's memo. |D| is read off the group, whose diagonal part
+    is D.
+
+    Self-check, exact: kth_roots decides every equation over GF(p), so every
+    group is complete; an incomplete one raises RuntimeError in either mode.
     """
     if not alg.is_idempotent:
         return None
     group = automorphism_group(alg)
-    return group.order, group.diagonal_order, group.complete
+    if not group.complete:
+        rows = [list(row) for row in alg.raw_rows]
+        raise RuntimeError(
+            f"automorphism group of {rows} over {alg.field.descriptor()} is incomplete"
+        )
+    return group.order, group.diagonal_order
 
 
 def _unit_vectors(p: int, n: int):
@@ -256,10 +271,9 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
     `tally(entry, weight)` receives each class entry weighted by its orbit
     size.
 
-    Self-checks, exact: every nonsingular class has a complete group (kth_roots
-    decides every equation the cap admits: x^1 = c at n = 1, p <= 100 above),
-    |orbit| * |Aut(A)| = |M| for it (orbit-stabilizer), and the orbits cover
-    all p^(n^2) matrices. A failure raises RuntimeError.
+    Self-checks, exact: |orbit| * |Aut(A)| = |M| for every nonsingular class
+    (orbit-stabilizer), and the orbits cover all p^(n^2) matrices. A failure
+    raises RuntimeError.
     """
     p, cells = field.p, n * n
     total = p**cells
@@ -282,11 +296,6 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
         flat = decode(code)
         entry = _census_entry(_census_algebra(field, n, flat))
         classes += entry is not None
-        if entry is not None and not entry[2]:
-            raise RuntimeError(
-                f"automorphism group of the class of {list(flat)} over "
-                f"{field.descriptor()} is incomplete"
-            )
         size = 1
         support = [
             (k, j, flat[k * n + j]) for k in range(n) for j in range(n) if flat[k * n + j]
@@ -335,14 +344,14 @@ def cmd_census(args) -> int:
     t0 = time.monotonic()
     aut_hist: dict[int, int] = {}
     diag_hist: dict[int, int] = {}
-    nonsingular = incomplete = 0
+    nonsingular = 0
 
     def tally(entry, weight):
         nonlocal nonsingular
         if entry is None:
             return
         nonsingular += weight
-        aut_order, diag_order, _ = entry
+        aut_order, diag_order = entry
         aut_hist[aut_order] = aut_hist.get(aut_order, 0) + weight
         diag_hist[diag_order] = diag_hist.get(diag_order, 0) + weight
 
@@ -366,17 +375,12 @@ def cmd_census(args) -> int:
         rng = random.Random(args.seed)
         scanned = samples
         for _ in range(samples):
-            entry = _census_entry(random_idempotent(field, n, rng))
-            if entry is not None and not entry[2]:
-                # a partial group's order is not |Aut|: count, never tally
-                incomplete += 1
-            else:
-                tally(entry, 1)
+            tally(_census_entry(random_idempotent(field, n, rng)), 1)
         classes = None
 
     report = {
         "command": "census",
-        "status": "indeterminate" if incomplete else "ok",
+        "status": "ok",
         "field": field.descriptor(),
         "n": n,
         "mode": "exhaustive" if mode == "exhaustive" else "random",
@@ -388,17 +392,14 @@ def cmd_census(args) -> int:
     if samples is not None:
         report["samples"] = samples
         report["seed"] = args.seed
-    if incomplete:
-        report["incomplete"] = incomplete
     _emit(report, args)
     in_classes = "" if classes is None else f" in {classes} classes"
-    left_out = f", {incomplete} undecided left out" if incomplete else ""
     _say(
-        f"census: {nonsingular} algebras{in_classes}{left_out} over "
+        f"census: {nonsingular} algebras{in_classes} over "
         f"{field.descriptor()}, n = {n}, {len(RUN_PATTERNS.get())} patterns "
         f"[{time.monotonic() - t0:.2f}s, {args.threads} threads]"
     )
-    return EXIT_INDETERMINATE if incomplete else EXIT_OK
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

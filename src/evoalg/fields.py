@@ -32,10 +32,13 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import CapExceededError, FieldMismatchError, ParseError
 
 PRIME_LIMIT = 2**31
-DLOG_TABLE_LIMIT = 10**6
 # the largest bound 2^t - 1 that an algebra within the search dimension cap
 # can ask a cyclotomic field for; Phi_m is built before any entry is read
 CONDUCTOR_CAP = 2**12 - 1
+# the largest decimal exponent a scalar literal may carry: Fraction("1e9999999")
+# expands 10**9999999 before any check; 4300 matches the digit limit that
+# int() puts on a plain literal
+SCALAR_EXPONENT_CAP = 4300
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,20 @@ def perfect_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     if b**k != q.denominator:
         return None
     return Fraction(a, b)
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text) for a rational literal such as "-3/4", "0.5" or "1e3",
+    refusing a decimal exponent above SCALAR_EXPONENT_CAP in magnitude before
+    Fraction expands it. A malformed exponent raises ValueError, as Fraction
+    would."""
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        cap = SCALAR_EXPONENT_CAP
+        if len(digits) > len(str(cap)) or int(digits or 0) > cap:
+            raise ParseError(f"exponent of {text[:40]!r} exceeds {cap} in magnitude")
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +467,30 @@ class Field(metaclass=_Interned):
 
 
 class PrimeField(Field):
-    """GF(p) for a prime p < 2**31. kth_roots decides x**k = c exactly when
-    gcd(k, p - 1) = 1 or c = 1, and otherwise through the discrete-log
-    table, which is built on first use for p <= 10**6."""
+    """GF(p) for a prime p < 2**31. kth_roots decides every x**k = c: by one
+    power when gcd(k, p - 1) = 1, and otherwise through one discrete log,
+    taken by Pohlig-Hellman without a table."""
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= PRIME_LIMIT or not is_prime(p):
             raise ParseError(f"GF modulus must be a prime below 2**31, got {p!r}")
         self.p = p
+        # p - 1 = prod q**a, kept as (q, a) pairs for the primitive root test
+        # and for every discrete log
+        self._prime_powers = []
+        for q in prime_factors(p - 1):
+            a, rest = 0, p - 1
+            while rest % q == 0:
+                a, rest = a + 1, rest // q
+            self._prime_powers.append((q, a))
         self.generator = self._find_primitive_root()
 
     def _find_primitive_root(self) -> int:
         if self.p == 2:
             return 1
         n = self.p - 1
-        qs = prime_factors(n)
         for g in range(2, self.p):
-            if all(pow(g, n // q, self.p) != 1 for q in qs):
+            if all(pow(g, n // q, self.p) != 1 for q, _ in self._prime_powers):
                 return g
         raise RuntimeError("no primitive root found")  # unreachable for prime p
 
@@ -520,18 +544,48 @@ class PrimeField(Field):
     def _unity_generator(self):
         return self.generator if self.p > 2 else 1
 
+    def _unity_dlog(self, value) -> Optional[int]:
+        """Exponent e in [0, p - 1) with generator**e == value, or None for
+        zero, by Pohlig-Hellman: e mod q**a for each prime power of p - 1,
+        one base-q digit at a time, each digit found by baby-step giant-step
+        in the subgroup of order q. No dict holds more than ceil(sqrt(q))
+        entries, and the residues are joined by the Chinese remainder
+        theorem. No table of p - 1 powers is built."""
+        if value == 0:
+            return None
+        p, n, g = self.p, self.p - 1, self.generator
+        e, modulus = 0, 1
+        for q, a in self._prime_powers:
+            qa = q**a
+            # gamma has order q; g_a and h_a live in the subgroup of order q**a
+            gamma = pow(g, n // q, p)
+            g_a, h_a = pow(g, n // qa, p), pow(value, n // qa, p)
+            steps = math.isqrt(q - 1) + 1
+            baby, cur = {}, 1
+            for j in range(steps):
+                baby[cur] = j
+                cur = cur * gamma % p
+            giant = pow(gamma, -steps, p)
+            x = 0
+            for i in range(a):
+                # strip the digits found so far and lift to the order-q subgroup
+                y = pow(h_a * pow(g_a, -x, p) % p, q ** (a - 1 - i), p)
+                for t in range(steps):
+                    j = baby.get(y)
+                    if j is not None:
+                        break
+                    y = y * giant % p
+                x += (t * steps + j) * q**i
+            e += modulus * ((x - e) * pow(modulus, -1, qa) % qa)
+            modulus *= qa
+        return e
+
     def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
         n = self.p - 1
         if math.gcd(k, n) == 1:
             # x -> x**k permutes GF(p)^*, so the one root is c**(k^-1 mod p-1)
             return KthRoots(True, (c ** pow(k, -1, n),))
-        if c.value == 1:
-            # 1 = g^0 needs no discrete-log table
-            roots = self._solve_unity_power(k, 0)
-        elif self.p > DLOG_TABLE_LIMIT:
-            return KthRoots(False, (), f"x^{k} = {c} over {self.descriptor()}")
-        else:
-            roots = self._solve_unity_power(k, self._unity_dlog(c.value))
+        roots = self._solve_unity_power(k, self._unity_dlog(c.value))
         return KthRoots(True, tuple(sorted(roots, key=Scalar.sort_key)))
 
     def format(self, value) -> str:
@@ -540,7 +594,7 @@ class PrimeField(Field):
     def parse(self, text: str) -> Scalar:
         text = text.strip().replace(" ", "")
         try:
-            return Scalar(self, self._convert(Fraction(text)))
+            return Scalar(self, self._convert(_parse_fraction(text)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad GF({self.p}) scalar {text!r}") from exc
 
@@ -767,7 +821,7 @@ class CyclotomicField(Field):
     def parse(self, text: str) -> Scalar:
         if self.m == 1:
             try:
-                return self.scalar(Fraction(text.strip().replace(" ", "")))
+                return self.scalar(_parse_fraction(text.strip().replace(" ", "")))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational {text!r}") from exc
         s = text.replace(" ", "")

@@ -57,12 +57,21 @@ GOLDEN = {
         0,
         "9c94100f7b194ed8e4d6980dda51d1157103cf25d739fc2a20ef90617c3b76c5",
     ),
-    # a partial group: the swap's cycle equation x^3 = 1/2 stays open
-    "partial-GF1000003": (
+    # a partial group: the swap's cycle equation x^3 = 2 + z has an
+    # irrational right-hand side and stays open
+    "partial-Qz3": (
+        None,
+        {"field": "Q(zeta_3)", "entries": [["0", "1"], ["2 + z", "0"]]},
+        3,
+        "3c22fd37e327826c61aaf150cd06b4a5ff19d929375e2c332c1d31d7df890daa",
+    ),
+    # decided by a discrete log: the swap does not lift, since 1/2 has no
+    # cube root mod 1000003, so Aut = D = C3
+    "swap-GF1000003": (
         None,
         {"field": "GF(1000003)", "entries": [["0", "1"], ["2", "0"]]},
-        3,
-        "dd91005f2c488dcf1551aa62a0dbe9ff1229b0a2c17bca105483eecbe2dc19f3",
+        0,
+        "65bf991e76eaf2ae544c8461cb1c359c24f033eb81f603741140403ee2c94bfc",
     ),
 }
 

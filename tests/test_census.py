@@ -85,7 +85,12 @@ def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
         cli.main(["census", "--field", "GF(3)", "--n", "2"])
 
 
-def test_incomplete_group_fails_self_check(monkeypatch):
+@pytest.mark.parametrize(
+    "mode", ["exhaustive", "random:3"], ids=["exhaustive", "random"]
+)
+def test_incomplete_group_fails_self_check(monkeypatch, mode):
+    # GF(p) decides every root extraction, so an incomplete group is a fault
+    # in either mode, never a sample to leave out
     real = cli.automorphism_group
 
     def undecided(alg, *args, **kwargs):
@@ -97,7 +102,7 @@ def test_incomplete_group_fails_self_check(monkeypatch):
 
     monkeypatch.setattr(cli, "automorphism_group", undecided)
     with pytest.raises(RuntimeError, match="is incomplete"):
-        cli.main(["census", "--field", "GF(3)", "--n", "2"])
+        cli.main(["census", "--field", "GF(3)", "--n", "2", "--mode", mode])
 
 
 @pytest.mark.parametrize(
@@ -165,28 +170,6 @@ def test_random_sample_builds_each_algebra_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(solved) == 40
     assert [alg for alg in built if alg.is_idempotent] == solved
-
-
-def test_random_sample_with_partial_group_is_left_out(monkeypatch, capsys):
-    # x^3 = c over GF(1000003) has no discrete-log table and gcd(3, p - 1) = 3,
-    # so the swap's solve stays open and the group of this sample is partial
-    field = PrimeField(1000003)
-    partial = suites.EvolutionAlgebra(field, [[0, 1], [2, 0]])
-    decided = suites.EvolutionAlgebra(field, [[1, 0], [0, 1]])
-    draws = iter([partial, decided, partial])
-    monkeypatch.setattr(cli, "random_idempotent", lambda *_: next(draws))
-    code = cli.main(
-        ["census", "--field", "GF(1000003)", "--n", "2", "--mode", "random:3"]
-    )
-    captured = capsys.readouterr()
-    assert code == 3
-    report = json.loads(captured.out)
-    assert report["status"] == "indeterminate"
-    assert report["incomplete"] == 2
-    assert report["nonsingular"] == 1
-    assert report["aut_histogram"] == {"2": 1}
-    assert "2 undecided left out" in captured.err
-
 
 
 def group_summary(group):

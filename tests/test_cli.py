@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import evoalg
-from evoalg import solver
+from evoalg import algebra, solver
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.cli import main
 from evoalg.fields import CyclotomicField
@@ -181,7 +182,7 @@ class TestAut:
         assert code == 3 and report["status"] == "indeterminate"
 
     def test_large_prime_1x1_is_decided(self, tmp_path, capsys):
-        # x^1 = c needs no discrete-log table, whatever the prime
+        # x^1 = c has the one root c, whatever the prime
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"field": "GF(1000003)", "n": 1, "entries": [["5"]]}))
         code, report = run_json(capsys, "aut", "--in", str(path))
@@ -189,8 +190,7 @@ class TestAut:
         assert report["order"] == 1 and report["status"] == "ok"
 
     def test_large_prime_k2_is_s3(self, tmp_path, capsys):
-        # D solves x^3 = 1, decided without a discrete-log table; the swap
-        # lifts with c = 1
+        # D solves x^3 = 1, and the swap lifts with c = 1
         path = write_matrix(
             tmp_path / "k2.json", "GF(1000003)", [["0", "1"], ["1", "0"]]
         )
@@ -231,7 +231,7 @@ class TestAut:
                  ["0", "3", "0", "0"], ["0", "0", "-5", "0"]],
             ),
             k4_moved(tmp_path / "k4m.json"),
-            write_matrix(tmp_path / "p2.json", "GF(1000003)", [["0", "1"], ["2", "0"]]),
+            write_matrix(tmp_path / "p2.json", "Q(zeta_3)", [["0", "1"], ["2 + z", "0"]]),
             write_matrix(
                 tmp_path / "p4.json", "Q(zeta_7)",
                 [["0", "1", "0", "0"], ["1", "0", "0", "0"],
@@ -299,6 +299,20 @@ class TestAut:
         assert code == exit_code and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field_text", ["GF(7)", "Q"])
+    @pytest.mark.parametrize(
+        "literal, exit_code",
+        [("1e3", 0), ("1e4300", 0), ("1e4301", 1), ("1e-9999999", 1), ("1.5e99999999", 1)],
+    )
+    def test_literal_exponent_is_bounded(self, tmp_path, capsys, field_text, literal, exit_code):
+        # Fraction("1e9999999") would expand ten million digits before any check
+        path = write_matrix(tmp_path / "m.json", field_text, [[literal]])
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "aut", "--in", path)
+        assert time.monotonic() - t0 < 2
+        assert code == exit_code
+        assert (out == "") == (exit_code != 0)
+
     def test_large_power_of_zeta_parses(self, tmp_path, capsys):
         # z^4 = z over Q(zeta_3); a 1x1 algebra has only the identity map
         path = tmp_path / "z4.json"
@@ -351,6 +365,29 @@ class TestDiag:
         assert code == 5 and "capped at n = 12" in err
         code, report = run_json(capsys, "diag", "--in", loops)
         assert code == 0 and report["t_A"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, search",
+    [("aut", "automorphism"), ("graph-aut", "pattern"), ("iso", "isomorphism")],
+)
+def test_dimension_cap_is_checked_before_the_determinant(
+    tmp_path, capsys, monkeypatch, command, search
+):
+    # K13 is past the n = 12 search cap; the refusal reads n off the JSON
+    n = 13
+    path = write_matrix(
+        tmp_path / "k13.json", "Q", [["0" if k == j else "1" for j in range(n)] for k in range(n)]
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("determinant was called")
+
+    monkeypatch.setattr(algebra, "determinant", refuse)
+    argv = [command, "--in", path] + (["--b", path] if command == "iso" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 5 and out == ""
+    assert err == f"error: {search} search capped at n = 12\n"
 
 
 class TestGraphAut:

@@ -13,6 +13,7 @@ from evoalg.fields import (
     RationalField,
     Scalar,
     cyclotomic_polynomial,
+    is_prime,
     parse_field,
 )
 
@@ -501,16 +502,14 @@ class TestMultOrder:
         assert (g**6).multiplicative_order() == 1000002 // 6
         assert big._dlog is None
 
-    def test_prime_field_orders_reuse_the_kth_roots_table(self, monkeypatch):
-        # GF(p) builds no table for an order; once kth_roots has built one,
-        # orders read it, with the same answers as the divisor test
+    def test_prime_field_orders_never_read_a_table(self):
+        # GF(p) takes its discrete logs without a table, so orders take the
+        # divisor test before and after kth_roots, with the same answers
         field = PrimeField(13)
-        monkeypatch.setattr(field, "_dlog", None)
         elements = [field.scalar(v) for v in range(1, 13)]
         tested = [x.multiplicative_order() for x in elements]
-        assert field._dlog is None
         assert field.kth_roots(field.scalar(4), 2).complete
-        assert field._dlog is not None
+        assert field._dlog is None
         assert [x.multiplicative_order() for x in elements] == tested
         assert tested == [1, 12, 3, 6, 4, 12, 12, 4, 3, 6, 12, 2]
 
@@ -588,9 +587,14 @@ class TestKthRoots:
             Q.kth_roots(Q.zero, 3)
 
     def test_large_prime_has_no_dlog_table(self):
+        # x^3 = 2 with gcd(3, p - 1) = 3 is decided by one discrete log
         big = PrimeField(1000003)
-        out = big.kth_roots(big.scalar(2), 3)
-        assert not out.complete and out.equation
+        two = big.scalar(2)
+        out = big.kth_roots(two, 3)
+        assert out.complete and big._dlog is None
+        assert all(r**3 == two for r in out.roots)
+        is_cube = pow(2, (big.p - 1) // 3, big.p) == 1
+        assert len(out.roots) == (3 if is_cube else 0)
 
     def test_large_prime_coprime_exponent_has_one_root(self):
         # gcd(7, 1000002) = 1, so x -> x^7 permutes the units
@@ -634,6 +638,49 @@ class TestKthRoots:
                 assert x**k == c
                 for y in out.roots:
                     assert x / y in unity
+
+
+class TestPrimeFieldDlog:
+    """The Pohlig-Hellman discrete log of GF(p) and the root extraction it
+    decides, against brute force."""
+
+    LARGE = [999979, 1000003, 2**31 - 1, 2147483629]  # the last: 59652323 | p - 1
+
+    def test_every_unit_of_every_prime_below_300(self):
+        for p in filter(is_prime, range(300)):
+            field = PrimeField(p)
+            g, x = field.generator, 1
+            for e in range(p - 1):
+                assert field._unity_dlog(x) == e, (p, x)
+                x = x * g % p
+            assert field._dlog is None
+
+    @pytest.mark.parametrize("p", LARGE)
+    def test_random_units_of_a_large_prime(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for _ in range(5):
+            e = rng.randrange(p - 1)
+            assert field._unity_dlog(pow(field.generator, e, p)) == e
+        assert field._dlog is None
+
+    @pytest.mark.parametrize("p", LARGE)
+    def test_kth_roots_are_complete_and_exact(self, p):
+        # Euler's criterion: x^k = c has gcd(k, p - 1) roots when
+        # c^((p - 1) / gcd) = 1, and none otherwise
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for k in (3, 7, 15):
+            g = math.gcd(k, p - 1)
+            for c in [field.scalar(rng.randrange(1, p)) for _ in range(3)] + [
+                field.scalar(rng.randrange(1, p)) ** k
+            ]:
+                out = field.kth_roots(c, k)
+                assert out.complete
+                assert all(r**k == c for r in out.roots)
+                assert len(set(out.roots)) == len(out.roots)
+                solvable = pow(c.value, (p - 1) // g, p) == 1
+                assert len(out.roots) == (g if solvable else 0)
 
 
 class TestSerialization:
