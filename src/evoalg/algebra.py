@@ -88,12 +88,13 @@ class LoopInvariants(NamedTuple):
 
 
 class EvolutionAlgebra:
-    """An evolution algebra with its structure matrix, determinant and
-    zero-pattern digraph. Immutable.
+    """An evolution algebra with its structure matrix and zero-pattern
+    digraph. Immutable.
 
     The entries are held as raw field values, which are canonical, so
-    equality and hashing read them; the boxed ``rows`` are built on first
-    read."""
+    equality and hashing read them. Building an algebra takes O(n^2) work;
+    the determinant, and with it idempotence, is taken on first read, and
+    the boxed ``rows`` are built on first read."""
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         raw = []
@@ -107,9 +108,15 @@ class EvolutionAlgebra:
         self.field = field
         self.n = n
         self.raw_rows: tuple[tuple, ...] = tuple(raw)
-        self.det = determinant(self.raw_rows, field)
-        self.is_idempotent: bool = not self.det.is_zero
         self.digraph = Digraph.from_raw_rows(self.raw_rows, field._is_zero)
+
+    @cached_property
+    def det(self) -> Scalar:
+        return determinant(self.raw_rows, self.field)
+
+    @cached_property
+    def is_idempotent(self) -> bool:
+        return not self.det.is_zero
 
     def require_idempotent(self) -> "EvolutionAlgebra":
         if not self.is_idempotent:
@@ -271,18 +278,14 @@ class EvolutionAlgebra:
             raise ParseError("matrix JSON entries must be lists of strings")
         return cls(fld, [[fld.parse(x) for x in row] for row in entries])
 
-    @staticmethod
-    def read_json(path: str):
-        """The parsed JSON document of a matrix file, not yet validated."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-
     @classmethod
     def load(cls, path: str, field: Optional[Field] = None) -> "EvolutionAlgebra":
-        return cls.from_json(cls.read_json(path), field)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
+        return cls.from_json(data, field)
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -21,13 +21,7 @@ import time
 
 from .algebra import EvolutionAlgebra
 from .digraph import SEARCH_DIMENSION_CAP, graph_automorphisms
-from .errors import (
-    CapExceededError,
-    DimensionCapError,
-    EvoAlgError,
-    ParseError,
-    SingularMatrixError,
-)
+from .errors import CapExceededError, EvoAlgError, ParseError
 from .families import build_family
 from .fields import Field, PrimeField, parse_field
 from .groups import recognize
@@ -42,12 +36,11 @@ from .solver import (
 )
 from .suites import SUITES, random_idempotent, run_suite
 
+# errors exit with their class's exit_code: 1 parse, 2 singular, 5 cap
 EXIT_OK = 0
 EXIT_PARSE = 1
-EXIT_SINGULAR = 2
 EXIT_INDETERMINATE = 3
 EXIT_NEGATIVE = 4
-EXIT_CAP = 5
 
 CENSUS_EXHAUSTIVE_CAP = 10**8
 DIAG_ELEMENT_REPORT_CAP = 128
@@ -66,18 +59,11 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_algebra(
-    path: str, field_text: str | None, search: str | None = None
-) -> EvolutionAlgebra:
-    """The algebra of a matrix file. `search` names the exhaustive search
-    the command runs on it: a file whose n exceeds the search's cap is
-    refused from that n, before the matrix is built and its determinant
-    taken."""
-    data = EvolutionAlgebra.read_json(path)
-    n = data.get("n") if isinstance(data, dict) else None
-    if search and type(n) is int and n > SEARCH_DIMENSION_CAP:
-        raise DimensionCapError(f"{search} capped at n = {SEARCH_DIMENSION_CAP}")
-    return EvolutionAlgebra.from_json(data, parse_field(field_text) if field_text else None)
+def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
+    """The algebra of a matrix file. Loading takes no determinant, so each
+    search refuses an n past its cap before it decides idempotence."""
+    field = parse_field(field_text) if field_text else None
+    return EvolutionAlgebra.load(path, field)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +71,7 @@ def _load_algebra(
 
 
 def cmd_aut(args) -> int:
-    alg = _load_algebra(args.infile, args.field, "automorphism search").require_idempotent()
+    alg = _load_algebra(args.infile, args.field)
     t0 = time.monotonic()
     group = automorphism_group(alg)
     # the diagonal part of every group, partial ones included, is D
@@ -117,7 +103,10 @@ def cmd_aut(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    alg = _load_algebra(args.infile, args.field).require_idempotent()
+    alg = _load_algebra(args.infile, args.field)
+    # t_A refuses a loopless pattern past the cap before the determinant
+    # and the SNF that diagonal_subgroup takes
+    t_a = alg.min_transversal_order
     lattice = diagonal_subgroup(alg)
     report = {
         "command": "diag",
@@ -131,7 +120,7 @@ def cmd_diag(args) -> int:
             {"exponents": list(vec), "order": order}
             for vec, order in zip(lattice.exponents.generators, lattice.exponents.orders)
         ],
-        "t_A": alg.min_transversal_order,
+        "t_A": t_a,
         "conductor_sufficient": alg.conductor_sufficient,
     }
     if lattice.order <= DIAG_ELEMENT_REPORT_CAP:
@@ -142,7 +131,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_graph_aut(args) -> int:
-    alg = _load_algebra(args.infile, args.field, "pattern search")
+    alg = _load_algebra(args.infile, args.field)
     auts = graph_automorphisms(alg.digraph)
     report = {
         "command": "graph-aut",
@@ -157,8 +146,8 @@ def cmd_graph_aut(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    a = _load_algebra(args.infile, args.field, "isomorphism search").require_idempotent()
-    b = _load_algebra(args.bfile, args.field, "isomorphism search").require_idempotent()
+    a = _load_algebra(args.infile, args.field)
+    b = _load_algebra(args.bfile, args.field)
     result = isomorphism(a, b)
     report = {
         "command": "iso",
@@ -338,7 +327,7 @@ def cmd_census(args) -> int:
     if n > SEARCH_DIMENSION_CAP:
         # every class goes through automorphism_group, which refuses it;
         # refuse before p^(n^2) or a first sample is built
-        raise DimensionCapError(f"census capped at n = {SEARCH_DIMENSION_CAP}")
+        raise CapExceededError(f"census capped at n = {SEARCH_DIMENSION_CAP}")
     p = field.p
     mode = args.mode
     t0 = time.monotonic()
@@ -483,18 +472,9 @@ def main(argv=None) -> int:
     try:
         with pattern_run():
             return args.func(args)
-    except ParseError as exc:
-        _say(f"error: {exc}")
-        return EXIT_PARSE
-    except SingularMatrixError as exc:
-        _say(f"error: {exc}")
-        return EXIT_SINGULAR
-    except (DimensionCapError, CapExceededError) as exc:
-        _say(f"error: {exc}")
-        return EXIT_CAP
     except EvoAlgError as exc:
         _say(f"error: {exc}")
-        return EXIT_PARSE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .errors import DimensionCapError, ParseError, SingularMatrixError
+from .errors import CapExceededError, ParseError, SingularMatrixError
 
 SEARCH_DIMENSION_CAP = 12
 
@@ -132,7 +132,7 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
         return
     n = g.n
     if n > SEARCH_DIMENSION_CAP:
-        raise DimensionCapError(f"pattern search capped at n = {SEARCH_DIMENSION_CAP}")
+        raise CapExceededError(f"pattern search capped at n = {SEARCH_DIMENSION_CAP}")
     gi, hi = _invariants(g), _invariants(h)
     if sorted(gi) != sorted(hi):
         return
@@ -209,7 +209,7 @@ def min_transversal_order(g: Digraph) -> int:
     if all(g.has_loop(i) for i in range(n)):
         return 1
     if n > SEARCH_DIMENSION_CAP:
-        raise DimensionCapError(f"transversal order capped at n = {SEARCH_DIMENSION_CAP}")
+        raise CapExceededError(f"transversal order capped at n = {SEARCH_DIMENSION_CAP}")
     col_masks = _column_masks(g)
     size = 1 << n
     ends = [0] * size  # ends[s]: where the paths from min(s) through s end

@@ -2,7 +2,10 @@
 
 
 class EvoAlgError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. ``exit_code`` is
+    the command line's exit status for the error."""
+
+    exit_code = 1
 
 
 class ParseError(EvoAlgError, ValueError):
@@ -16,13 +19,14 @@ class FieldMismatchError(EvoAlgError, ValueError):
 class SingularMatrixError(EvoAlgError, ValueError):
     """A nonsingular structure matrix was required."""
 
-
-class DimensionCapError(EvoAlgError, ValueError):
-    """Input exceeds the hard size cap of an exhaustive search."""
+    exit_code = 2
 
 
 class CapExceededError(EvoAlgError, RuntimeError):
-    """A closure or enumeration grew past its configured cap."""
+    """An input passed the size cap of a search, or a closure or enumeration
+    grew past its configured cap."""
+
+    exit_code = 5
 
 
 class UnclosedGroupError(EvoAlgError, ValueError):

@@ -7,7 +7,7 @@ import json
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
-from .errors import ParseError, SingularMatrixError
+from .errors import EvoAlgError, ParseError, SingularMatrixError
 from .fields import Field
 from .solver import SolveOutcome, solve_monomial
 
@@ -254,7 +254,7 @@ def build_family(spec: str, field: Field) -> tuple[EvolutionAlgebra, dict]:
             )
     except KeyError as exc:
         raise ParseError(f"family {name!r} is missing argument {exc}") from exc
-    except (SingularMatrixError, ParseError):
+    except EvoAlgError:
         raise
     except ValueError as exc:
         raise ParseError(f"bad family arguments in {spec!r}: {exc}") from exc

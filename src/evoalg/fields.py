@@ -46,27 +46,8 @@ SCALAR_EXPONENT_CAP = 4300
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n < 3_215_031_751."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """By trial division, which the parser's bound p < 2^31 keeps cheap."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

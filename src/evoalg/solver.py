@@ -28,12 +28,7 @@ from .digraph import (
     inverse,
     pattern_isomorphisms,
 )
-from .errors import (
-    CapExceededError,
-    DimensionCapError,
-    FieldMismatchError,
-    ParseError,
-)
+from .errors import CapExceededError, FieldMismatchError, ParseError
 from .fields import PrimeField, Scalar
 from .groups import CLOSURE_CAP, Closure, MonomialGroup, MonomialMap, compose, sigma_of
 from .snf import CongruenceSolution, solve_homogeneous_mod
@@ -349,11 +344,9 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     its diagonal part is D; a partial group is a subgroup of Aut(E), not
     claimed to be all of it.
     """
-    a.require_idempotent()
     if a.n > SEARCH_DIMENSION_CAP:
-        raise DimensionCapError(
-            f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}"
-        )
+        raise CapExceededError(f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}")
+    a.require_idempotent()
     pattern = pattern_solve(a)
     closure = Closure(a.field, a.n)
     for g in pattern.diagonal:
@@ -476,11 +469,9 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
     """Search the pattern isomorphisms of the associated digraphs and solve
     for scalings; the first witness comes with a machine-checkable
     certificate."""
+    if max(a.n, b.n) > SEARCH_DIMENSION_CAP:
+        raise CapExceededError(f"isomorphism search capped at n = {SEARCH_DIMENSION_CAP}")
     _check_pair(a, b)
-    if a.n > SEARCH_DIMENSION_CAP:
-        raise DimensionCapError(
-            f"isomorphism search capped at n = {SEARCH_DIMENSION_CAP}"
-        )
     unsolved: list[str] = []
     count = 0
     for sigma in pattern_isomorphisms(a.digraph, b.digraph):

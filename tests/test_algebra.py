@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dense import entrywise_square, mat_equal, matrix, rank
+from evoalg import algebra
 from evoalg.algebra import EvolutionAlgebra, determinant, mat_mul, transport_structure
 from evoalg.errors import FieldMismatchError, ParseError, SingularMatrixError
 from evoalg.fields import CyclotomicField, PrimeField, RationalField
@@ -64,10 +65,26 @@ class TestConstruction:
         with pytest.raises(SingularMatrixError):
             alg.require_idempotent()
 
-    def test_idempotence_is_decided_at_construction(self):
+    def test_idempotence_is_decided_on_first_read(self):
         for rows, expected in (([[0, 1], [1, 0]], True), ([[1, 1], [1, 1]], False)):
             alg = EvolutionAlgebra(Q, rows)
+            assert "det" not in vars(alg) and "is_idempotent" not in vars(alg)
+            assert alg.is_idempotent is expected
             assert vars(alg)["is_idempotent"] is expected
+
+    def test_determinant_is_taken_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return determinant(*args)
+
+        monkeypatch.setattr(algebra, "determinant", counted)
+        alg = EvolutionAlgebra(Q, complete_matrix(4))
+        assert calls == []
+        for _ in range(3):
+            assert alg.is_idempotent and alg.det == -3
+        assert len(calls) == 1
 
     def test_non_square_rejected(self):
         with pytest.raises(ParseError):

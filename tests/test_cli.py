@@ -374,7 +374,8 @@ class TestDiag:
 def test_dimension_cap_is_checked_before_the_determinant(
     tmp_path, capsys, monkeypatch, command, search
 ):
-    # K13 is past the n = 12 search cap; the refusal reads n off the JSON
+    # K13 is past the n = 12 search cap; each search refuses it before it
+    # decides idempotence
     n = 13
     path = write_matrix(
         tmp_path / "k13.json", "Q", [["0" if k == j else "1" for j in range(n)] for k in range(n)]
@@ -390,7 +391,32 @@ def test_dimension_cap_is_checked_before_the_determinant(
     assert err == f"error: {search} search capped at n = 12\n"
 
 
+def test_diag_refuses_a_loopless_pattern_before_the_determinant(tmp_path, capsys, monkeypatch):
+    # K13 has no loop, so t_A meets its n = 12 cap before the determinant
+    # and the SNF are taken
+    n = 13
+    path = write_matrix(
+        tmp_path / "k13.json", "Q", [["0" if k == j else "1" for j in range(n)] for k in range(n)]
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("determinant was called")
+
+    monkeypatch.setattr(algebra, "determinant", refuse)
+    code, out, err = run(capsys, "diag", "--in", path)
+    assert code == 5 and out == ""
+    assert err == "error: transversal order capped at n = 12\n"
+
+
 class TestGraphAut:
+    def test_takes_no_determinant(self, k4_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("determinant was called")
+
+        monkeypatch.setattr(algebra, "determinant", refuse)
+        code, report = run_json(capsys, "graph-aut", "--in", k4_file)
+        assert code == 0 and report["count"] == 24
+
     def test_k4_pattern(self, k4_file, capsys):
         code, report = run_json(capsys, "graph-aut", "--in", k4_file)
         assert code == 0 and report["count"] == 24

@@ -567,6 +567,18 @@ class TestKthRoots:
         out = z8.kth_roots(z8.scalar(3), 2)
         assert not out.complete
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_radical_whose_power_is_not_a_perfect_power_stays_open(self, k):
+        # c = sqrt(2): c^8 = 16 is rational but not a perfect 8th power, so
+        # c is no root of unity times a rational. No root is claimed, and
+        # the answer stays open, though none of these equations has one.
+        z8 = CyclotomicField(8)
+        c = z8.parse("z - z^3")
+        assert c * c == z8.scalar(2)
+        out = z8.kth_roots(c, k)
+        assert out.roots == ()
+        assert not out.complete and f"x^{k} = z - z^3 over Q(zeta_8)" in out.equation
+
     def test_unity_times_perfect_power(self):
         z7 = CyclotomicField(7)
         c = z7.scalar(8) * z7.zeta**3
