@@ -12,7 +12,7 @@ import json
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import Digraph, cycles, min_transversal_order, transversals
+from .digraph import Digraph, check_dimension, cycles, min_transversal_order, transversals
 from .errors import FieldMismatchError, ParseError, SingularMatrixError
 from .fields import Field, Scalar, parse_field
 from .groups import MonomialMap
@@ -94,11 +94,13 @@ class EvolutionAlgebra:
     The entries are held as raw field values, which are canonical, so
     equality and hashing read them. Building an algebra takes O(n^2) work;
     the determinant, and with it idempotence, is taken on first read, and
-    the boxed ``rows`` are built on first read."""
+    the boxed ``rows`` are built on first read. An n past the dimension cap
+    is refused before any entry is read."""
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
-        raw = []
         n = len(entries)
+        check_dimension(n)
+        raw = []
         for row in entries:
             if len(row) != n:
                 raise ParseError("structure matrix must be square")
@@ -276,7 +278,8 @@ class EvolutionAlgebra:
             for row in entries
         ):
             raise ParseError("matrix JSON entries must be lists of strings")
-        return cls(fld, [[fld.parse(x) for x in row] for row in entries])
+        # the field parses the strings, after the dimension is checked
+        return cls(fld, entries)
 
     @classmethod
     def load(cls, path: str, field: Optional[Field] = None) -> "EvolutionAlgebra":

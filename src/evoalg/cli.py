@@ -20,7 +20,7 @@ import sys
 import time
 
 from .algebra import EvolutionAlgebra
-from .digraph import SEARCH_DIMENSION_CAP, graph_automorphisms
+from .digraph import check_dimension, graph_automorphisms
 from .errors import CapExceededError, EvoAlgError, ParseError
 from .families import build_family
 from .fields import Field, PrimeField, parse_field
@@ -60,8 +60,8 @@ def _say(message: str) -> None:
 
 
 def _load_algebra(path: str, field_text: str | None) -> EvolutionAlgebra:
-    """The algebra of a matrix file. Loading takes no determinant, so each
-    search refuses an n past its cap before it decides idempotence."""
+    """The algebra of a matrix file. Loading refuses an n past the
+    dimension cap before it parses an entry, and takes no determinant."""
     field = parse_field(field_text) if field_text else None
     return EvolutionAlgebra.load(path, field)
 
@@ -104,9 +104,6 @@ def cmd_aut(args) -> int:
 
 def cmd_diag(args) -> int:
     alg = _load_algebra(args.infile, args.field)
-    # t_A refuses a loopless pattern past the cap before the determinant
-    # and the SNF that diagonal_subgroup takes
-    t_a = alg.min_transversal_order
     lattice = diagonal_subgroup(alg)
     report = {
         "command": "diag",
@@ -120,7 +117,7 @@ def cmd_diag(args) -> int:
             {"exponents": list(vec), "order": order}
             for vec, order in zip(lattice.exponents.generators, lattice.exponents.orders)
         ],
-        "t_A": t_a,
+        "t_A": alg.min_transversal_order,
         "conductor_sufficient": alg.conductor_sufficient,
     }
     if lattice.order <= DIAG_ELEMENT_REPORT_CAP:
@@ -324,10 +321,8 @@ def cmd_census(args) -> int:
     n = args.n
     if n is None or n < 1:
         raise ParseError("census needs --n >= 1")
-    if n > SEARCH_DIMENSION_CAP:
-        # every class goes through automorphism_group, which refuses it;
-        # refuse before p^(n^2) or a first sample is built
-        raise CapExceededError(f"census capped at n = {SEARCH_DIMENSION_CAP}")
+    # before p^(n^2) is computed or a first sample is drawn
+    check_dimension(n)
     p = field.p
     mode = args.mode
     t0 = time.monotonic()

@@ -8,12 +8,27 @@ sigma(n-1)), 0-based; the JSON wire format uses 1-based image arrays, e.g.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError, ParseError, SingularMatrixError
 
-SEARCH_DIMENSION_CAP = 12
+DIMENSION_CAP = 12
+CLOSURE_CAP = 10**6
+
+
+def check_dimension(n: int) -> None:
+    """Refuse n past DIMENSION_CAP, before any work of size n is done."""
+    if n > DIMENSION_CAP:
+        raise CapExceededError(f"dimension capped at n = {DIMENSION_CAP}")
+
+
+def check_size(size: int, what: str) -> None:
+    """Refuse a list of group elements, orbit points or pattern maps that
+    grows past CLOSURE_CAP, read at call time."""
+    if size > CLOSURE_CAP:
+        raise CapExceededError(f"{what} passed the cap {CLOSURE_CAP}")
 
 
 def cycles(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -51,6 +66,7 @@ class Digraph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows):
+        check_dimension(n)
         self.n = n
         self.rows = tuple(rows)
         if len(self.rows) != n or any(r >> n for r in self.rows):
@@ -131,8 +147,6 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
     if g.n != h.n:
         return
     n = g.n
-    if n > SEARCH_DIMENSION_CAP:
-        raise CapExceededError(f"pattern search capped at n = {SEARCH_DIMENSION_CAP}")
     gi, hi = _invariants(g), _invariants(h)
     if sorted(gi) != sorted(hi):
         return
@@ -165,8 +179,11 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
 
 
 def graph_automorphisms(g: Digraph) -> list[tuple[int, ...]]:
-    """The full automorphism group of the digraph as an explicit sorted list."""
-    return list(pattern_isomorphisms(g, g))
+    """The full automorphism group of the digraph as an explicit sorted
+    list, of at most CLOSURE_CAP maps."""
+    auts = list(itertools.islice(pattern_isomorphisms(g, g), CLOSURE_CAP + 1))
+    check_size(len(auts), "pattern automorphisms")
+    return auts
 
 
 def transversals(g: Digraph) -> Iterator[tuple[int, ...]]:
@@ -208,8 +225,6 @@ def min_transversal_order(g: Digraph) -> int:
     n = g.n
     if all(g.has_loop(i) for i in range(n)):
         return 1
-    if n > SEARCH_DIMENSION_CAP:
-        raise CapExceededError(f"transversal order capped at n = {SEARCH_DIMENSION_CAP}")
     col_masks = _column_masks(g)
     size = 1 << n
     ends = [0] * size  # ends[s]: where the paths from min(s) through s end

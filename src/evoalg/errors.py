@@ -23,8 +23,9 @@ class SingularMatrixError(EvoAlgError, ValueError):
 
 
 class CapExceededError(EvoAlgError, RuntimeError):
-    """An input passed the size cap of a search, or a closure or enumeration
-    grew past its configured cap."""
+    """An input passed a size cap (dimension, conductor, census or oracle),
+    or a listing of group elements, points or maps grew past the closure
+    cap."""
 
     exit_code = 5
 

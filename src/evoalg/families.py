@@ -7,6 +7,7 @@ import json
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
+from .digraph import check_dimension
 from .errors import EvoAlgError, ParseError, SingularMatrixError
 from .fields import Field
 from .solver import SolveOutcome, solve_monomial
@@ -17,6 +18,7 @@ def complete_graph_algebra(n: int, field: Field) -> EvolutionAlgebra:
     divides n - 1."""
     if n < 2:
         raise ParseError("complete-graph algebra needs n >= 2")
+    check_dimension(n)
     alg = EvolutionAlgebra(
         field, [[0 if i == j else 1 for j in range(n)] for i in range(n)]
     )
@@ -33,6 +35,7 @@ def two_param_algebra(n: int, a, b, field: Field) -> EvolutionAlgebra:
     must not vanish."""
     if n < 1:
         raise ParseError("dimension must be >= 1")
+    check_dimension(n)
     a = field.scalar(a)
     b = field.scalar(b)
     alg = EvolutionAlgebra(
@@ -52,6 +55,7 @@ def cycle_algebra(
     b defaults to all ones."""
     if n < 1:
         raise ParseError("dimension must be >= 1")
+    check_dimension(n)
     values = [field.one] * n if b is None else [field.scalar(x) for x in b]
     if len(values) != n:
         raise ParseError("b-vector length must equal n")

@@ -817,14 +817,14 @@ class CyclotomicField(Field):
             if not mt or (mt.group(2) is None and "z" not in term):
                 raise ParseError(f"bad term {term!r} in {text!r}")
             sign = -1 if mt.group(1) == "-" else 1
+            # a zero denominator, or a number past Python's int digit limit
             try:
                 coef = Fraction(mt.group(2)) if mt.group(2) else Fraction(1)
-            except ZeroDivisionError as exc:
-                raise ParseError(f"bad term {term!r} in {text!r}") from exc
-            if "z" in term:
                 # z^m = 1
                 power = int(mt.group(3)) % self.m if mt.group(3) else 1
-            else:
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad term {term!r} in {text!r}") from exc
+            if "z" not in term:
                 power = 0
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
         # each power comes reduced mod Phi_m out of _mul

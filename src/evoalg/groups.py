@@ -8,7 +8,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .digraph import inverse
+from .digraph import check_size, inverse
 from .errors import (
     CapExceededError,
     FieldMismatchError,
@@ -16,9 +16,6 @@ from .errors import (
     UnclosedGroupError,
 )
 from .fields import Field, Scalar
-
-CLOSURE_CAP = 10**6
-RECOGNITION_CAP = 10**5
 
 
 class MonomialMap:
@@ -303,8 +300,8 @@ class Closure:
     Omega starts as the basis points and grows by the images these
     products reach, so it is the orbit of the basis. A key indexes points
     that never move, so the elements found so far stay valid as Omega
-    grows. Omega's size counts against CLOSURE_CAP, read at call time, as
-    the group's does; an element of infinite order grows Omega without end.
+    grows. Omega's size counts against the closure cap, as the group's
+    does; an element of infinite order grows Omega without end.
 
     ``elements`` lists the keys in generation order, identity first,
     ``keys`` holds them as a set and ``generators`` the keys of the kept
@@ -357,8 +354,7 @@ class Closure:
         if i is None and self._within is None:
             i = self.index[p] = len(self.points)
             self.points.append(p)
-            if len(self.points) > CLOSURE_CAP:
-                raise CapExceededError(f"the orbit of the basis passed the cap {CLOSURE_CAP}")
+            check_size(len(self.points), "the orbit of the basis")
         return i
 
     def _extend(self, s: tuple) -> bool:
@@ -386,8 +382,7 @@ class Closure:
                 reps.append(x)
                 elements.extend(coset)
                 keys.update(coset)
-                if len(elements) > CLOSURE_CAP:
-                    raise CapExceededError(f"closure passed the cap {CLOSURE_CAP}")
+                check_size(len(elements), "closure")
         return True
 
 
@@ -511,8 +506,6 @@ def recognize(group: MonomialGroup) -> list[str]:
     if not group.complete:
         return []
     order = group.order
-    if order > RECOGNITION_CAP:
-        raise CapExceededError(f"recognition capped at order {RECOGNITION_CAP}")
     k = 2
     while math.factorial(k) < order:
         k += 1

@@ -22,15 +22,10 @@ from contextvars import ContextVar
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import EvolutionAlgebra
-from .digraph import (
-    SEARCH_DIMENSION_CAP,
-    graph_automorphisms,
-    inverse,
-    pattern_isomorphisms,
-)
+from .digraph import check_size, graph_automorphisms, inverse, pattern_isomorphisms
 from .errors import CapExceededError, FieldMismatchError, ParseError
 from .fields import PrimeField, Scalar
-from .groups import CLOSURE_CAP, Closure, MonomialGroup, MonomialMap, compose, sigma_of
+from .groups import Closure, MonomialGroup, MonomialMap, compose, sigma_of
 from .snf import CongruenceSolution, solve_homogeneous_mod
 
 ORACLE_PRIME_CAP = 13
@@ -203,10 +198,7 @@ class DiagonalLattice(NamedTuple):
         return self.exponents.order
 
     def maps(self) -> tuple[MonomialMap, ...]:
-        if self.order > CLOSURE_CAP:
-            raise CapExceededError(
-                f"diagonal subgroup of order {self.order} exceeds the cap"
-            )
+        check_size(self.order, f"diagonal subgroup of order {self.order}")
         # only the exponents that occur are raised: the modulus can be p - 1
         vecs = list(self.exponents.elements())
         powers = {e: self.generator**e for e in set(itertools.chain.from_iterable(vecs))}
@@ -344,8 +336,6 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     its diagonal part is D; a partial group is a subgroup of Aut(E), not
     claimed to be all of it.
     """
-    if a.n > SEARCH_DIMENSION_CAP:
-        raise CapExceededError(f"automorphism search capped at n = {SEARCH_DIMENSION_CAP}")
     a.require_idempotent()
     pattern = pattern_solve(a)
     closure = Closure(a.field, a.n)
@@ -393,8 +383,7 @@ def _double_cosets(seeds: list[tuple], gens: list[tuple]) -> set[tuple]:
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
-        if len(seen) > CLOSURE_CAP:
-            raise CapExceededError(f"double cosets passed the cap {CLOSURE_CAP}")
+        check_size(len(seen), "double cosets")
     return seen
 
 
@@ -469,8 +458,6 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
     """Search the pattern isomorphisms of the associated digraphs and solve
     for scalings; the first witness comes with a machine-checkable
     certificate."""
-    if max(a.n, b.n) > SEARCH_DIMENSION_CAP:
-        raise CapExceededError(f"isomorphism search capped at n = {SEARCH_DIMENSION_CAP}")
     _check_pair(a, b)
     unsolved: list[str] = []
     count = 0

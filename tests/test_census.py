@@ -220,8 +220,8 @@ def test_memoized_group_matches_a_fresh_solve(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("mode", ["exhaustive", "random:1"])
 @pytest.mark.parametrize("n", [13, 120])
 def test_census_refuses_n_above_the_search_cap(monkeypatch, capsys, mode, n):
-    # every class would meet automorphism_group's cap, so the census stops
-    # before it computes 2^(n^2) (4,335 digits at n = 120) or builds a sample
+    # the census refuses n past the dimension cap before it computes 2^(n^2)
+    # (4,335 digits at n = 120) or builds a sample
     def built(*args):
         raise AssertionError("an algebra was built")
 
@@ -230,7 +230,7 @@ def test_census_refuses_n_above_the_search_cap(monkeypatch, capsys, mode, n):
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
-    assert "census capped at n = 12" in captured.err
+    assert captured.err == "error: dimension capped at n = 12\n"
 
 
 def test_pattern_memo_belongs_to_one_run(monkeypatch, capsys):

@@ -7,9 +7,11 @@ import time
 import pytest
 
 import evoalg
-from evoalg import algebra, solver
+from evoalg import algebra, digraph, solver
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.cli import main
+from evoalg.digraph import graph_automorphisms
+from evoalg.errors import CapExceededError
 from evoalg.fields import CyclotomicField
 
 
@@ -24,11 +26,32 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
+def run_process(*argv, timeout=None):
+    """The CLI in a fresh interpreter, for what only a process shows: its
+    stderr on an uncaught error, or a run that never ends."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "evoalg.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def write_matrix(path, field_text, entries):
     path.write_text(
         json.dumps({"field": field_text, "n": len(entries), "entries": entries})
     )
     return str(path)
+
+
+def k_file(path, n, loop):
+    """K_n over Q with ``loop`` on the diagonal: "0" is loopless, "2" gives
+    every vertex a loop and a nonsingular matrix."""
+    return write_matrix(
+        path, "Q", [[loop if k == j else "1" for j in range(n)] for k in range(n)]
+    )
 
 
 def k4_moved(path):
@@ -121,8 +144,6 @@ class TestAut:
         assert report["graph_automorphism_count"] == 24
 
     def test_pattern_automorphisms_listed_once(self, k4_file, capsys, monkeypatch):
-        from evoalg import digraph
-
         calls = 0
         real = digraph.pattern_isomorphisms
 
@@ -323,15 +344,21 @@ class TestAut:
     def test_zero_denominator_over_cyclotomic_exits_1(self, tmp_path):
         path = tmp_path / "zero-den.json"
         path.write_text(json.dumps({"field": "Q(zeta_3)", "n": 1, "entries": [["1/0"]]}))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(evoalg.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-m", "evoalg.cli", "aut", "--in", str(path)],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-        )
+        done = run_process("aut", "--in", str(path))
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "entry", ["z^" + "9" * 5000, "9" * 5000 + "*z"], ids=["exponent", "coefficient"]
+    )
+    def test_oversized_cyclotomic_term_exits_1(self, tmp_path, entry):
+        # past Python's 4,300-digit int limit, int() and Fraction() raise
+        # ValueError
+        path = write_matrix(tmp_path / "long.json", "Q(zeta_3)", [[entry]])
+        done = run_process("aut", "--in", path)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: bad term ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
     def test_threads_is_a_usage_error(self, k4_file, capsys):
@@ -356,56 +383,77 @@ class TestDiag:
         assert len(report["elements"]) == 3
         assert report["conductor_sufficient"]
 
-    def test_t_a_past_the_dimension_cap(self, tmp_path, capsys):
-        # past n = 12 t_A is given only when every vertex has a loop
-        cycle, loops = str(tmp_path / "c13.json"), str(tmp_path / "t14.json")
-        run_json(capsys, "make", "--family", "cycle:n=13", "--out", cycle)
-        run_json(capsys, "make", "--family", "twoparam:n=14,a=1,b=2", "--out", loops)
-        code, _, err = run(capsys, "diag", "--in", cycle)
-        assert code == 5 and "capped at n = 12" in err
-        code, report = run_json(capsys, "diag", "--in", loops)
-        assert code == 0 and report["t_A"] == 1
-
 
 @pytest.mark.parametrize(
-    "command, search",
-    [("aut", "automorphism"), ("graph-aut", "pattern"), ("iso", "isomorphism")],
+    "argv",
+    [
+        ["aut", "--in", "{loopless}"],
+        ["iso", "--in", "{loopless}", "--b", "{loopless}"],
+        ["graph-aut", "--in", "{loopless}"],
+        ["diag", "--in", "{loopless}"],
+        ["diag", "--in", "{loops}"],
+        ["make", "--family", "complete:n=13", "--out", "{out}"],
+        ["make", "--family", "twoparam:n=13,a=1,b=2", "--out", "{out}"],
+        ["make", "--family", "cycle:n=13", "--out", "{out}"],
+        ["make", "--family", "frucht:{graph}", "--out", "{out}"],
+        ["census", "--field", "GF(2)", "--n", "13"],
+        ["census", "--field", "GF(2)", "--n", "13", "--mode", "random:1"],
+    ],
+    ids=[
+        "aut", "iso", "graph-aut", "diag-loopless", "diag-all-loops", "make-complete",
+        "make-twoparam", "make-cycle", "make-frucht", "census-exhaustive", "census-random",
+    ],
 )
-def test_dimension_cap_is_checked_before_the_determinant(
-    tmp_path, capsys, monkeypatch, command, search
-):
-    # K13 is past the n = 12 search cap; each search refuses it before it
-    # decides idempotence
-    n = 13
-    path = write_matrix(
-        tmp_path / "k13.json", "Q", [["0" if k == j else "1" for j in range(n)] for k in range(n)]
-    )
+def test_dimension_cap_is_checked_before_the_determinant(tmp_path, capsys, monkeypatch, argv):
+    # every entry point refuses n = 13 before it decides idempotence, an
+    # all-loops pattern included
+    graph = tmp_path / "k13-graph.json"
+    adjacency = [[int(i != j) for j in range(13)] for i in range(13)]
+    graph.write_text(json.dumps({"n": 13, "adjacency": adjacency}))
+    paths = {
+        "loopless": k_file(tmp_path / "k13.json", 13, "0"),
+        "loops": k_file(tmp_path / "k13-loops.json", 13, "2"),
+        "graph": str(graph),
+        "out": str(tmp_path / "made.json"),
+    }
 
     def refuse(*args, **kwargs):
         raise AssertionError("determinant was called")
 
     monkeypatch.setattr(algebra, "determinant", refuse)
-    argv = [command, "--in", path] + (["--b", path] if command == "iso" else [])
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 5 and out == ""
-    assert err == f"error: {search} search capped at n = 12\n"
+    assert err == "error: dimension capped at n = 12\n"
+    assert not os.path.exists(paths["out"])
 
 
-def test_diag_refuses_a_loopless_pattern_before_the_determinant(tmp_path, capsys, monkeypatch):
-    # K13 has no loop, so t_A meets its n = 12 cap before the determinant
-    # and the SNF are taken
-    n = 13
-    path = write_matrix(
-        tmp_path / "k13.json", "Q", [["0" if k == j else "1" for j in range(n)] for k in range(n)]
+def test_make_refuses_a_huge_dimension_at_once(tmp_path):
+    done = run_process(
+        "make", "--family", "complete:n=99999999", "--out", str(tmp_path / "m.json"),
+        timeout=30,
     )
+    assert done.returncode == 5 and done.stdout == ""
+    assert done.stderr == "error: dimension capped at n = 12\n"
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("determinant was called")
 
-    monkeypatch.setattr(algebra, "determinant", refuse)
-    code, out, err = run(capsys, "diag", "--in", path)
-    assert code == 5 and out == ""
-    assert err == "error: transversal order capped at n = 12\n"
+@pytest.mark.parametrize("cap", [719, 720])
+def test_listing_cap_trips_at_k6(tmp_path, capsys, monkeypatch, cap):
+    # K6 has 720 pattern automorphisms, and its group 720 elements
+    path = k_file(tmp_path / "k6.json", 6, "0")
+    monkeypatch.setattr(digraph, "CLOSURE_CAP", cap)
+    pattern = EvolutionAlgebra.load(path).digraph
+    if cap < 720:
+        with pytest.raises(CapExceededError):
+            graph_automorphisms(pattern)
+    else:
+        assert len(graph_automorphisms(pattern)) == 720
+    for command in ("graph-aut", "aut"):
+        code, out, err = run(capsys, command, "--in", path)
+        if cap < 720:
+            assert code == 5 and out == ""
+            assert err == "error: pattern automorphisms passed the cap 719\n"
+        else:
+            assert code == 0 and out != ""
 
 
 class TestGraphAut:

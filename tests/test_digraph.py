@@ -150,8 +150,9 @@ class TestGraphAutomorphisms:
                 assert (sigma in auts) == (g.relabel(sigma) == g)
 
     def test_dimension_cap(self):
+        # past n = 12 no pattern is built, so none is searched
         with pytest.raises(CapExceededError):
-            graph_automorphisms(complete(13))
+            Digraph(13, [0] * 13)
 
     def test_isomorphism_between_relabelings(self):
         # the second pattern has a map that keeps every edge from a later
@@ -236,10 +237,12 @@ class TestMinTransversalOrder:
         assert got == [2, 3, 2, 5, 2, 6, 2, 3, 2, 6, 2]
 
     def test_dimension_cap(self):
-        # past the cap only the all-loops answer is given
-        with pytest.raises(CapExceededError):
-            min_transversal_order(complete(13))
-        assert min_transversal_order(complete(13, loops=True)) == 1
+        # past n = 12 no pattern is built, all-loops or not; at n = 12 the
+        # all-loops answer is 1
+        for loops in (False, True):
+            with pytest.raises(CapExceededError):
+                complete(13, loops)
+        assert min_transversal_order(complete(12, loops=True)) == 1
 
     def test_brute_force_oracle(self):
         # every 0/1 pattern up to n = 3, then random ones up to n = 7

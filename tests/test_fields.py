@@ -737,3 +737,13 @@ class TestSerialization:
             Z3.parse("z^")
         with pytest.raises(ParseError):
             Z3.parse("")
+
+    @pytest.mark.parametrize(
+        "term",
+        ["z^" + "9" * 5000, "9" * 5000 + "*z", "1/" + "9" * 5000],
+        ids=["exponent", "coefficient", "denominator"],
+    )
+    def test_term_past_the_int_digit_limit(self, term):
+        # int() and Fraction() raise ValueError past 4,300 digits
+        with pytest.raises(ParseError, match="bad term"):
+            Z3.parse("1 + " + term)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dense import mat_equal, matrix
-from evoalg import groups, solver
+from evoalg import digraph, groups, solver
 from evoalg.algebra import EvolutionAlgebra, mat_mul
 from evoalg.digraph import cycles
 from evoalg.errors import CapExceededError, UnclosedGroupError
@@ -156,7 +156,7 @@ class TestClosure:
         assert grp.order == 6
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setattr(groups, "CLOSURE_CAP", 10)
+        monkeypatch.setattr(digraph, "CLOSURE_CAP", 10)
         with pytest.raises(CapExceededError):
             close_generators([MonomialMap.diagonal((Q.scalar(2),))])
 
@@ -372,7 +372,7 @@ class TestIntForm:
         # (0 1) with scalings (2, 1) squares to diag(2, 2): Omega grows
         # without end
         swap = MonomialMap((1, 0), (Q.scalar(2), Q.one))
-        monkeypatch.setattr(groups, "CLOSURE_CAP", 50)
+        monkeypatch.setattr(digraph, "CLOSURE_CAP", 50)
         with pytest.raises(CapExceededError):
             close_generators([swap])
         with pytest.raises(UnclosedGroupError):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dense import entrywise_square, mat_equal, matrix
-from evoalg import algebra, solver
+from evoalg import algebra, digraph, solver
 from evoalg.algebra import EvolutionAlgebra, LoopInvariants, mat_mul, transport_structure
 from evoalg.digraph import Digraph, graph_automorphisms, transversals
 from evoalg.errors import CapExceededError, FieldMismatchError, SingularMatrixError
@@ -208,8 +208,6 @@ class TestSolveMonomial:
     def test_plan_is_built_once_per_algebra(self, monkeypatch):
         # the first transversal does not depend on sigma, so the 720 pattern
         # maps of the search need it once per algebra
-        from evoalg import algebra, digraph, solver
-
         calls = []
 
         def counted(source):
@@ -269,6 +267,16 @@ class TestDiagonalSubgroup:
         assert lat.order == 7
         orders = sorted(m.order() for m in lat.maps())
         assert orders == [1] + [7] * 6
+
+    def test_maps_obey_the_closure_cap(self, monkeypatch):
+        # the listed diagonal group counts against the one list cap, read at
+        # call time
+        lat = diagonal_subgroup(cycle_algebra(3, field=Z7))
+        monkeypatch.setattr(digraph, "CLOSURE_CAP", 6)
+        with pytest.raises(CapExceededError):
+            lat.maps()
+        monkeypatch.setattr(digraph, "CLOSURE_CAP", 7)
+        assert len(lat.maps()) == 7
 
     def test_trivial_over_q(self):
         rng = random.Random(31)
@@ -645,8 +653,6 @@ class TestAutomorphismGroup:
             assert report.ok
 
     def test_quotient_check_lists_no_pattern_automorphisms(self, monkeypatch):
-        from evoalg import digraph
-
         def refuse(g):
             raise AssertionError("graph_automorphisms was called")
 
