@@ -22,6 +22,26 @@ Matrix = tuple[tuple[Scalar, ...], ...]
 Component = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]
 
 
+def read_json(path: str, what: str):
+    """The JSON document in the file at path. A file that cannot be opened,
+    is not UTF-8 JSON, nests too deeply for the decoder or holds an integer
+    past Python's digit limit is a ParseError naming what it should hold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def write_file(path: str, text: str) -> None:
+    """Writes text to the file at path; a failed write is a ParseError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def determinant(rows, field: Optional[Field] = None) -> Scalar:
     """Exact determinant by fraction-free Bareiss elimination. ``rows`` holds
     Scalars, or raw values of ``field`` when it is given.
@@ -283,17 +303,10 @@ class EvolutionAlgebra:
 
     @classmethod
     def load(cls, path: str, field: Optional[Field] = None) -> "EvolutionAlgebra":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-        return cls.from_json(data, field)
+        return cls.from_json(read_json(path, "matrix"), field)
 
     def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_file(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
     def __eq__(self, other):
         return (

@@ -19,7 +19,7 @@ import random
 import sys
 import time
 
-from .algebra import EvolutionAlgebra
+from .algebra import EvolutionAlgebra, write_file
 from .digraph import check_dimension, graph_automorphisms
 from .errors import CapExceededError, EvoAlgError, ParseError
 from .families import build_family
@@ -46,13 +46,13 @@ CENSUS_EXHAUSTIVE_CAP = 10**8
 DIAG_ELEMENT_REPORT_CAP = 128
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, out: str | None = None) -> None:
+    """The report to the file out, when given, and then to stdout, so a
+    failed write leaves stdout empty."""
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    sys.stdout.write(text)
-    out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(out, text)
+    sys.stdout.write(text)
 
 
 def _say(message: str) -> None:
@@ -92,7 +92,7 @@ def cmd_aut(args) -> int:
         "graph_automorphism_count": graph_count,
         "conductor_sufficient": alg.conductor_sufficient,
     }
-    _emit(report, args)
+    _emit(report, args.out)
     _say(
         f"|Aut| = {group.order}{'' if group.complete else ' (partial)'}, "
         f"|D| = {diagonal_order}, t_A = {alg.min_transversal_order}, "
@@ -122,7 +122,7 @@ def cmd_diag(args) -> int:
     }
     if lattice.order <= DIAG_ELEMENT_REPORT_CAP:
         report["elements"] = [m.to_json() for m in lattice.maps()]
-    _emit(report, args)
+    _emit(report, args.out)
     _say(f"|D| = {lattice.order} over {alg.field.descriptor()}")
     return EXIT_OK
 
@@ -137,7 +137,7 @@ def cmd_graph_aut(args) -> int:
         "count": len(auts),
         "automorphisms": [[v + 1 for v in sigma] for sigma in auts],
     }
-    _emit(report, args)
+    _emit(report, args.out)
     _say(f"|Aut(pattern)| = {len(auts)}")
     return EXIT_OK
 
@@ -157,7 +157,7 @@ def cmd_iso(args) -> int:
         report["certificate"] = result.certificate
     if result.unsolved:
         report["unsolved"] = list(result.unsolved)
-    _emit(report, args)
+    _emit(report, args.out)
     _say(f"{result.status.value} after {result.candidates_exhausted} pattern maps")
     if result.found:
         return EXIT_OK
@@ -180,7 +180,7 @@ def cmd_make(args) -> int:
     }
     report.update(info)
     # --out is the matrix destination here; the report goes to stdout only
-    _emit(report, argparse.Namespace(out=None))
+    _emit(report)
     _say(f"wrote {args.out} ({info['family']}, n = {alg.n})")
     return EXIT_OK
 
@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
             for a in result.assertions
         ],
     }
-    _emit(report, args)
+    _emit(report, args.out)
     _say(f"suite {result.suite}: {result.passed} passed, {result.failed} failed")
     if result.ok:
         return EXIT_OK
@@ -376,7 +376,7 @@ def cmd_census(args) -> int:
     if samples is not None:
         report["samples"] = samples
         report["seed"] = args.seed
-    _emit(report, args)
+    _emit(report, args.out)
     in_classes = "" if classes is None else f" in {classes} classes"
     _say(
         f"census: {nonsingular} algebras{in_classes} over "

@@ -3,10 +3,9 @@ diagonal maps that normalize cycle-patterned algebras."""
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import EvolutionAlgebra
+from .algebra import EvolutionAlgebra, read_json
 from .digraph import check_dimension
 from .errors import EvoAlgError, ParseError, SingularMatrixError
 from .fields import Field
@@ -106,11 +105,7 @@ def frucht_lift(graph_rows: Sequence[Sequence[int]], field: Field) -> tuple[Evol
 
 def load_graph(path: str) -> list[list[int]]:
     """Graph JSON: {"n": int, "adjacency": [[0/1, ...], ...]}, symmetric."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read graph file {path}: {exc}") from exc
+    data = read_json(path, "graph")
     if not isinstance(data, dict) or "n" not in data or "adjacency" not in data:
         raise ParseError("graph JSON needs keys n and adjacency")
     if type(data["n"]) is not int:

@@ -47,21 +47,23 @@ SCALAR_EXPONENT_CAP = 4300
 
 def is_prime(n: int) -> bool:
     """By trial division, which the parser's bound p < 2^31 keeps cheap."""
-    return n >= 2 and prime_factors(n) == [n]
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime powers of n >= 1, as ascending (q, a) pairs with
+    n = prod q**a."""
     out = []
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        a = 0
+        while n % d == 0:
+            n, a = n // d, a + 1
+        if a:
+            out.append((d, a))
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
@@ -285,23 +287,21 @@ class _Interned(type):
 
 
 class Field(metaclass=_Interned):
-    """Common interface; concrete classes fill in the raw-value arithmetic."""
+    """Common interface; concrete classes fill in the raw-value arithmetic,
+    and each of their constructors ends by calling this one."""
 
-    _dlog: Optional[dict] = None
+    def __init__(self, order: int, generator):
+        """Fixes ``zero``, ``one`` and ``unity``, the group mu_N of all roots
+        of unity in the field: its order N and the raw value generating it."""
+        self.zero = Scalar(self, self._convert(0))
+        self.one = Scalar(self, self._convert(1))
+        self.unity = UnityGroup(order, Scalar(self, generator))
 
     def __repr__(self):
         return f"<field {self.descriptor()}>"
 
     def descriptor(self) -> str:
         raise NotImplementedError
-
-    @property
-    def zero(self) -> Scalar:
-        return self.scalar(0)
-
-    @property
-    def one(self) -> Scalar:
-        return self.scalar(1)
 
     def scalar(self, value) -> Scalar:
         """Coerce an int, Fraction, string, or same-field Scalar."""
@@ -320,7 +320,7 @@ class Field(metaclass=_Interned):
         return self._convert(value)
 
     def unity_group(self) -> UnityGroup:
-        return UnityGroup(self._unity_order(), Scalar(self, self._unity_generator()))
+        return self.unity
 
     def roots_of_unity(self, k: int) -> list[Scalar]:
         """All x in the field with x**k == 1; there are gcd(k, N) of them."""
@@ -329,39 +329,13 @@ class Field(metaclass=_Interned):
         return sorted(self._solve_unity_power(k, 0), key=Scalar.sort_key)
 
     def multiplicative_order(self, x: Scalar) -> Optional[int]:
-        """Order of x when x is a root of unity, else None.
-
-        Read from the root-of-unity table when it exists: x = g**e has order
-        N / gcd(e, N), and x is no root of unity when the table lacks it.
-        Otherwise no table is built for the question: the order strips prime
-        factors from N while x**(N/q) stays one.
-        """
+        """Order of x when x is a root of unity, else None: x = g**e in
+        mu_N has order N / gcd(e, N)."""
         x = self.scalar(x)
         if x.is_zero:
             raise ZeroDivisionError("zero has no multiplicative order")
-        big_n = self._unity_order()
-        if self._dlog is not None:
-            e = self._unity_dlog(x.value)
-            return None if e is None else big_n // math.gcd(e, big_n)
-        if x**big_n != self.one:
-            return None
-        t = big_n
-        for q in prime_factors(big_n):
-            while t % q == 0 and x ** (t // q) == self.one:
-                t //= q
-        return t
-
-    def _unity_dlog(self, value) -> Optional[int]:
-        """Exponent e with generator**e == value, a raw value, or None when
-        value is not in mu_N. The table of all N powers is built on first use."""
-        table = self._dlog
-        if table is None:
-            table, g, cur = {}, self._unity_generator(), self._convert(1)
-            for e in range(self._unity_order()):
-                table[cur] = e
-                cur = self._mul(cur, g)
-            self._dlog = table
-        return table.get(value)
+        e, big_n = self._unity_dlog(x.value), self.unity.order
+        return None if e is None else big_n // math.gcd(e, big_n)
 
     def kth_roots(self, c: Scalar, k: int) -> KthRoots:
         """All field solutions of x**k = c, when decidable.
@@ -382,13 +356,12 @@ class Field(metaclass=_Interned):
 
     def _solve_unity_power(self, k: int, e: int) -> list[Scalar]:
         """Solutions y in mu_N of y**k = g**e, via the congruence k*t = e (mod N)."""
-        big_n = self._unity_order()
+        big_n, g = self.unity
         d = math.gcd(k, big_n)
         if e % d:
             return []
         step = big_n // d
-        t0 = (e // d) * pow(k // d, -1, step) % step if step > 1 else 0
-        g = self.unity_group().generator
+        t0 = (e // d) * pow(k // d, -1, step) % step
         return [g ** ((t0 + j * step) % big_n) for j in range(d)]
 
     # raw-value hooks -------------------------------------------------------
@@ -427,10 +400,9 @@ class Field(metaclass=_Interned):
     def _sort_key(self, a):
         raise NotImplementedError
 
-    def _unity_order(self) -> int:
-        raise NotImplementedError
-
-    def _unity_generator(self):
+    def _unity_dlog(self, value) -> Optional[int]:
+        """Exponent e in [0, N) with generator**e == value, a raw value, or
+        None when value is not in mu_N."""
         raise NotImplementedError
 
     def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
@@ -455,25 +427,15 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= PRIME_LIMIT or not is_prime(p):
             raise ParseError(f"GF modulus must be a prime below 2**31, got {p!r}")
-        self.p = p
-        # p - 1 = prod q**a, kept as (q, a) pairs for the primitive root test
-        # and for every discrete log
-        self._prime_powers = []
-        for q in prime_factors(p - 1):
-            a, rest = 0, p - 1
-            while rest % q == 0:
-                a, rest = a + 1, rest // q
-            self._prime_powers.append((q, a))
-        self.generator = self._find_primitive_root()
-
-    def _find_primitive_root(self) -> int:
-        if self.p == 2:
-            return 1
-        n = self.p - 1
-        for g in range(2, self.p):
-            if all(pow(g, n // q, self.p) != 1 for q, _ in self._prime_powers):
-                return g
-        raise RuntimeError("no primitive root found")  # unreachable for prime p
+        self.p, n = p, p - 1
+        # N = p - 1 as (q, a) pairs, for the primitive root test and for
+        # every discrete log
+        self._factors = factorize(n)
+        # the least g of order N: 1 for GF(2), where N = 1
+        self.generator = next(
+            g for g in range(1, p) if all(pow(g, n // q, p) != 1 for q, _ in self._factors)
+        )
+        super().__init__(n, self.generator)
 
     def descriptor(self) -> str:
         return f"GF({self.p})"
@@ -519,12 +481,6 @@ class PrimeField(Field):
     def _sort_key(self, a):
         return a
 
-    def _unity_order(self):
-        return self.p - 1 if self.p > 2 else 1
-
-    def _unity_generator(self):
-        return self.generator if self.p > 2 else 1
-
     def _unity_dlog(self, value) -> Optional[int]:
         """Exponent e in [0, p - 1) with generator**e == value, or None for
         zero, by Pohlig-Hellman: e mod q**a for each prime power of p - 1,
@@ -536,7 +492,7 @@ class PrimeField(Field):
             return None
         p, n, g = self.p, self.p - 1, self.generator
         e, modulus = 0, 1
-        for q, a in self._prime_powers:
+        for q, a in self._factors:
             qa = q**a
             # gamma has order q; g_a and h_a live in the subgroup of order q**a
             gamma = pow(g, n // q, p)
@@ -608,6 +564,17 @@ class CyclotomicField(Field):
                 shifted = [s + top * r for s, r in zip(shifted, red[0])]
             red.append(tuple(shifted))
         self._red = tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in red)
+        # the distinguished primitive m-th root of unity: z reduced mod Phi_m
+        self.zeta = Scalar(self, _lowest(self._reduce_ints([0, 1]), 1))
+        # mu_N is mu_m for even m and mu_2m = <-zeta> for odd m
+        z = self.zeta.value
+        if m % 2:
+            super().__init__(2 * m, self._neg(z))
+        else:
+            super().__init__(m, z)
+        # each value of mu_N -> its exponent, built on the first query of a
+        # value that is not rational
+        self._dlog: Optional[dict] = None
 
     def descriptor(self) -> str:
         return "Q" if self.m == 1 else f"Q(zeta_{self.m})"
@@ -615,11 +582,6 @@ class CyclotomicField(Field):
     @property
     def characteristic(self) -> int:
         return 0
-
-    @property
-    def zeta(self) -> Scalar:
-        """The distinguished primitive m-th root of unity: z reduced mod Phi_m."""
-        return Scalar(self, _lowest(self._reduce_ints([0, 1]), 1))
 
     def _convert(self, value):
         if isinstance(value, bool):
@@ -728,12 +690,21 @@ class CyclotomicField(Field):
             return a[:-1]
         return tuple(x // den if x % den == 0 else Fraction(x, den) for x in a[:-1])
 
-    def _unity_order(self):
-        return self.m if self.m % 2 == 0 else 2 * self.m
-
-    def _unity_generator(self):
-        z = self.zeta
-        return z.value if self.m % 2 == 0 else self._neg(z.value)
+    def _unity_dlog(self, value) -> Optional[int]:
+        """The exponent of value in mu_N. Of the rationals only +-1 are roots
+        of unity, so they need no table; any other value is looked up in
+        the table of all N powers."""
+        big_n, g = self.unity
+        if not any(value[1:-1]):
+            return {(1, 1): 0, (-1, 1): big_n // 2}.get((value[0], value[-1]))
+        table = self._dlog
+        if table is None:
+            table, cur = {}, self.one.value
+            for e in range(big_n):
+                table[cur] = e
+                cur = self._mul(cur, g.value)
+            self._dlog = table
+        return table.get(value)
 
     def _as_fraction(self, value) -> Optional[Fraction]:
         if not any(value[1:-1]):
@@ -747,7 +718,7 @@ class CyclotomicField(Field):
         split or the rational root extraction fails, the answer is decisively
         empty over Q and honestly incomplete over a bigger cyclotomic field.
         """
-        big_n = self._unity_order()
+        big_n = self.unity.order
         equation = f"x^{k} = {c} over {self.descriptor()}"
         z = (c**big_n).value
         zf = self._as_fraction(z)

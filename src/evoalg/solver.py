@@ -463,6 +463,7 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
     count = 0
     for sigma in pattern_isomorphisms(a.digraph, b.digraph):
         count += 1
+        check_size(count, "pattern isomorphisms")
         outcome = solve_monomial(a, b, sigma)
         if outcome.status is SolveStatus.INDETERMINATE:
             unsolved.extend(outcome.unsolved)

@@ -515,6 +515,20 @@ class TestIso:
         code, report = run_json(capsys, "iso", "--in", k4_file, "--b", k4_file)
         assert code == 0 and report["certificate"]["sigma"] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("cap", [719, 720])
+    def test_sigma_walk_is_capped(self, tmp_path, capsys, monkeypatch, cap):
+        # the n = 6 pair is non-isomorphic after all 720 pattern maps
+        a = self.make(capsys, tmp_path, "a.json", "twoparam:n=6,a=1,b=2")
+        b = self.make(capsys, tmp_path, "b.json", "twoparam:n=6,a=1,b=3")
+        monkeypatch.setattr(digraph, "CLOSURE_CAP", cap)
+        code, out, err = run(capsys, "iso", "--in", a, "--b", b)
+        if cap < 720:
+            assert code == 5 and out == ""
+            assert err == "error: pattern isomorphisms passed the cap 719\n"
+        else:
+            assert code == 4
+            assert json.loads(out)["sigma_candidates_exhausted"] == 720
+
 
 class TestCensus:
     def test_gf2_exhaustive(self, capsys):
@@ -591,6 +605,41 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aut", "--in", "{latin1}"],
+        ["aut", "--in", "{nested}"],
+        ["aut", "--in", "{long_n}"],
+        ["aut", "--in", "{k3}", "--out", "{missing}"],
+        ["make", "--family", "complete:n=3", "--out", "{missing}"],
+        ["make", "--family", "frucht:{latin1}", "--out", "{made}"],
+    ],
+    ids=["not-utf8", "nested", "long-int", "aut-out", "make-out", "frucht-not-utf8"],
+)
+def test_file_faults_exit_1(tmp_path, argv):
+    # reading: bad UTF-8, nesting past the decoder's recursion limit and an
+    # integer past Python's digit limit; writing: a directory that is missing
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff\xfe{}")
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"field": "Q", "n": 1, "entries": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    long_n = tmp_path / "long-n.json"
+    long_n.write_text('{"field": "Q", "n": ' + "1" * 5000 + ', "entries": []}')
+    paths = {
+        "latin1": str(latin1),
+        "nested": str(nested),
+        "long_n": str(long_n),
+        "k3": k_file(tmp_path / "k3.json", 3, "0"),
+        "missing": str(tmp_path / "missing" / "out.json"),
+        "made": str(tmp_path / "made.json"),
+    }
+    done = run_process(*(arg.format(**paths) for arg in argv))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: cannot ")
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_import_loads_no_thread_pool():

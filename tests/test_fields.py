@@ -500,18 +500,53 @@ class TestMultOrder:
         assert big.scalar(-1).multiplicative_order() == 2
         assert g.multiplicative_order() == 1000002
         assert (g**6).multiplicative_order() == 1000002 // 6
-        assert big._dlog is None
 
     def test_prime_field_orders_never_read_a_table(self):
-        # GF(p) takes its discrete logs without a table, so orders take the
-        # divisor test before and after kth_roots, with the same answers
+        # GF(p) takes its discrete logs without a table, so orders come out
+        # the same before and after kth_roots
         field = PrimeField(13)
         elements = [field.scalar(v) for v in range(1, 13)]
         tested = [x.multiplicative_order() for x in elements]
         assert field.kth_roots(field.scalar(4), 2).complete
-        assert field._dlog is None
         assert [x.multiplicative_order() for x in elements] == tested
         assert tested == [1, 12, 3, 6, 4, 12, 12, 4, 3, 6, 12, 2]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 12, 15])
+    def test_order_is_n_over_gcd_of_the_log(self, m):
+        field = CyclotomicField(m)
+        big_n, g = field.unity_group()
+        x = field.one
+        for e in range(big_n):
+            assert field._unity_dlog(x.value) == e
+            assert x.multiplicative_order() == big_n // math.gcd(e, big_n)
+            x = x * g
+        non_roots = [field.scalar(2)]
+        if field.degree > 1:
+            non_roots.append(field.scalar(2) + field.zeta)
+        for x in non_roots:
+            assert field._unity_dlog(x.value) is None
+            assert x.multiplicative_order() is None
+
+    @pytest.mark.parametrize("roots_first", [False, True])
+    def test_zeta15_table_is_built_by_the_first_irrational_query(
+        self, monkeypatch, roots_first
+    ):
+        # fields are interned, so the table is emptied for this test only
+        field = CyclotomicField(15)
+        monkeypatch.setattr(field, "_dlog", None)
+        assert [x.multiplicative_order() for x in (field.one, -field.one)] == [1, 2]
+        assert field._dlog is None
+        out = field.kth_roots(field.scalar(8), 3)
+        assert out.complete and len(out.roots) == 3
+        assert field._dlog is None
+        z = field.zeta
+        elements = [z**e for e in (0, 1, 3, 5)] + [-z, field.scalar(2) + z]
+        if roots_first:
+            assert field.kth_roots(z, 2).complete
+        assert [x.multiplicative_order() for x in elements] == [1, 15, 5, 3, 30, None]
+        assert len(field._dlog) == 30
+        assert field.kth_roots(-z, 3).complete
+        assert [x.multiplicative_order() for x in elements] == [1, 15, 5, 3, 30, None]
 
 
 class TestKthRoots:
@@ -603,7 +638,7 @@ class TestKthRoots:
         big = PrimeField(1000003)
         two = big.scalar(2)
         out = big.kth_roots(two, 3)
-        assert out.complete and big._dlog is None
+        assert out.complete
         assert all(r**3 == two for r in out.roots)
         is_cube = pow(2, (big.p - 1) // 3, big.p) == 1
         assert len(out.roots) == (3 if is_cube else 0)
@@ -621,7 +656,7 @@ class TestKthRoots:
         big = PrimeField(p)
         for k in (3, 7, 15):
             out = big.kth_roots(big.one, k)
-            assert out.complete and big._dlog is None
+            assert out.complete
             assert len(out.roots) == math.gcd(k, p - 1)
             assert list(out.roots) == big.roots_of_unity(k)
             assert all(r**k == big.one for r in out.roots)
@@ -665,7 +700,6 @@ class TestPrimeFieldDlog:
             for e in range(p - 1):
                 assert field._unity_dlog(x) == e, (p, x)
                 x = x * g % p
-            assert field._dlog is None
 
     @pytest.mark.parametrize("p", LARGE)
     def test_random_units_of_a_large_prime(self, p):
@@ -674,7 +708,6 @@ class TestPrimeFieldDlog:
         for _ in range(5):
             e = rng.randrange(p - 1)
             assert field._unity_dlog(pow(field.generator, e, p)) == e
-        assert field._dlog is None
 
     @pytest.mark.parametrize("p", LARGE)
     def test_kth_roots_are_complete_and_exact(self, p):
