@@ -213,15 +213,15 @@ class EvolutionAlgebra:
     def loop_invariants(self) -> LoopInvariants:
         """Built on first use, once per algebra; inverts only the loops that
         some entry divides by."""
-        field, raw, edge = self.field, self.raw_rows, self.digraph.edge
+        field, raw, pattern = self.field, self.raw_rows, self.digraph.rows
         mul = field._mul
-        looped = [k for k in range(self.n) if edge(k, k)]
+        looped = [k for k in range(self.n) if pattern[k] >> k & 1]
         inv_sq: dict[int, object] = {}
         entries = []
         matrix = [[None] * self.n for _ in range(self.n)]
         for k in looped:
             for j in looped:
-                if j == k or not edge(k, j):
+                if j == k or not pattern[k] >> j & 1:
                     continue
                 if j not in inv_sq:
                     inv = field._inv(raw[j][j])

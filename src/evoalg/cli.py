@@ -15,16 +15,18 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import time
 
 from .algebra import EvolutionAlgebra, write_file
-from .digraph import check_dimension, graph_automorphisms
+from .digraph import Digraph, check_dimension, graph_automorphisms, transversals
 from .errors import CapExceededError, EvoAlgError, ParseError
 from .families import build_family
 from .fields import Field, PrimeField, parse_field
 from .groups import recognize
+from .snf import hermite_basis
 from .solver import (
     RUN_PATTERNS,
     IsoStatus,
@@ -235,14 +237,88 @@ def _census_entry(alg: EvolutionAlgebra):
     return group.order, group.diagonal_order
 
 
-def _unit_vectors(p: int, n: int):
-    """Every d in (GF(p)^*)^n, lazily and in itertools.product order.
+def _pattern_classes(n: int):
+    """One zero pattern per class of S_n, which moves entry (k, j) to
+    (sigma k, sigma j): yields the least code of each class as its row
+    masks, with the class size and the pattern automorphisms.
 
-    itertools.product copies its input into a tuple first, and for n = 1 the
-    p - 1 units can number 10^8.
+    Bit k*n + j of a code is entry (k, j), so row k of a code is the
+    digraph's row mask k. A bitmap of 2^(n^2) bits marks the codes seen.
     """
-    units = range(1, p)
-    return ((u,) for u in units) if n == 1 else itertools.product(units, repeat=n)
+    mask = (1 << n) - 1
+    perms = list(itertools.permutations(range(n)))
+    # moved[s][r]: the row mask r with its columns moved by s
+    moved = [
+        [sum(1 << s[j] for j in range(n) if r >> j & 1) for r in range(mask + 1)]
+        for s in perms
+    ]
+    seen = bytearray(((1 << n * n) + 7) // 8)
+    for code in range(1 << n * n):
+        if seen[code >> 3] >> (code & 7) & 1:
+            continue
+        rows = [code >> k * n & mask for k in range(n)]
+        size, automorphisms = 0, []
+        for s, row_image in zip(perms, moved):
+            image = 0
+            for k, r in enumerate(rows):
+                image |= row_image[r] << s[k] * n
+            if image == code:
+                automorphisms.append(s)
+            byte, bit = image >> 3, 1 << (image & 7)
+            if not seen[byte] & bit:
+                seen[byte] |= bit
+                size += 1
+        yield rows, size, automorphisms
+
+
+def _torus_classes(cells, automorphisms, modulus: int):
+    """The orbits of the monomial maps that fix a zero pattern on the
+    matrices with that pattern over GF(p), modulus = p - 1, one exponent
+    vector each (entry (k, j) = g^x for the field's generator g) with the
+    number of matrices in the orbit.
+
+    Over exponents, (sigma, g^y) adds y_k - 2 y_j to x_kj and then moves
+    entry (k, j) to (sigma k, sigma j). The diagonal maps sweep out the
+    cosets of L = im(vertex-edge matrix) + modulus * Z^E, each holding
+    modulus^|E| / |Z^E / L| matrices; the cosets are the reduced vectors of
+    a Hermite basis of L, and the orbits are those of the pattern
+    automorphisms on them. ``cells`` lists the pattern's entries (k, j) and
+    ``automorphisms`` its automorphisms, identity first.
+    """
+    dim = len(cells)
+    vertices = range(len(automorphisms[0]))
+    basis = hermite_basis(
+        [[(k == v) - 2 * (j == v) for k, j in cells] for v in vertices], dim, modulus
+    )
+    heights = [row[i] for i, row in enumerate(basis)]
+    tails = [
+        [(j, row[j]) for j in range(i + 1, dim) if row[j]] for i, row in enumerate(basis)
+    ]
+    place = [math.prod(heights[i + 1 :]) for i in range(dim)]
+    at = {cell: e for e, cell in enumerate(cells)}
+    moves = [[at[s[k], s[j]] for k, j in cells] for s in automorphisms[1:]]
+    cosets = math.prod(heights)
+    coset_size = modulus**dim // cosets
+    seen = bytearray(cosets)
+    for code, x in enumerate(itertools.product(*map(range, heights))):
+        if seen[code]:
+            continue
+        seen[code] = size = 1
+        for move in moves:
+            y = [0] * dim
+            for e, value in zip(move, x):
+                y[e] = value
+            image = 0
+            for i, h in enumerate(heights):
+                q, r = divmod(y[i], h)
+                if q:
+                    for j, c in tails[i]:
+                        y[j] -= q * c
+                image += r * place[i]
+            if not seen[image]:
+                seen[image] = 1
+                size += 1
+        yield x, size * coset_size
 
 
 def _orbit_census(field: PrimeField, n: int, tally) -> int:
@@ -252,64 +328,57 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
 
     Every isomorphism of idempotent evolution algebras is monomial, so |Aut|,
     |D| and singularity are constant on an orbit of M, of order n!(p-1)^n.
-    (sigma, d) carries A to B[sigma k][sigma j] = d_k a_kj d_j^-2. Codes are
-    base-p numbers in itertools.product order, and a bitmap marks those seen.
-    `tally(entry, weight)` receives each class entry weighted by its orbit
-    size.
+    (sigma, d) carries A to B[sigma k][sigma j] = d_k a_kj d_j^-2, so it
+    moves the zero pattern by sigma. The orbits are enumerated by class
+    (Kerber, Applied Finite Group Actions, 1999): one pattern P per class of
+    S_n, and the orbits of the maps fixing P on the matrices with pattern P
+    (`_torus_classes`); an orbit holds |S_n P| times as many matrices as it
+    has with pattern P. A pattern without a transversal holds only singular
+    matrices and is not walked. `tally(entry, weight)` receives each class
+    entry weighted by its orbit size.
 
     Self-checks, exact: |orbit| * |Aut(A)| = |M| for every nonsingular class
-    (orbit-stabilizer), and the orbits cover all p^(n^2) matrices. A failure
-    raises RuntimeError.
+    (orbit-stabilizer, with |orbit| from the lattice and |Aut| from the
+    solver), the orbits cover all p^(n^2) matrices, and the nonsingular ones
+    number |GL_n(F_p)|. A failure raises RuntimeError.
     """
-    p, cells = field.p, n * n
-    total = p**cells
-    place = [p ** (cells - 1 - i) for i in range(cells)]
-    perms = list(itertools.permutations(range(n)))
-    monomial_order = len(perms) * (p - 1) ** n
-    seen = bytearray((total + 7) // 8)
-
-    def decode(code):
-        digits = [0] * cells
-        for i in range(cells - 1, -1, -1):
-            code, digits[i] = divmod(code, p)
-        return digits
-
-    classes = covered = 0
-    for code in range(total):
-        if seen[code >> 3] >> (code & 7) & 1:
+    p, g = field.p, field.generator
+    modulus = p - 1
+    monomial_order = math.factorial(n) * modulus**n
+    classes = covered = nonsingular = 0
+    for rows, pattern_size, automorphisms in _pattern_classes(n):
+        cells = [(k, j) for k in range(n) for j in range(n) if rows[k] >> j & 1]
+        if next(transversals(Digraph(n, rows)), None) is None:
+            covered += pattern_size * modulus ** len(cells)
             continue
-        seen[code >> 3] |= 1 << (code & 7)
-        flat = decode(code)
-        entry = _census_entry(_census_algebra(field, n, flat))
-        classes += entry is not None
-        size = 1
-        support = [
-            (k, j, flat[k * n + j]) for k in range(n) for j in range(n) if flat[k * n + j]
-        ]
-        weights = [[place[s[k] * n + s[j]] for k, j, _ in support] for s in perms]
-        # the zero matrix (empty support) is its own orbit
-        for d in _unit_vectors(p, n) if support else ():
-            inv_sq = [pow(x, -2, p) for x in d]
-            values = [d[k] * a * inv_sq[j] % p for k, j, a in support]
-            for w in weights:
-                image = sum(map(int.__mul__, values, w))
-                byte, bit = image >> 3, 1 << (image & 7)
-                if seen[byte] & bit:
-                    continue
-                seen[byte] |= bit
-                size += 1
-        if entry is not None:
+        for exponents, size in _torus_classes(cells, automorphisms, modulus):
+            flat = [0] * (n * n)
+            for (k, j), e in zip(cells, exponents):
+                flat[k * n + j] = pow(g, e, p)
+            entry = _census_entry(_census_algebra(field, n, flat))
+            size *= pattern_size
+            covered += size
+            if entry is None:
+                continue
             if size * entry[0] != monomial_order:
                 raise RuntimeError(
-                    f"orbit-stabilizer fails for the class of {list(flat)} over "
+                    f"orbit-stabilizer fails for the class of {flat} over "
                     f"{field.descriptor()}: |orbit| {size} * |Aut| {entry[0]} "
                     f"!= {monomial_order}"
                 )
+            classes += 1
+            nonsingular += size
             tally(entry, size)
-        covered += size
+    total = p ** (n * n)
     if covered != total:
         raise RuntimeError(
             f"census orbits cover {covered} of {total} matrices over {field.descriptor()}"
+        )
+    general_linear = math.prod(p**n - p**i for i in range(n))
+    if nonsingular != general_linear:
+        raise RuntimeError(
+            f"census finds {nonsingular} nonsingular matrices over "
+            f"{field.descriptor()}, not |GL_{n}| = {general_linear}"
         )
     return classes
 

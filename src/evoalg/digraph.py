@@ -76,10 +76,14 @@ class Digraph:
     def from_raw_rows(cls, rows, is_zero) -> "Digraph":
         """Zero-pattern of a square matrix of raw field values, ``is_zero``
         the field's raw zero test."""
-        return cls(
-            len(rows),
-            (sum(1 << j for j, x in enumerate(row) if not is_zero(x)) for row in rows),
-        )
+        masks = []
+        for row in rows:
+            mask = 0
+            for j, x in enumerate(row):
+                if not is_zero(x):
+                    mask |= 1 << j
+            masks.append(mask)
+        return cls(len(rows), masks)
 
     @classmethod
     def from_bool_rows(cls, rows) -> "Digraph":
@@ -88,12 +92,6 @@ class Digraph:
 
     def edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    def out_degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
-    def in_degree(self, j: int) -> int:
-        return sum(r >> j & 1 for r in self.rows)
 
     def has_loop(self, i: int) -> bool:
         return self.edge(i, i)
@@ -117,13 +115,24 @@ class Digraph:
         return f"Digraph({self.n}, {self.rows})"
 
 
-def _invariants(g: Digraph) -> list[tuple[int, int, bool]]:
-    return [(g.out_degree(v), g.in_degree(v), g.has_loop(v)) for v in range(g.n)]
+def _invariants(g: Digraph, cols: list[int]) -> list[tuple[int, int, int]]:
+    """(out-degree, in-degree, loop) of each vertex, the in-degrees read
+    off the column masks ``cols``."""
+    return [
+        (r.bit_count(), c.bit_count(), r >> v & 1)
+        for v, (r, c) in enumerate(zip(g.rows, cols))
+    ]
 
 
 def _column_masks(g: Digraph) -> list[int]:
     """The columns as bitmasks: bit i of column j is the edge i -> j."""
-    return [sum((r >> j & 1) << i for i, r in enumerate(g.rows)) for j in range(g.n)]
+    cols = [0] * g.n
+    for i, r in enumerate(g.rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
 
 
 def _hall_fails(col_masks: list[int], j: int, used: int) -> bool:
@@ -147,10 +156,11 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
     if g.n != h.n:
         return
     n = g.n
-    gi, hi = _invariants(g), _invariants(h)
-    if sorted(gi) != sorted(hi):
-        return
     h_cols = _column_masks(h)
+    hi = _invariants(h, h_cols)
+    gi = hi if g is h else _invariants(g, _column_masks(g))
+    if gi is not hi and sorted(gi) != sorted(hi):
+        return
     images = [-1] * n
 
     def place(v: int, placed: int) -> Iterator[tuple[int, ...]]:

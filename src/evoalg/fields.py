@@ -466,6 +466,9 @@ class PrimeField(Field):
     def _mul(self, a, b):
         return a * b % self.p
 
+    def _sub(self, a, b):
+        return (a - b) % self.p
+
     def _neg(self, a):
         return -a % self.p
 

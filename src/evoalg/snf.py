@@ -137,3 +137,50 @@ def solve_homogeneous_mod(mat: list[list[int]], n_vars: int, modulus: int) -> Co
         gens.append(tuple(v[r][i] * scale % modulus for r in range(n_vars)))
         orders.append(gi)
     return CongruenceSolution(modulus, n_vars, tuple(gens), tuple(orders), order)
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def hermite_basis(vectors, dim: int, modulus: int) -> list[list[int]]:
+    """A triangular basis of the lattice spanned by ``vectors`` and
+    modulus * Z^dim: row i is zero before column i and holds h_i > 0 at
+    column i, h_i dividing modulus, with its later entries reduced mod
+    modulus.
+
+    Each x in Z^dim reduces to exactly one vector with 0 <= x_i < h_i by
+    subtracting multiples of the rows in order, so these vectors are the
+    cosets of the lattice, prod h_i of them. Column i starts from the row
+    modulus * e_i and takes in each vector with a nonzero i-th entry by one
+    unimodular step of the extended Euclid algorithm on that entry, which
+    leaves the vector's combination with a zero there for the later columns.
+    """
+    pool = [[x % modulus for x in v] for v in vectors]
+    basis = []
+    for i in range(dim):
+        pivot = [0] * dim
+        pivot[i] = modulus
+        rest = []
+        for v in pool:
+            b = v[i]
+            if b:
+                a = pivot[i]
+                g, s, t = _ext_gcd(a, b)
+                # [[s, t], [b/g, -a/g]] has determinant -1
+                pivot, v = (
+                    [(s * x + t * y) % modulus for x, y in zip(pivot, v)],
+                    [(b // g * x - a // g * y) % modulus for x, y in zip(pivot, v)],
+                )
+            if any(v):
+                rest.append(v)
+        basis.append(pivot)
+        pool = rest
+    return basis

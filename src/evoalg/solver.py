@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -76,6 +77,15 @@ def solve_monomial(
             image |= 1 << sigma[j]
         if image != b_pattern[sigma[k]]:
             return SolveOutcome(SolveStatus.COMPLETE)
+    return _solve_matched(a, b, sigma)
+
+
+def _solve_matched(
+    a: EvolutionAlgebra, b: EvolutionAlgebra, sigma: tuple[int, ...]
+) -> SolveOutcome:
+    """``solve_monomial`` for a sigma that carries A's zero pattern onto
+    B's, as every pattern automorphism does: the loop-invariant screen, then
+    `_solve_components`."""
     # the patterns correspond, so B has an invariant wherever A has one
     entries = a.loop_invariants.entries
     if entries:
@@ -244,8 +254,16 @@ class PatternSolve(NamedTuple):
 
 def _pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     a.require_idempotent()
-    one = a.field.one.value
-    diagonal = _solve_components(a, tuple(range(a.n)), lambda j, k: one).maps
+    field = a.field
+    # 1 is the only root of x^(2^L - 1) = 1 among the field's N roots of
+    # unity when gcd(2^L - 1, N) = 1; then every cycle root is 1, so is every
+    # d_v, and D is trivial
+    unity = field.unity_group().order
+    if all(math.gcd(2 ** len(c) - 1, unity) == 1 for cycles, _ in a.components for c in cycles):
+        diagonal = (MonomialMap.identity(field, a.n),)
+    else:
+        one = field.one.value
+        diagonal = _solve_components(a, tuple(range(a.n)), lambda j, k: one).maps
     return PatternSolve(graph_automorphisms(a.digraph), diagonal)
 
 
@@ -306,7 +324,9 @@ def pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     D is read off the zero pattern: it is the solve of A against itself
     under sigma = id, where every ratio b_kj * a_kj^-1 is one. So each cycle
     equation reads x^(2^L - 1) = 1, which every field decides, the edge
-    checks read d_k = d_j^2, and no entry of A is read or inverted.
+    checks read d_k = d_j^2, and no entry of A is read or inverted. When no
+    cycle length L has gcd(2^L - 1, N) > 1 for the field's N roots of unity,
+    as over Q and GF(3), D is trivial and nothing is solved.
     """
     memo = RUN_PATTERNS.get()
     return _pattern_solve(a) if memo is None else memo(a)
@@ -348,7 +368,7 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     for s in pattern.sigmas:
         if s in image or s in dead:
             continue
-        outcome = solve_monomial(a, a, s)
+        outcome = _solve_matched(a, a, s)
         if outcome.status is SolveStatus.INDETERMINATE:
             unsettled.append(s)
         elif outcome.maps:

@@ -1,7 +1,9 @@
-"""The exhaustive census solves one algebra per monomial orbit; these tests
-hold it to a per-matrix scan and to its orbit-stabilizer self-check."""
+"""The exhaustive census solves one algebra per monomial orbit, found by
+class enumeration; these tests hold it to a per-matrix scan, to the bitmap
+walk over every matrix, and to its self-checks."""
 
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -12,6 +14,7 @@ import types
 import pytest
 
 import evoalg
+from bitmap_census import orbit_census as bitmap_orbit_census
 from evoalg import cli, snf, solver, suites
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.fields import PrimeField
@@ -42,12 +45,36 @@ def census(capsys, p, n):
     return json.loads(captured.out), captured.err
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
-def test_orbit_sweep_matches_per_matrix_scan(capsys, p, n):
-    report, _ = census(capsys, p, n)
-    expected = per_matrix_census(p, n)
-    assert {key: report[key] for key in expected} == expected
+@pytest.mark.parametrize(
+    "p, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3)]
+)
+def test_orbit_sweep_matches_per_matrix_scan(monkeypatch, capsys, p, n):
+    argv = ["census", "--field", f"GF({p})", "--n", str(n)]
+    assert cli.main(argv) == 0
+    by_class = capsys.readouterr()
+    report = json.loads(by_class.out)
     assert report["scanned"] == p ** (n * n)
+    if p ** (n * n) <= 7**4:
+        expected = per_matrix_census(p, n)
+        assert {key: report[key] for key in expected} == expected
+    # the walk over all p^(n^2) matrices prints the same bytes and finds
+    # the same classes; its pattern count is that of its first matrices
+    monkeypatch.setattr(cli, "_orbit_census", bitmap_orbit_census)
+    assert cli.main(argv) == 0
+    by_matrix = capsys.readouterr()
+    assert by_class.out == by_matrix.out
+    assert by_class.err.split(" patterns")[0].rsplit(",", 1)[0] == (
+        by_matrix.err.split(" patterns")[0].rsplit(",", 1)[0]
+    )
+
+
+def test_gf5_n3_stdout_is_pinned(capsys):
+    # the bytes that the walk over all 1,953,125 matrices printed
+    assert cli.main(["census", "--field", "GF(5)", "--n", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "080ec3077f90a117288b28fa2f4d4953766bf47a56ee198b74cb3e5f3cf47828"
+    )
 
 
 def test_gf3_n3_golden(capsys):
@@ -55,7 +82,7 @@ def test_gf3_n3_golden(capsys):
     assert report["nonsingular"] == 11232  # |GL_3(F_3)|
     assert report["aut_histogram"] == {"1": 10656, "2": 504, "3": 48, "6": 24}
     assert report["diag_histogram"] == {"1": 11232}
-    assert "census: 11232 algebras in 249 classes over GF(3), n = 3" in err
+    assert "census: 11232 algebras in 249 classes over GF(3), n = 3, 51 patterns" in err
 
 
 def test_one_automorphism_solve_per_class(monkeypatch, capsys):
@@ -68,7 +95,9 @@ def test_one_automorphism_solve_per_class(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "automorphism_group", counted)
     census(capsys, 3, 3)
-    assert len(calls) == 249  # a per-matrix scan solves all 11232
+    assert len(set(calls)) == len(calls) == 249  # a per-matrix scan solves all 11232
+    # one pattern per S_3 class: 51 of the 57 that the bitmap walk solved
+    assert len({alg.digraph for alg in calls}) == 51
 
 
 def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
@@ -83,6 +112,54 @@ def test_wrong_order_fails_orbit_stabilizer(monkeypatch):
     monkeypatch.setattr(cli, "automorphism_group", doubled)
     with pytest.raises(RuntimeError, match="orbit-stabilizer fails"):
         cli.main(["census", "--field", "GF(3)", "--n", "2"])
+
+
+def test_wrong_orbit_size_fails_orbit_stabilizer(monkeypatch):
+    # |orbit| comes from the lattice and |Aut| from the solver, so a fault
+    # on the lattice side shows as well
+    real = cli._torus_classes
+
+    def doubled(*args):
+        for exponents, size in real(*args):
+            yield exponents, 2 * size
+
+    monkeypatch.setattr(cli, "_torus_classes", doubled)
+    with pytest.raises(RuntimeError, match="orbit-stabilizer fails"):
+        cli.main(["census", "--field", "GF(3)", "--n", "2"])
+
+
+def test_lost_class_fails_coverage(monkeypatch):
+    # the zero pattern holds only the zero matrix, which is singular, so
+    # dropping it leaves every other check intact
+    real = cli._pattern_classes
+
+    def without_zero(n):
+        for rows, size, automorphisms in real(n):
+            if any(rows):
+                yield rows, size, automorphisms
+
+    monkeypatch.setattr(cli, "_pattern_classes", without_zero)
+    with pytest.raises(RuntimeError, match="census orbits cover 80 of 81 matrices"):
+        cli.main(["census", "--field", "GF(3)", "--n", "2"])
+
+
+def test_class_taken_for_singular_fails_general_linear_count(monkeypatch):
+    # an entry lost for one nonsingular class skips its orbit-stabilizer
+    # check and keeps the coverage, so only the |GL_n(F_p)| count shows it
+    real = cli._census_entry
+    lost = []
+
+    def losing(alg):
+        entry = real(alg)
+        if entry is not None and not lost:
+            lost.append(alg)
+            return None
+        return entry
+
+    monkeypatch.setattr(cli, "_census_entry", losing)
+    with pytest.raises(RuntimeError, match=r"not \|GL_2\| = 48"):
+        cli.main(["census", "--field", "GF(3)", "--n", "2"])
+    assert lost
 
 
 @pytest.mark.parametrize(
@@ -136,17 +213,23 @@ def test_diagonal_order_is_read_off_the_group(monkeypatch, capsys, argv, aut, di
 
 
 def test_zero_matrix_orbit_is_not_walked(monkeypatch, capsys):
-    real = cli._unit_vectors
+    real = cli._torus_classes
     walks = []
 
-    def counted(p, n):
-        walks.append((p, n))
-        return real(p, n)
+    def counted(cells, *args):
+        walks.append(cells)
+        return real(cells, *args)
 
-    monkeypatch.setattr(cli, "_unit_vectors", counted)
+    monkeypatch.setattr(cli, "_torus_classes", counted)
     report, _ = census(capsys, 5, 1)
     assert report["aut_histogram"] == {"1": 4}
-    assert walks == [(5, 1)]  # the class of [1]; the zero matrix needs none
+    assert walks == [[(0, 0)]]  # the class of [1]; the zero matrix needs none
+    # of the 10 pattern classes of n = 2, the 5 without a transversal (no
+    # entry, one diagonal or one off-diagonal entry, one row, one column)
+    # are not walked
+    walks.clear()
+    census(capsys, 3, 2)
+    assert len(walks) == 5
 
 
 def test_random_sample_builds_each_algebra_once(monkeypatch, capsys):
@@ -185,7 +268,7 @@ def group_summary(group):
     "argv",
     [
         ["--field", "GF(3)", "--n", "2"],
-        ["--field", "GF(2)", "--n", "3"],
+        ["--field", "GF(3)", "--n", "3"],
         ["--field", "GF(7)", "--n", "4", "--mode", "random:200", "--seed", "5"],
     ],
 )
@@ -295,7 +378,7 @@ def count_pattern_work(monkeypatch):
         "identity_solves": 0,
         "inverses": 0,
     }
-    real_auts, real_solve = solver.graph_automorphisms, solver.solve_monomial
+    real_auts, real_solve = solver.graph_automorphisms, solver._solve_matched
     real_diagonal = solver._pattern_solve
     real_inverses = EvolutionAlgebra.inverses.func
 
@@ -319,7 +402,7 @@ def count_pattern_work(monkeypatch):
     cached.__set_name__(EvolutionAlgebra, "inverses")
     monkeypatch.setattr(solver, "graph_automorphisms", auts)
     monkeypatch.setattr(solver, "_pattern_solve", diagonal)
-    monkeypatch.setattr(solver, "solve_monomial", solve)
+    monkeypatch.setattr(solver, "_solve_matched", solve)
     monkeypatch.setattr(EvolutionAlgebra, "inverses", cached)
     return counts
 
@@ -329,8 +412,8 @@ def count_pattern_work(monkeypatch):
     [
         # 1,500 samples over 654 patterns
         (["--field", "GF(7)", "--n", "4", "--mode", "random:1500", "--seed", "7"], 654, 34),
-        # 249 classes over 57 patterns
-        (["--field", "GF(3)", "--n", "3"], 57, 36),
+        # 249 classes over 51 patterns, one per S_3 class
+        (["--field", "GF(3)", "--n", "3"], 51, 36),
     ],
     ids=["gf7-n4-random", "gf3-n3-exhaustive"],
 )

@@ -149,6 +149,28 @@ class TestGraphAutomorphisms:
                 sigma = tuple(images)
                 assert (sigma in auts) == (g.relabel(sigma) == g)
 
+    def test_invariants_are_taken_once_per_pattern(self, monkeypatch):
+        # graph_automorphisms searches g against itself, so g's vertex
+        # invariants serve both sides; a search against another pattern
+        # takes them for each
+        from evoalg import digraph
+
+        taken = []
+        real = digraph._invariants
+
+        def counted(g, cols):
+            taken.append(g)
+            return real(g, cols)
+
+        monkeypatch.setattr(digraph, "_invariants", counted)
+        g = Digraph.from_bool_rows([[1, 1, 0], [0, 0, 1], [1, 0, 1]])
+        h = g.relabel((2, 0, 1))
+        assert graph_automorphisms(g) == [(0, 1, 2)]
+        assert taken == [g]
+        taken.clear()
+        assert list(pattern_isomorphisms(g, h)) == [(2, 0, 1)]
+        assert taken == [h, g]
+
     def test_dimension_cap(self):
         # past n = 12 no pattern is built, so none is searched
         with pytest.raises(CapExceededError):

@@ -282,15 +282,15 @@ class TestClosure:
         ):
             field = alg.field
             outcomes = {}
-            real = solver.solve_monomial
+            real = solver._solve_matched
 
             def recorded(a, b, sigma):
                 outcomes[sigma] = real(a, b, sigma)
                 return outcomes[sigma]
 
-            monkeypatch.setattr(solver, "solve_monomial", recorded)
+            monkeypatch.setattr(solver, "_solve_matched", recorded)
             automorphism_group(alg)
-            monkeypatch.setattr(solver, "solve_monomial", lambda a, b, sigma: outcomes[sigma])
+            monkeypatch.setattr(solver, "_solve_matched", lambda a, b, sigma: outcomes[sigma])
             # D is read off the pattern: answered from a cache as well
             pattern = solver.pattern_solve(alg)
             monkeypatch.setattr(solver, "pattern_solve", lambda a: pattern)

@@ -3,7 +3,7 @@ import math
 import random
 from fractions import Fraction
 
-from evoalg.snf import smith_normal_form, solve_homogeneous_mod
+from evoalg.snf import hermite_basis, smith_normal_form, solve_homogeneous_mod
 
 
 def int_det(mat):
@@ -103,3 +103,48 @@ def test_no_constraints():
     sol = solve_homogeneous_mod([], 2, 5)
     assert sol.order == 25
     assert len(set(sol.elements())) == 25
+
+
+def reduce_mod_basis(basis, x):
+    x = list(x)
+    for i, row in enumerate(basis):
+        q = x[i] // row[i]
+        x = [a - q * b for a, b in zip(x, row)]
+    return tuple(x)
+
+
+def test_hermite_basis_reduces_to_one_vector_per_coset():
+    # brute force: the subgroup of (Z/m)^dim that the vectors generate, by
+    # closing under addition; its cosets are the lattice's
+    rng = random.Random(41)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        modulus = rng.randint(1, 6)
+        vectors = [
+            [rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(0, 3))
+        ]
+        basis = hermite_basis(vectors, dim, modulus)
+        heights = [row[i] for i, row in enumerate(basis)]
+        for i, row in enumerate(basis):
+            assert row[:i] == [0] * i and modulus % row[i] == 0
+        subgroup = {(0,) * dim}
+        todo = list(subgroup)
+        for x in todo:
+            for v in vectors:
+                y = tuple((a + b) % modulus for a, b in zip(x, v))
+                if y not in subgroup:
+                    subgroup.add(y)
+                    todo.append(y)
+        assert math.prod(heights) * len(subgroup) == modulus**dim
+        cosets = {}
+        for x in itertools.product(range(modulus), repeat=dim):
+            r = reduce_mod_basis(basis, x)
+            assert all(0 <= a < h for a, h in zip(r, heights))
+            cosets.setdefault(r, set()).add(x)
+        # every coset of the subgroup reduces to one vector of its own
+        assert len(cosets) == math.prod(heights)
+        for members in cosets.values():
+            x = min(members)
+            assert members == {
+                tuple((a + b) % modulus for a, b in zip(x, y)) for y in subgroup
+            }
