@@ -9,13 +9,13 @@ the column one.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .digraph import Digraph, check_dimension, cycles, min_transversal_order, transversals
 from .errors import FieldMismatchError, ParseError, SingularMatrixError
 from .fields import Field, Scalar, parse_field
 from .groups import MonomialMap
+from .lazy import lazy
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 # a constraint component: its transversal cycles and its other edges (j, k)
@@ -132,11 +132,11 @@ class EvolutionAlgebra:
         self.raw_rows: tuple[tuple, ...] = tuple(raw)
         self.digraph = Digraph.from_raw_rows(self.raw_rows, field._is_zero)
 
-    @cached_property
+    @lazy
     def det(self) -> Scalar:
         return determinant(self.raw_rows, self.field)
 
-    @cached_property
+    @lazy
     def is_idempotent(self) -> bool:
         return not self.det.is_zero
 
@@ -147,20 +147,20 @@ class EvolutionAlgebra:
             )
         return self
 
-    @cached_property
+    @lazy
     def rows(self) -> Matrix:
         """The structure matrix as Scalars."""
         field = self.field
         return tuple(tuple(Scalar(field, x) for x in row) for row in self.raw_rows)
 
-    @cached_property
+    @lazy
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Per row k, the columns j with a_kj != 0, read off the digraph."""
         return tuple(
             tuple(j for j in range(self.n) if row >> j & 1) for row in self.digraph.rows
         )
 
-    @cached_property
+    @lazy
     def components(self) -> tuple[Component, ...]:
         """The part of solving d_k * a_kj = d_j^2 * b_{sigma k sigma j} that
         depends only on A's zero pattern: one transversal and the constraint
@@ -197,7 +197,7 @@ class EvolutionAlgebra:
                     parts[find(j)][1].append((j, k))
         return tuple((tuple(cycles), tuple(edges)) for cycles, edges in parts.values())
 
-    @cached_property
+    @lazy
     def inverses(self) -> tuple[tuple, ...]:
         """Raw a_kj^-1, None where a_kj = 0: the part of the solve that reads
         A's entries. Built on first use, at most once per algebra;
@@ -209,7 +209,7 @@ class EvolutionAlgebra:
             for row in self.raw_rows
         )
 
-    @cached_property
+    @lazy
     def loop_invariants(self) -> LoopInvariants:
         """Built on first use, once per algebra; inverts only the loops that
         some entry divides by."""
@@ -231,7 +231,7 @@ class EvolutionAlgebra:
                 matrix[k][j] = value
         return LoopInvariants(tuple(entries), tuple(map(tuple, matrix)))
 
-    @cached_property
+    @lazy
     def min_transversal_order(self) -> int:
         return min_transversal_order(self.digraph)
 

@@ -220,8 +220,8 @@ def _census_entry(alg: EvolutionAlgebra):
 
     The pattern automorphisms and D depend only on the zero pattern and the
     field, so the algebras of a run that share a pattern compute them once,
-    through the run's memo. |D| is read off the group, whose diagonal part
-    is D.
+    through the run's memo, and the algebras whose Aut(E) is D share the
+    run's group of D. |D| is read off the group, whose diagonal part is D.
 
     Self-check, exact: kth_roots decides every equation over GF(p), so every
     group is complete; an incomplete one raises RuntimeError in either mode.

@@ -444,9 +444,12 @@ class PrimeField(Field):
     def characteristic(self) -> int:
         return self.p
 
-    def _convert(self, value):
-        if type(value) is int:  # the common case; bool is not int
+    def raw(self, value):
+        if type(value) is int:  # the common case, every census entry; bool is not int
             return value % self.p
+        return super().raw(value)
+
+    def _convert(self, value):
         if isinstance(value, bool):
             raise ParseError("bool is not a scalar")
         if isinstance(value, int):

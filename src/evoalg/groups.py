@@ -3,7 +3,6 @@ the names of the handful of groups this library recognizes."""
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -16,6 +15,7 @@ from .errors import (
     UnclosedGroupError,
 )
 from .fields import Field, Scalar
+from .lazy import lazy
 
 
 class MonomialMap:
@@ -236,15 +236,15 @@ class MonomialGroup:
     def order(self) -> int:
         return len(self._keys)
 
-    @functools.cached_property
+    @lazy
     def elements(self) -> tuple[MonomialMap, ...]:
         return tuple(map(self._box, self._keys))
 
-    @functools.cached_property
+    @lazy
     def generators(self) -> tuple[MonomialMap, ...]:
         return tuple(map(self._box, self._generator_keys))
 
-    @functools.cached_property
+    @lazy
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, aligned with ``elements``; computed
         once per group and read by ``recognize``."""
@@ -270,7 +270,7 @@ class MonomialGroup:
         basis."""
         return _apply(self.field, self._points, self._index.__getitem__, self.n, a, b)
 
-    @functools.cached_property
+    @lazy
     def diagonal_order(self) -> int:
         """The order of the diagonal part; sigma = id is the least image
         tuple, so the diagonal elements sort first."""

@@ -252,14 +252,34 @@ class PatternSolve(NamedTuple):
     diagonal: tuple[MonomialMap, ...]  # D, sorted
 
 
+def _loops_reach_all(rows: tuple[int, ...]) -> bool:
+    """Whether every vertex of the pattern with row bitmasks ``rows`` can be
+    reached from a loop along the edges j -> k, a_kj != 0."""
+    reached = 0
+    for v, row in enumerate(rows):
+        reached |= (row >> v & 1) << v
+    grown = True
+    while grown:
+        grown = False
+        for k, row in enumerate(rows):
+            if row & reached and not reached >> k & 1:
+                reached |= 1 << k
+                grown = True
+    return reached == (1 << len(rows)) - 1
+
+
 def _pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     a.require_idempotent()
     field = a.field
-    # 1 is the only root of x^(2^L - 1) = 1 among the field's N roots of
-    # unity when gcd(2^L - 1, N) = 1; then every cycle root is 1, so is every
-    # d_v, and D is trivial
+    # D is trivial by either of two rules, and the first builds no
+    # component. A loop at v gives d_v = d_v^2, so d_v = 1, and an edge
+    # j -> k gives d_k = d_j^2, which carries d_j = 1 on to d_k. And 1 is the
+    # only root of x^(2^L - 1) = 1 among the field's N roots of unity when
+    # gcd(2^L - 1, N) = 1; then every cycle root is 1, and so is every d_v
     unity = field.unity_group().order
-    if all(math.gcd(2 ** len(c) - 1, unity) == 1 for cycles, _ in a.components for c in cycles):
+    if _loops_reach_all(a.digraph.rows) or all(
+        math.gcd(2 ** len(c) - 1, unity) == 1 for cycles, _ in a.components for c in cycles
+    ):
         diagonal = (MonomialMap.identity(field, a.n),)
     else:
         one = field.one.value
@@ -272,7 +292,9 @@ class PatternMemo:
     (the digraph's row bitmasks).
 
     Equal sigma tuples, sigma lists, diagonal groups and records are stored
-    once, so the memo costs little beyond its keys. The sharing pays on runs
+    once, so the memo costs little beyond its keys. It also holds, for each
+    D that some algebra's whole Aut(E) equals, that group as a
+    ``MonomialGroup``, built and proven closed once. The sharing pays on runs
     over many patterns. Without it, the peak RSS of the perfbench workloads
     (2 vCPU, CPython 3.11) rose by 0.36-0.42 MB on ``census`` and by about
     0.09 MB on ``verify``, and fell by about 0.04 MB on ``aut``, whose jobs
@@ -282,6 +304,7 @@ class PatternMemo:
     def __init__(self):
         self._by_pattern: dict[tuple, PatternSolve] = {}
         self._shared: dict = {}
+        self._groups: dict[tuple[MonomialMap, ...], MonomialGroup] = {}
 
     def __len__(self) -> int:
         return len(self._by_pattern)
@@ -298,6 +321,13 @@ class PatternMemo:
             )
             pattern = self._by_pattern[key] = share(pattern, pattern)
         return pattern
+
+    def diagonal_group(self, field, n: int, diagonal: tuple[MonomialMap, ...]) -> MonomialGroup:
+        """The group D, built and proven closed once per run for each D."""
+        group = self._groups.get(diagonal)
+        if group is None:
+            group = self._groups[diagonal] = MonomialGroup(field, n, diagonal)
+        return group
 
 
 # the memo of the current run, set only by pattern_run; library calls
@@ -324,9 +354,12 @@ def pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     D is read off the zero pattern: it is the solve of A against itself
     under sigma = id, where every ratio b_kj * a_kj^-1 is one. So each cycle
     equation reads x^(2^L - 1) = 1, which every field decides, the edge
-    checks read d_k = d_j^2, and no entry of A is read or inverted. When no
-    cycle length L has gcd(2^L - 1, N) > 1 for the field's N roots of unity,
-    as over Q and GF(3), D is trivial and nothing is solved.
+    checks read d_k = d_j^2, and no entry of A is read or inverted. D is
+    trivial, and nothing is solved, when every vertex can be reached from a
+    loop along the edges j -> k (a_kj != 0), or when no cycle length L has
+    gcd(2^L - 1, N) > 1 for the field's N roots of unity, as over Q and
+    GF(3). The first rule reads only the pattern's rows, so it builds no
+    constraint components.
     """
     memo = RUN_PATTERNS.get()
     return _pattern_solve(a) if memo is None else memo(a)
@@ -340,11 +373,12 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     lifts of each sigma in L form one coset of D. So D, with the pattern
     automorphisms, comes first from ``pattern_solve``. One walk over the
     pattern automorphisms then keeps a closure of D and the lifts found so
-    far, with its image H in L. A sigma in H is skipped: its lifts are
-    already products in the closure. A sigma without lifts marks its coset
-    H*sigma dead, since h*sigma lifting would make sigma lift, and a sigma
-    in a dead coset is skipped too. Every other sigma is solved once, and
-    its lifts extend the closure. K_n over Q takes n - 1 solves, not n!.
+    far, with its image H in L; until a first sigma lifts, H is {id} and no
+    closure is built. A sigma in H is skipped: its lifts are already
+    products in the closure. A sigma without lifts marks its coset H*sigma
+    dead, since h*sigma lifting would make sigma lift, and a sigma in a dead
+    coset is skipped too. Every other sigma is solved once, and its lifts
+    extend the closure. K_n over Q takes n - 1 solves, not n!.
 
     A sigma whose solve leaves a cycle equation open is recorded and the
     walk goes on. At the end it is settled when it lies in the final image
@@ -355,13 +389,16 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     Either way its elements are the closure of D and the lifts found, so
     its diagonal part is D; a partial group is a subgroup of Aut(E), not
     claimed to be all of it.
+
+    When no sigma != id lifts and none is left open, Aut(E) = D, and the
+    group is the run's group of D (``PatternMemo.diagonal_group``), shared
+    by every such algebra with an equal D; outside a run it is built
+    afresh.
     """
     a.require_idempotent()
     pattern = pattern_solve(a)
-    closure = Closure(a.field, a.n)
-    for g in pattern.diagonal:
-        closure.add(g)
-    image = {sigma_of(closure.points, p) for p in closure.elements}
+    closure = None
+    image = {tuple(range(a.n))}
     barren: list[tuple[int, ...]] = []
     dead: set[tuple[int, ...]] = set()
     unsettled: list[tuple[int, ...]] = []
@@ -372,6 +409,8 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
         if outcome.status is SolveStatus.INDETERMINATE:
             unsettled.append(s)
         elif outcome.maps:
+            if closure is None:
+                closure = _closure_of(a, pattern.diagonal)
             # the closure only appends, so the elements past the old count
             # are the new ones
             listed = len(closure.elements)
@@ -381,6 +420,13 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
         else:
             barren.append(s)
             dead.update(compose(h, s) for h in image)
+    if closure is None:
+        if not unsettled:
+            memo = RUN_PATTERNS.get()
+            if memo is None:
+                return MonomialGroup(a.field, a.n, pattern.diagonal)
+            return memo.diagonal_group(a.field, a.n, pattern.diagonal)
+        closure = _closure_of(a, pattern.diagonal)
     complete = True
     if unsettled:
         gens = [sigma_of(closure.points, p) for p in closure.generators]
@@ -388,6 +434,14 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
         ruled_out = _double_cosets(seeds, gens)
         complete = all(s in image or s in ruled_out for s in unsettled)
     return MonomialGroup(a.field, a.n, closure, complete=complete)
+
+
+def _closure_of(a: EvolutionAlgebra, diagonal: tuple[MonomialMap, ...]) -> Closure:
+    """A closure holding D, which the lifts then extend."""
+    closure = Closure(a.field, a.n)
+    for g in diagonal:
+        closure.add(g)
+    return closure
 
 
 def _double_cosets(seeds: list[tuple], gens: list[tuple]) -> set[tuple]:

@@ -16,6 +16,7 @@ from evoalg.fields import CyclotomicField, Field, PrimeField, RationalField, Sca
 from evoalg.groups import (
     MonomialGroup,
     MonomialMap,
+    close_generators,
     quotient_embedding_check,
     recognize,
 )
@@ -359,24 +360,31 @@ def with_pattern(field, n, bits, rng, tries=200):
 
 class TestDiagonalFromPattern:
     """D read off the zero pattern is the solve of A against itself under
-    sigma = id, which stays here as the reference."""
+    sigma = id, which stays here as the reference, and D solved in exponent
+    space by the Smith normal form. Where the loop rule gives D = {1}
+    without a solve, the unit-ratio solve that it stands in for gives D =
+    {1} too."""
 
     @staticmethod
     def check(alg):
         reference = solve_monomial(alg, alg, tuple(range(alg.n)))
         assert reference.status is SolveStatus.COMPLETE
         diagonal = solver.pattern_solve(alg).diagonal
-        assert diagonal == reference.maps
+        assert diagonal == reference.maps == diagonal_subgroup(alg).maps()
+        if solver._loops_reach_all(alg.digraph.rows):
+            one = alg.field.one.value
+            outcome = solver._solve_components(alg, tuple(range(alg.n)), lambda j, k: one)
+            assert outcome.maps == (MonomialMap.identity(alg.field, alg.n),)
         return diagonal
 
     @pytest.mark.parametrize(
         "field",
-        [PrimeField(3), PrimeField(5), GF7, Q, Z3, Z7],
+        [PrimeField(3), PrimeField(5), GF7, PrimeField(13), Q, Z3, Z7, CyclotomicField(15)],
         ids=lambda field: field.descriptor(),
     )
     def test_every_small_pattern(self, field):
         rng = random.Random(211)
-        checked = 0
+        checked = looped = 0
         for n in (1, 2, 3):
             for bits in range(2 ** (n * n)):
                 rows = [bits >> (k * n) & (2**n - 1) for k in range(n)]
@@ -387,7 +395,32 @@ class TestDiagonalFromPattern:
                 assert alg.digraph.rows == tuple(rows)
                 self.check(alg)
                 checked += 1
-        assert checked > 100
+                looped += solver._loops_reach_all(alg.digraph.rows)
+        assert checked > 100 and 0 < looped < checked
+
+    @pytest.mark.parametrize(
+        "field",
+        [PrimeField(3), GF7, PrimeField(13), Z3, Z7, CyclotomicField(15)],
+        ids=lambda field: field.descriptor(),
+    )
+    def test_random_n4_to_n6_patterns(self, field):
+        rng = random.Random(311)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(4, 6)
+            alg = with_pattern(field, n, rng.getrandbits(n * n), rng, tries=1)
+            if alg is not None:
+                self.check(alg)
+                checked += 1
+
+    def test_loop_rule_decides_where_the_gcd_rule_cannot(self):
+        # the only transversal is the 2-cycle (0 1), and gcd(2^2 - 1, 6) = 3
+        # over GF(7); the loop at 0 gives d_0 = 1 and a_10 gives d_1 = d_0^2
+        alg = EvolutionAlgebra(GF7, [[1, 1], [1, 0]])
+        assert solver._loops_reach_all(alg.digraph.rows)
+        assert solver.pattern_solve(alg).diagonal == (MonomialMap.identity(GF7, 2),)
+        assert "components" not in vars(alg)
+        assert [cycles for cycles, _ in alg.components] == [((0, 1),)]
 
     @pytest.mark.parametrize("field", [GF7, CyclotomicField(15)], ids=["GF(7)", "Q(zeta_15)"])
     def test_random_n4_patterns(self, field):
@@ -681,6 +714,102 @@ class TestAutomorphismGroup:
         assert report.diagonal_order == 3
         assert report.image_order == 2
         assert grp.order == 6
+
+
+class TestSharedDiagonalGroup:
+    """When no sigma != id lifts and none is left open, Aut(E) = D, and a
+    run builds the group of each D once."""
+
+    @staticmethod
+    def fresh_d(alg):
+        diagonal = solver.pattern_solve(alg).diagonal
+        return close_generators(diagonal, field=alg.field, n=alg.n)
+
+    def test_equal_d_without_lifts_share_one_group(self):
+        rng = random.Random(401)
+        algebras = [
+            random_idempotent(field, n, rng, density=0.9)
+            for field in (PrimeField(3), GF7, PrimeField(13))
+            for n in (2, 3, 4)
+            for _ in range(12)
+        ]
+        # 2-cycles whose swap does not lift: D = C3 over GF(7) and GF(13)
+        algebras += [
+            EvolutionAlgebra(field, [[0, a], [b, 0]])
+            for field in (GF7, PrimeField(13))
+            for a, b in ((6, 5), (4, 6), (2, 3), (6, 2))
+        ]
+        with solver.pattern_run():
+            groups = [automorphism_group(alg) for alg in algebras]
+        by_d: dict = {}
+        for alg, grp in zip(algebras, groups):
+            if grp.order != grp.diagonal_order:
+                continue  # some sigma lifts
+            assert grp.complete
+            assert by_d.setdefault((alg.field, grp.elements), grp) is grp
+        assert sum(grp.order == grp.diagonal_order for grp in groups) >= 2 * len(by_d)
+        assert any(grp.order > 1 and grp.order == grp.diagonal_order for grp in groups)
+
+    def test_shared_group_is_the_closure_of_d_and_the_oracle(self):
+        rng = random.Random(409)
+        algebras = [
+            random_idempotent(PrimeField(p), n, rng, density=0.9)
+            for p in (3, 5, 7, 13)
+            for n in ((2, 3, 4) if p <= 7 else (2, 3))
+            for _ in range(6)
+        ]
+        # a 2-cycle, a loop beside a 2-cycle and two 2-cycles joined by an edge:
+        # over GF(7) and GF(13), D = C3 and no sigma lifts
+        for field in (GF7, PrimeField(13)):
+            algebras += [
+                EvolutionAlgebra(field, [[0, 6], [5, 0]]),
+                EvolutionAlgebra(field, [[3, 0, 0], [0, 0, 4], [0, 5, 0]]),
+                EvolutionAlgebra(field, [[0, 0, 3, 0], [0, 0, 0, 4], [1, 0, 0, 2], [0, 4, 0, 0]]),
+            ]
+        nontrivial = 0
+        for alg in algebras:
+            with solver.pattern_run():
+                grp = automorphism_group(alg)
+            if grp.order != grp.diagonal_order:
+                continue
+            nontrivial += grp.order > 1
+            fresh = self.fresh_d(alg)
+            assert grp.elements == fresh.elements and grp.generators == fresh.generators
+            assert grp.elements == brute_force_automorphisms(alg).elements
+        assert nontrivial >= 6
+
+    def test_outside_a_run_the_group_is_built_afresh(self):
+        alg = EvolutionAlgebra(GF7, [[0, 6], [5, 0]])  # D = C3, the swap has no lift
+        first, second = automorphism_group(alg), automorphism_group(alg)
+        assert first is not second and first.elements == second.elements
+        assert first.order == first.diagonal_order == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            k4_moved,
+            lambda: complete_algebra(4),
+            lambda: EvolutionAlgebra(CyclotomicField(5), [[0, 1], ["1 + z", 0]]),
+            lambda: EvolutionAlgebra(
+                CyclotomicField(5), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, "1 + z", 0]]
+            ),
+        ],
+        ids=["k4-moved", "k4", "open-swap", "open-swap-n4"],
+    )
+    def test_groups_with_a_lifting_or_open_sigma_are_not_shared(self, build):
+        with solver.pattern_run():
+            first, second = automorphism_group(build()), automorphism_group(build())
+        assert first is not second and first.elements == second.elements
+
+    def test_a_nested_run_builds_its_own_group(self):
+        alg = EvolutionAlgebra(GF7, [[0, 6], [5, 0]])
+        with solver.pattern_run():
+            outer = automorphism_group(alg)
+            with solver.pattern_run():
+                inner = automorphism_group(alg)
+                assert automorphism_group(alg) is inner
+            assert automorphism_group(alg) is outer
+        assert inner is not outer and inner.elements == outer.elements
 
 
 class TestOracle:
