@@ -243,30 +243,6 @@ class EvolutionAlgebra:
         bound = 2**self.min_transversal_order - 1
         return self.field.unity_group().order % bound == 0
 
-    # elements are plain tuples of scalars in the natural basis -------------
-
-    def basis_element(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(
-            self.field.one if k == i else self.field.zero for k in range(self.n)
-        )
-
-    def element(self, coords: Sequence) -> tuple[Scalar, ...]:
-        coords = tuple(self.field.scalar(x) for x in coords)
-        if len(coords) != self.n:
-            raise ParseError("element coordinate length mismatch")
-        return coords
-
-    def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Bilinear product: distinct basis vectors annihilate, squares come
-        from the matrix columns, so the result is A * (x .* y)."""
-        if len(x) != self.n or len(y) != self.n:
-            raise ParseError("element coordinate length mismatch")
-        had = [xi * yi for xi, yi in zip(x, y)]
-        return tuple(
-            sum((self.rows[i][j] * had[j] for j in range(1, self.n)), self.rows[i][0] * had[0])
-            for i in range(self.n)
-        )
-
     # serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -78,8 +78,9 @@ def cmd_aut(args) -> int:
     group = automorphism_group(alg)
     # the diagonal part of every group, partial ones included, is D
     diagonal_order = group.diagonal_order
-    # the run's memo holds the pattern automorphisms the group was built from
-    graph_count = len(pattern_solve(alg).sigmas)
+    # the run's memo holds the chain of pattern automorphisms the group was
+    # built from
+    graph_count = pattern_solve(alg).chain.order
     report = {
         "command": "aut",
         "status": "ok" if group.complete else "indeterminate",

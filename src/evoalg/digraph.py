@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+import operator
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, ParseError, SingularMatrixError
 
@@ -144,6 +145,46 @@ def _hall_fails(col_masks: list[int], j: int, used: int) -> bool:
     return (free_union & ~used).bit_count() < len(col_masks) - j
 
 
+def _searcher(g: Digraph, h: Digraph, h_cols: list[int], gi: list, hi: list):
+    """The backtrack of ``pattern_isomorphisms``, given h's column masks
+    and both patterns' vertex invariants, as a function search(k,
+    candidates): the maps that send each i < k to i and k to one of the
+    candidates, in lexicographic image order. It starts at vertex k with
+    0, ..., k-1 placed on themselves, which is a partial map of g onto h
+    when g is h. The searches share one image list, so one runs at a
+    time."""
+    n = g.n
+    images = list(range(n))
+
+    def place(v: int, placed: int, candidates=range(n)) -> Iterator[tuple[int, ...]]:
+        if v == n:
+            yield tuple(images)
+            return
+        want_out = want_in = 0
+        for u in range(v):
+            bit = 1 << images[u]
+            if g.rows[v] >> u & 1:
+                want_out |= bit
+            if g.rows[u] >> v & 1:
+                want_in |= bit
+        for w in candidates:
+            if (
+                placed >> w & 1
+                or gi[v] != hi[w]
+                or h.rows[w] & placed != want_out
+                or h_cols[w] & placed != want_in
+            ):
+                continue
+            images[v] = w
+            yield from place(v + 1, placed | 1 << w)
+
+    def search(k: int, candidates=range(n)) -> Iterator[tuple[int, ...]]:
+        images[:k] = range(k)
+        return place(k, (1 << k) - 1, candidates)
+
+    return search
+
+
 def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
     """All vertex bijections sending edges of g exactly onto edges of h,
     emitted in lexicographic image order.
@@ -155,45 +196,109 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
     """
     if g.n != h.n:
         return
-    n = g.n
     h_cols = _column_masks(h)
     hi = _invariants(h, h_cols)
-    gi = hi if g is h else _invariants(g, _column_masks(g))
-    if gi is not hi and sorted(gi) != sorted(hi):
-        return
-    images = [-1] * n
+    gi = _invariants(g, _column_masks(g))
+    if sorted(gi) == sorted(hi):
+        yield from _searcher(g, h, h_cols, gi, hi)(0)
 
-    def place(v: int, placed: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            yield tuple(images)
-            return
-        want_out = want_in = 0
-        for u in range(v):
-            bit = 1 << images[u]
-            if g.rows[v] >> u & 1:
-                want_out |= bit
-            if g.rows[u] >> v & 1:
-                want_in |= bit
-        for w in range(n):
-            if (
-                placed >> w & 1
-                or gi[v] != hi[w]
-                or h.rows[w] & placed != want_out
-                or h_cols[w] & placed != want_in
-            ):
-                continue
-            images[v] = w
-            yield from place(v + 1, placed | 1 << w)
 
-    yield from place(0, 0)
+class AutomorphismChain(NamedTuple):
+    """The automorphisms of a digraph as a stabilizer chain on the base
+    0, ..., n-1 (Butler, Fundamental Algorithms for Permutation Groups,
+    1991; Seress, Permutation Group Algorithms, 2003), with no element
+    listed. G_k is the subgroup that fixes 0, ..., k-1. For each base point
+    k that G_k moves, a level (k, reps) holds one u in G_k with u(k) = w for
+    each w in the orbit of k, by w; so the order |Aut| is the product of the
+    orbit lengths."""
+
+    n: int
+    order: int
+    generators: tuple[tuple[int, ...], ...]  # strong generators, as found
+    levels: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+    def walk(self) -> Iterator[tuple[int, ...]]:
+        """Every automorphism once, in lexicographic image order, and lazily.
+        Level by level, each element p is replaced by its products p * u with
+        the representatives u of level k: they agree with p before k and
+        send k to p(u(k)), so sorting them orders their cosets. Below the
+        identity, the products are the first level's representatives."""
+        if not self.levels:
+            return iter((tuple(range(self.n)),))
+        elements = iter(self.levels[0][1])
+        for _, reps in self.levels[1:]:
+            # p * u is u's images looked up in p
+            lookups = [operator.itemgetter(*u) for u in reps]
+            elements = itertools.chain.from_iterable(
+                map(_sorted_products, itertools.repeat(lookups), elements)
+            )
+        return elements
+
+
+def _sorted_products(lookups: list, p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return sorted([lookup(p) for lookup in lookups])
+
+
+def _orbit_reps(k: int, identity: tuple, generators: list) -> dict[int, tuple[int, ...]]:
+    """For each point w of the orbit of k under the generators, a product u
+    of them with u(k) = w: a breadth-first search from k."""
+    reps = {k: identity}
+    todo = [k]
+    for x in todo:  # grows while it is walked
+        for s in generators:
+            y = s[x]
+            if y not in reps:
+                reps[y] = s if x == k else tuple(map(s.__getitem__, reps[x]))
+                todo.append(y)
+    return reps
+
+
+def automorphism_chain(g: Digraph) -> AutomorphismChain:
+    """Aut(g) as a stabilizer chain, from level n-1 down to level 0. At
+    level k, one search of the ``pattern_isomorphisms`` backtrack looks for
+    an automorphism that fixes 0, ..., k-1 and sends k to some v > k outside
+    the orbit of k under the generators found so far. The first one found
+    joins the generators, and the search starts again past its v, so every
+    such v is searched once. Those found at levels k and above then generate
+    G_k: they move k over the whole orbit of k under G_k, and by induction
+    they generate its stabilizer G_(k+1). K_n takes n - 1 searches, each
+    ending at its first leaf."""
+    n, identity = g.n, tuple(range(g.n))
+    cols = _column_masks(g)
+    invariants = _invariants(g, cols)
+    if len(set(invariants)) == n:
+        return AutomorphismChain(n, 1, (), ())  # they tell every vertex apart
+    search = _searcher(g, g, cols, invariants, invariants)
+    generators: list[tuple[int, ...]] = []
+    levels = []
+    for k in reversed(range(n)):
+        # an automorphism keeps the invariants, so only these can be images
+        twins = [w for w in range(k + 1, n) if invariants[w] == invariants[k]]
+        if not twins:
+            continue
+        reps = _orbit_reps(k, identity, generators)
+        v = k
+        while True:
+            rest = [w for w in twins if w > v and w not in reps]
+            found = rest and next(search(k, rest), None)
+            if not found:
+                break
+            v = found[k]
+            generators.append(found)
+            reps = _orbit_reps(k, identity, generators)
+        if len(reps) > 1:
+            levels.append((k, tuple(reps[w] for w in sorted(reps))))
+    order = math.prod(len(reps) for _, reps in levels)
+    return AutomorphismChain(n, order, tuple(generators), tuple(reversed(levels)))
 
 
 def graph_automorphisms(g: Digraph) -> list[tuple[int, ...]]:
     """The full automorphism group of the digraph as an explicit sorted
-    list, of at most CLOSURE_CAP maps."""
-    auts = list(itertools.islice(pattern_isomorphisms(g, g), CLOSURE_CAP + 1))
-    check_size(len(auts), "pattern automorphisms")
-    return auts
+    list, walked off its chain; more than CLOSURE_CAP maps are refused
+    before one is listed."""
+    chain = automorphism_chain(g)
+    check_size(chain.order, "pattern automorphisms")
+    return list(chain.walk())
 
 
 def transversals(g: Digraph) -> Iterator[tuple[int, ...]]:

@@ -20,10 +20,16 @@ import math
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import EvolutionAlgebra
-from .digraph import check_size, graph_automorphisms, inverse, pattern_isomorphisms
+from .digraph import (
+    AutomorphismChain,
+    automorphism_chain,
+    check_size,
+    inverse,
+    pattern_isomorphisms,
+)
 from .errors import CapExceededError, FieldMismatchError, ParseError
 from .fields import PrimeField, Scalar
 from .groups import Closure, MonomialGroup, MonomialMap, compose, sigma_of
@@ -246,9 +252,10 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 class PatternSolve(NamedTuple):
     """What the automorphism search of E(A) reads that depends only on A's
     zero pattern and the field, so every algebra with that pattern can share
-    it."""
+    it. Aut(P) is held as its stabilizer chain, whose order has passed the
+    closure cap, and never as a list of sigma."""
 
-    sigmas: Sequence[tuple[int, ...]]  # graph_automorphisms(a.digraph)
+    chain: AutomorphismChain  # automorphism_chain(a.digraph)
     diagonal: tuple[MonomialMap, ...]  # D, sorted
 
 
@@ -270,6 +277,8 @@ def _loops_reach_all(rows: tuple[int, ...]) -> bool:
 
 def _pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     a.require_idempotent()
+    chain = automorphism_chain(a.digraph)
+    check_size(chain.order, "pattern automorphisms")
     field = a.field
     # D is trivial by either of two rules, and the first builds no
     # component. A loop at v gives d_v = d_v^2, so d_v = 1, and an edge
@@ -284,21 +293,19 @@ def _pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     else:
         one = field.one.value
         diagonal = _solve_components(a, tuple(range(a.n)), lambda j, k: one).maps
-    return PatternSolve(graph_automorphisms(a.digraph), diagonal)
+    return PatternSolve(chain, diagonal)
 
 
 class PatternMemo:
     """One run's ``pattern_solve`` results, keyed by field and zero pattern
     (the digraph's row bitmasks).
 
-    Equal sigma tuples, sigma lists, diagonal groups and records are stored
-    once, so the memo costs little beyond its keys. It also holds, for each
-    D that some algebra's whole Aut(E) equals, that group as a
-    ``MonomialGroup``, built and proven closed once. The sharing pays on runs
-    over many patterns. Without it, the peak RSS of the perfbench workloads
-    (2 vCPU, CPython 3.11) rose by 0.36-0.42 MB on ``census`` and by about
-    0.09 MB on ``verify``, and fell by about 0.04 MB on ``aut``, whose jobs
-    each solve one pattern.
+    A record holds Aut(P) as a stabilizer chain, at most n^2 image tuples
+    however large the group, and no list of sigma. Equal chains, diagonal
+    groups and records are stored once, so the memo costs little beyond its
+    keys on runs over many patterns. It also holds, for each D that some
+    algebra's whole Aut(E) equals, that group as a ``MonomialGroup``, built
+    and proven closed once.
     """
 
     def __init__(self):
@@ -314,11 +321,8 @@ class PatternMemo:
         pattern = self._by_pattern.get(key)
         if pattern is None:
             share = self._shared.setdefault
-            fresh = _pattern_solve(a)
-            sigmas = tuple(share(s, s) for s in fresh.sigmas)
-            pattern = PatternSolve(
-                share(sigmas, sigmas), share(fresh.diagonal, fresh.diagonal)
-            )
+            chain, diagonal = _pattern_solve(a)
+            pattern = PatternSolve(share(chain, chain), share(diagonal, diagonal))
             pattern = self._by_pattern[key] = share(pattern, pattern)
         return pattern
 
@@ -348,8 +352,10 @@ def pattern_run() -> Iterator[None]:
 
 
 def pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
-    """The pattern automorphisms of A and its diagonal group D, from the
-    run's memo inside a run and computed afresh outside one.
+    """The pattern automorphisms of A, as a chain, and its diagonal group
+    D, from the run's memo inside a run and computed afresh outside one.
+    More than CLOSURE_CAP pattern automorphisms are refused before any is
+    listed or walked.
 
     D is read off the zero pattern: it is the solve of A against itself
     under sigma = id, where every ratio b_kj * a_kj^-1 is one. So each cycle
@@ -372,13 +378,15 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     identity, by the subgroup L of pattern automorphisms that lift, and the
     lifts of each sigma in L form one coset of D. So D, with the pattern
     automorphisms, comes first from ``pattern_solve``. One walk over the
-    pattern automorphisms then keeps a closure of D and the lifts found so
-    far, with its image H in L; until a first sigma lifts, H is {id} and no
-    closure is built. A sigma in H is skipped: its lifts are already
-    products in the closure. A sigma without lifts marks its coset H*sigma
-    dead, since h*sigma lifting would make sigma lift, and a sigma in a dead
-    coset is skipped too. Every other sigma is solved once, and its lifts
-    extend the closure. K_n over Q takes n - 1 solves, not n!.
+    pattern automorphisms, off their chain in lexicographic order, then
+    keeps a closure of D and the lifts found so far, with its image H in L;
+    until a first sigma lifts, H is {id} and no closure is built. A sigma in
+    H is skipped: its lifts are already products in the closure. A sigma
+    without lifts marks its coset H*sigma dead, since h*sigma lifting would
+    make sigma lift, and a sigma in a dead coset is skipped too; while H is
+    {id} that coset is sigma alone, which the walk has passed. Every other
+    sigma is solved once, and its lifts extend the closure. The walk stops
+    as soon as H is all of Aut(P), so K_n over Q ends after n - 1 solves.
 
     A sigma whose solve leaves a cycle equation open is recorded and the
     walk goes on. At the end it is settled when it lies in the final image
@@ -397,12 +405,13 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     """
     a.require_idempotent()
     pattern = pattern_solve(a)
+    order = pattern.chain.order
     closure = None
     image = {tuple(range(a.n))}
     barren: list[tuple[int, ...]] = []
     dead: set[tuple[int, ...]] = set()
     unsettled: list[tuple[int, ...]] = []
-    for s in pattern.sigmas:
+    for s in pattern.chain.walk():
         if s in image or s in dead:
             continue
         outcome = _solve_matched(a, a, s)
@@ -417,9 +426,12 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
             for g in outcome.maps:
                 closure.add(g)
             image.update(sigma_of(closure.points, p) for p in closure.elements[listed:])
+            if len(image) == order:
+                break  # H = Aut(P): every sigma still to come is in H
         else:
             barren.append(s)
-            dead.update(compose(h, s) for h in image)
+            if closure is not None:
+                dead.update(compose(h, s) for h in image)
     if closure is None:
         if not unsettled:
             memo = RUN_PATTERNS.get()

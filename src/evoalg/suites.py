@@ -264,7 +264,7 @@ def suite_thm23() -> SuiteResult:
         alg = random_01_nonsingular(n, rng)
         grp = automorphism_group(alg)
         lattice = diagonal_subgroup(alg)
-        count = len(pattern_solve(alg).sigmas)
+        count = pattern_solve(alg).chain.order
         if grp.order != lattice.order * count:
             bad.append((i, grp.order, lattice.order, count))
     res.check(
@@ -302,8 +302,8 @@ def suite_thm31() -> SuiteResult:
         pattern = pattern_solve(alg)
         res.check(
             f"{label}: lift keeps the pattern automorphisms",
-            len(pattern.sigmas) == expected,
-            f"shift m={shift}, got {len(pattern.sigmas)}",
+            pattern.chain.order == expected,
+            f"shift m={shift}, got {pattern.chain.order}",
         )
         order = automorphism_group(alg).order
         res.check(

@@ -1,5 +1,6 @@
 """Dense boxed-matrix helpers that only the tests use: they restate the
-library's entry-by-entry results as plain matrix algebra."""
+library's entry-by-entry results as plain matrix algebra, and multiply
+elements of an algebra, tuples of scalars in the natural basis."""
 
 from evoalg.algebra import Matrix
 from evoalg.groups import MonomialMap
@@ -43,3 +44,21 @@ def matrix(m: MonomialMap) -> Matrix:
     for i in range(m.n):
         rows[m.sigma[i]][i] = m.d[i]
     return tuple(tuple(row) for row in rows)
+
+
+def basis_element(alg, i: int) -> tuple:
+    field = alg.field
+    return tuple(field.one if k == i else field.zero for k in range(alg.n))
+
+
+def element(alg, coords) -> tuple:
+    return tuple(alg.field.scalar(x) for x in coords)
+
+
+def multiply(alg, x, y) -> tuple:
+    """Bilinear product: distinct basis vectors annihilate, squares come
+    from the matrix columns, so the result is A * (x .* y)."""
+    had = [xi * yi for xi, yi in zip(x, y)]
+    return tuple(
+        sum((a * h for a, h in zip(row[1:], had[1:])), row[0] * had[0]) for row in alg.rows
+    )

@@ -17,6 +17,7 @@ import evoalg
 from bitmap_census import orbit_census as bitmap_orbit_census
 from evoalg import cli, snf, solver, suites
 from evoalg.algebra import EvolutionAlgebra
+from evoalg.digraph import AutomorphismChain
 from evoalg.fields import PrimeField
 
 
@@ -264,6 +265,18 @@ def group_summary(group):
     )
 
 
+def assert_memo_holds_chains(memo):
+    """No record of the run's memo holds a list of sigma: Aut(P) is its
+    chain, of at most n^2 image tuples however large the group."""
+    assert len(memo)
+    for record in memo._by_pattern.values():
+        assert record._fields == ("chain", "diagonal")
+        chain = record.chain
+        assert isinstance(chain, AutomorphismChain)
+        stored = len(chain.generators) + sum(len(reps) for _, reps in chain.levels)
+        assert stored <= chain.n**2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -277,17 +290,21 @@ def test_memoized_group_matches_a_fresh_solve(monkeypatch, capsys, argv):
     # the group that automorphism_group builds for it alone
     real = cli.automorphism_group
     seen = []
+    memos = set()
 
     def recorded(alg):
         group = real(alg)
         # inside the run, pattern_solve answers from the run's memo
         seen.append((alg, solver.pattern_solve(alg), group))
+        memos.add(solver.RUN_PATTERNS.get())
         return group
 
     monkeypatch.setattr(cli, "automorphism_group", recorded)
     assert cli.main(["census", *argv]) == 0
     capsys.readouterr()
     assert seen
+    (memo,) = memos
+    assert_memo_holds_chains(memo)
     # algebras that share a pattern share one record
     assert len({id(pattern) for _, pattern, _ in seen}) < len(seen)
     for alg, pattern, group in seen:
@@ -295,7 +312,7 @@ def test_memoized_group_matches_a_fresh_solve(monkeypatch, capsys, argv):
         # outside the run, pattern_solve computes afresh
         fresh = solver.pattern_solve(alg)
         assert fresh is not pattern
-        assert pattern.sigmas == tuple(fresh.sigmas)
+        assert pattern.chain == fresh.chain
         assert pattern.diagonal == fresh.diagonal
         assert group_summary(group) == group_summary(solver.automorphism_group(alg))
 
@@ -370,21 +387,21 @@ def test_pattern_memo_belongs_to_one_run(monkeypatch, capsys):
 
 
 def count_pattern_work(monkeypatch):
-    """Counters of graph_automorphisms calls, D solves, sigma = id solves of
-    an algebra against itself, and builds of an algebra's entry inverses."""
+    """Counters of pattern chain builds, D solves, sigma = id solves of an
+    algebra against itself, and builds of an algebra's entry inverses."""
     counts = {
-        "graph_automorphisms": 0,
+        "chain_builds": 0,
         "diagonal_solves": 0,
         "identity_solves": 0,
         "inverses": 0,
     }
-    real_auts, real_solve = solver.graph_automorphisms, solver._solve_matched
+    real_chain, real_solve = solver.automorphism_chain, solver._solve_matched
     real_diagonal = solver._pattern_solve
     real_inverses = EvolutionAlgebra.inverses.func
 
-    def auts(g):
-        counts["graph_automorphisms"] += 1
-        return real_auts(g)
+    def chain(g):
+        counts["chain_builds"] += 1
+        return real_chain(g)
 
     def diagonal(alg):
         counts["diagonal_solves"] += 1
@@ -400,7 +417,7 @@ def count_pattern_work(monkeypatch):
 
     cached = functools.cached_property(inverses)
     cached.__set_name__(EvolutionAlgebra, "inverses")
-    monkeypatch.setattr(solver, "graph_automorphisms", auts)
+    monkeypatch.setattr(solver, "automorphism_chain", chain)
     monkeypatch.setattr(solver, "_pattern_solve", diagonal)
     monkeypatch.setattr(solver, "_solve_matched", solve)
     monkeypatch.setattr(EvolutionAlgebra, "inverses", cached)
@@ -422,7 +439,7 @@ def test_pattern_work_runs_once_per_pattern(monkeypatch, capsys, argv, patterns,
     assert cli.main(["census", *argv]) == 0
     err = capsys.readouterr().err
     assert counts == {
-        "graph_automorphisms": patterns,
+        "chain_builds": patterns,
         "diagonal_solves": patterns,
         # D is read off the pattern, never solved as A against A
         "identity_solves": 0,
@@ -447,7 +464,7 @@ def verify_alone(suite):
         # 450 groups over 194 zero patterns
         ("thm22", 450, 194),
         # thm23 and thm31 ask pattern_solve for the count after
-        # automorphism_group has listed the same automorphisms
+        # automorphism_group has walked the same chain
         ("thm23", 30, 28),
         ("thm31", 3, 3),
     ],
@@ -457,15 +474,20 @@ def test_verify_solves_each_pattern_once(monkeypatch, capsys, run, suite, groups
     # run_suite opens its own run, so the tests and the CLI do the same work
     counts = count_pattern_work(monkeypatch)
     built = []
+    memos = set()
     real = solver.automorphism_group
 
     def counted(alg):
         built.append(alg)
+        memos.add(solver.RUN_PATTERNS.get())
         return real(alg)
 
     monkeypatch.setattr(suites, "automorphism_group", counted)
     assert run(suite)
     capsys.readouterr()
     assert len(built) == groups
-    assert counts["graph_automorphisms"] == counts["diagonal_solves"] == patterns
+    assert counts["chain_builds"] == counts["diagonal_solves"] == patterns
+    (memo,) = memos
+    assert len(memo) == patterns
+    assert_memo_holds_chains(memo)
     assert counts["identity_solves"] == 0

@@ -144,18 +144,24 @@ class TestAut:
         assert report["graph_automorphism_count"] == 24
 
     def test_pattern_automorphisms_listed_once(self, k4_file, capsys, monkeypatch):
-        calls = 0
-        real = digraph.pattern_isomorphisms
+        # one chain per run, whose order is the count; nothing lists the
+        # pattern automorphisms
+        calls = {"chain": 0, "listing": 0}
+        real_chain, real_listing = solver.automorphism_chain, digraph.pattern_isomorphisms
 
-        def counted(g, h):
-            nonlocal calls
-            calls += 1
-            return real(g, h)
+        def chain(g):
+            calls["chain"] += 1
+            return real_chain(g)
 
-        monkeypatch.setattr(digraph, "pattern_isomorphisms", counted)
+        def listing(g, h):
+            calls["listing"] += 1
+            return real_listing(g, h)
+
+        monkeypatch.setattr(solver, "automorphism_chain", chain)
+        monkeypatch.setattr(digraph, "pattern_isomorphisms", listing)
         code, report = run_json(capsys, "aut", "--in", k4_file)
         assert code == 0 and report["graph_automorphism_count"] == 24
-        assert calls == 1
+        assert calls == {"chain": 1, "listing": 0}
 
     def test_k7_is_s7(self, tmp_path, capsys):
         # six solves (one per new generator; D is read off the pattern), not 5,040
@@ -165,6 +171,30 @@ class TestAut:
         assert code == 0 and report["complete"]
         assert report["order"] == 5040 and report["recognized"] == ["S7"]
         assert report["graph_automorphism_count"] == 5040
+
+    def test_walk_stops_once_every_pattern_automorphism_lifts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # S7 is generated by the sigma solved at walk positions 1, 2, 6, 24,
+        # 120 and 720; the walk ends there, at 6! + 1 of 5,040 sigma
+        path = k_file(tmp_path / "k7.json", 7, "0")
+        counts = {"walked": 0, "solved": 0}
+        real_walk, real_solve = digraph.AutomorphismChain.walk, solver._solve_matched
+
+        def walk(chain):
+            for sigma in real_walk(chain):
+                counts["walked"] += 1
+                yield sigma
+
+        def solve(a, b, sigma):
+            counts["solved"] += 1
+            return real_solve(a, b, sigma)
+
+        monkeypatch.setattr(digraph.AutomorphismChain, "walk", walk)
+        monkeypatch.setattr(solver, "_solve_matched", solve)
+        code, report = run_json(capsys, "aut", "--in", path)
+        assert code == 0 and report["recognized"] == ["S7"]
+        assert counts == {"walked": 721, "solved": 6}
 
     def test_field_override(self, tmp_path, capsys):
         path = tmp_path / "k2.json"
@@ -454,6 +484,26 @@ def test_listing_cap_trips_at_k6(tmp_path, capsys, monkeypatch, cap):
             assert err == "error: pattern automorphisms passed the cap 719\n"
         else:
             assert code == 0 and out != ""
+
+
+def test_k10_is_refused_before_the_walk(tmp_path, capsys, monkeypatch):
+    # 10! is read off the chain and refused before its walk yields a sigma
+    path = k_file(tmp_path / "k10.json", 10, "0")
+    yielded = 0
+    real = digraph.AutomorphismChain.walk
+
+    def walk(chain):
+        nonlocal yielded
+        for sigma in real(chain):
+            yielded += 1
+            yield sigma
+
+    monkeypatch.setattr(digraph.AutomorphismChain, "walk", walk)
+    for command in ("aut", "graph-aut"):
+        code, out, err = run(capsys, command, "--in", path)
+        assert code == 5 and out == ""
+        assert err == "error: pattern automorphisms passed the cap 1000000\n"
+    assert yielded == 0
 
 
 class TestGraphAut:
