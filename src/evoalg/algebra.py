@@ -9,7 +9,7 @@ the column one.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .digraph import Digraph, check_dimension, cycles, min_transversal_order, transversals
 from .errors import FieldMismatchError, ParseError, SingularMatrixError
@@ -95,7 +95,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-class LoopInvariants(NamedTuple):
+class LoopInvariants:
     """The scaling invariants between looped basis vectors, as raw values.
 
     A map (sigma, d) gives b_{sigma k sigma j} = d_k * a_kj / d_j^2, so
@@ -103,8 +103,11 @@ class LoopInvariants(NamedTuple):
     (sigma k, sigma j) whenever k and j both carry loops.
     """
 
-    entries: tuple[tuple[int, int, object], ...]  # (k, j, I_kj), k != j, a_kj != 0
-    matrix: tuple[tuple, ...]  # I_kj at (k, j) for the entries, None elsewhere
+    __slots__ = ("entries", "matrix")
+
+    def __init__(self, entries: tuple, matrix: tuple):
+        self.entries = entries  # (k, j, I_kj), k != j, a_kj != 0
+        self.matrix = matrix  # I_kj at (k, j) for the entries, None elsewhere
 
 
 class EvolutionAlgebra:

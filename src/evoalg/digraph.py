@@ -3,7 +3,7 @@ transversal enumeration.
 
 A permutation sigma of the vertices is its image tuple (sigma(0), ...,
 sigma(n-1)), 0-based; the JSON wire format uses 1-based image arrays, e.g.
-[2, 3, 1] sends vertex 1 to 2. Products are ``groups.compose``.
+[2, 3, 1] sends vertex 1 to 2. Products are ``compose``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ def cycles(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             cur = sigma[cur]
         out.append(tuple(cyc))
     return tuple(out)
+
+
+def compose(a, b) -> tuple:
+    """The image tuple of a*b, applying b first: b's images looked up in
+    a's."""
+    return tuple(map(a.__getitem__, b))
 
 
 def inverse(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -204,13 +210,14 @@ def pattern_isomorphisms(g: Digraph, h: Digraph) -> Iterator[tuple[int, ...]]:
 
 
 class AutomorphismChain(NamedTuple):
-    """The automorphisms of a digraph as a stabilizer chain on the base
-    0, ..., n-1 (Butler, Fundamental Algorithms for Permutation Groups,
-    1991; Seress, Permutation Group Algorithms, 2003), with no element
-    listed. G_k is the subgroup that fixes 0, ..., k-1. For each base point
-    k that G_k moves, a level (k, reps) holds one u in G_k with u(k) = w for
-    each w in the orbit of k, by w; so the order |Aut| is the product of the
-    orbit lengths."""
+    """A permutation group, the automorphisms of a digraph or the group some
+    permutations generate, as a stabilizer chain on the base 0, ..., n-1
+    (Butler, Fundamental Algorithms for Permutation Groups, 1991; Seress,
+    Permutation Group Algorithms, 2003), with no element listed. G_k is the
+    subgroup that fixes 0, ..., k-1. For each base point k that G_k moves, a
+    level (k, reps) holds one u in G_k with u(k) = w for each w in the orbit
+    of k, by w; so the order of the group is the product of the orbit
+    lengths."""
 
     n: int
     order: int
@@ -234,6 +241,17 @@ class AutomorphismChain(NamedTuple):
             )
         return elements
 
+    def contains(self, g: tuple[int, ...]) -> bool:
+        """Membership by sifting: at each level (k, reps), g must send k to
+        u(k) for some representative u, and g is replaced by u^-1 * g, which
+        fixes 0, ..., k; g lies in the group when the identity is left."""
+        for k, reps in self.levels:
+            u = next((u for u in reps if u[k] == g[k]), None)
+            if u is None:
+                return False
+            g = compose(inverse(u), g)
+        return g == tuple(range(self.n))
+
 
 def _sorted_products(lookups: list, p: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted([lookup(p) for lookup in lookups])
@@ -248,7 +266,7 @@ def _orbit_reps(k: int, identity: tuple, generators: list) -> dict[int, tuple[in
         for s in generators:
             y = s[x]
             if y not in reps:
-                reps[y] = s if x == k else tuple(map(s.__getitem__, reps[x]))
+                reps[y] = s if x == k else compose(s, reps[x])
                 todo.append(y)
     return reps
 
@@ -287,9 +305,96 @@ def automorphism_chain(g: Digraph) -> AutomorphismChain:
             generators.append(found)
             reps = _orbit_reps(k, identity, generators)
         if len(reps) > 1:
-            levels.append((k, tuple(reps[w] for w in sorted(reps))))
+            levels.append((k, reps))
+    return _chain(n, generators, levels)
+
+
+def _chain(n: int, generators: list, levels: list) -> AutomorphismChain:
+    """The chain of the strong generators and the levels (k, reps), reps
+    a dict by image, listed from level n-1 down."""
+    levels = [(k, tuple(reps[w] for w in sorted(reps))) for k, reps in reversed(levels)]
     order = math.prod(len(reps) for _, reps in levels)
-    return AutomorphismChain(n, order, tuple(generators), tuple(reversed(levels)))
+    return AutomorphismChain(n, order, tuple(generators), tuple(levels))
+
+
+def stabilizer_chain(n: int, generators) -> AutomorphismChain:
+    """The group the permutations generate, as a chain on the base
+    0, ..., n-1: deterministic Schreier-Sims (Seress 2003, Section 4.2).
+    From level n-1 down, each level k takes the orbit of k under the strong
+    generators that fix 0, ..., k-1, and sifts each Schreier generator
+    u(s(x))^-1 * s * u(x), which fixes 0, ..., k, through the levels below,
+    which are complete. A residue that is not the identity joins the strong
+    generators, and the work starts again at the first point it moves."""
+    identity = tuple(range(n))
+    strong = [g for g in dict.fromkeys(generators) if g != identity]
+    orbits: dict[int, dict[int, tuple[int, ...]]] = {}
+    k = n - 1
+    while k >= 0:
+        gens = [s for s in strong if s[:k] == identity[:k]]
+        reps = orbits[k] = _orbit_reps(k, identity, gens)
+        residue = next(
+            filter(None, (_sift(orbits, k, reps, s, u) for u in reps.values() for s in gens)),
+            None,
+        )
+        if residue is None:
+            k -= 1
+        else:
+            strong.append(residue)
+            k = next(i for i, v in enumerate(residue) if i != v)
+    levels = [(k, reps) for k, reps in sorted(orbits.items(), reverse=True) if len(reps) > 1]
+    return _chain(n, strong, levels)
+
+
+def _sift(orbits: dict, k: int, reps: dict, s: tuple, u: tuple) -> tuple | None:
+    """The Schreier generator of s at u(k) on level k, sifted through the
+    levels below k; None when it sifts to the identity."""
+    g = compose(s, u)
+    g = compose(inverse(reps[g[k]]), g)
+    for j in range(k + 1, len(g)):
+        if g[j] != j:
+            v = orbits[j].get(g[j])
+            if v is None:
+                return g
+            g = compose(inverse(v), g)
+    return None
+
+
+def greedy_generators(chain: AutomorphismChain) -> list[tuple[int, ...]]:
+    """The greedy generators of the chain's group G: in lexicographic
+    order, each element that the ones before it do not generate. G is not
+    listed. The walk of ``AutomorphismChain.walk`` skips the subtree below
+    p at level i, which holds p * G_(k) for that level's base point k, when
+    p and every strong generator of G_(k) lie in H, the group the kept
+    elements generate; the first leaf outside H is kept. H is held as its
+    own chain, rebuilt at each kept element. Each node visited counts
+    against CLOSURE_CAP."""
+    n, levels = chain.n, chain.levels
+    identity = tuple(range(n))
+    # the strong generators found at a level and below fix the points before it
+    level_gens = [[s for s in chain.generators if s[:k] == identity[:k]] for k, _ in levels]
+    kept: list[tuple[int, ...]] = []
+    inside = stabilizer_chain(n, kept)
+    # G_(k) lies in H on the levels from ``full`` down
+    full = len(levels)
+    visited = 0
+
+    def visit(p: tuple[int, ...], i: int) -> None:
+        nonlocal inside, full, visited
+        visited += 1
+        check_size(visited, "greedy generator search")
+        if i >= full and inside.contains(p):
+            return
+        if i == len(levels):
+            kept.append(p)
+            inside = stabilizer_chain(n, kept)
+            while full and all(map(inside.contains, level_gens[full - 1])):
+                full -= 1
+            return
+        for q in sorted(compose(p, u) for u in levels[i][1]):
+            visit(q, i + 1)
+
+    visit(identity, 0)
+    return kept
 
 
 def graph_automorphisms(g: Digraph) -> list[tuple[int, ...]]:

@@ -3,7 +3,7 @@ diagonal maps that normalize cycle-patterned algebras."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import EvolutionAlgebra, read_json
 from .digraph import check_dimension
@@ -116,14 +116,20 @@ def load_graph(path: str) -> list[list[int]]:
     return adjacency
 
 
-class LabeledAlgebra(NamedTuple):
-    label: str
-    algebra: EvolutionAlgebra
+class LabeledAlgebra:
+    __slots__ = ("label", "algebra")
+
+    def __init__(self, label: str, algebra: EvolutionAlgebra):
+        self.label = label
+        self.algebra = algebra
 
 
-class OmittedRepresentative(NamedTuple):
-    label: str
-    reason: str
+class OmittedRepresentative:
+    __slots__ = ("label", "reason")
+
+    def __init__(self, label: str, reason: str):
+        self.label = label
+        self.reason = reason
 
 
 def sn_representatives(

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .digraph import check_size, inverse
+from .digraph import check_size, compose, inverse
 from .errors import (
     CapExceededError,
     FieldMismatchError,
@@ -106,12 +106,6 @@ class MonomialMap:
 # group costs n ints per element however large Omega is.
 
 
-def compose(a, b) -> tuple:
-    """The image tuple of a*b, applying b first: b's images looked up in
-    a's."""
-    return tuple(map(a.__getitem__, b))
-
-
 def sigma_of(points: list, key: tuple) -> tuple[int, ...]:
     """The permutation part of an element, as its image tuple."""
     return tuple([points[i][0] for i in key])
@@ -188,6 +182,18 @@ class MonomialGroup:
     ``generators`` is the greedy generating set that closure keeps (each
     sorted element not generated by the ones before it), and ``()`` for an
     incomplete group.
+
+    A group can also be held without its elements, as an extension of its
+    diagonal part D by its permutation image L: ``elements`` is then a
+    Closure of D, ``lifts`` are one lift of each generator of L,
+    ``image_order`` is |L| and ``image_generators`` are the lifts of L's
+    greedy generators, the least lift of each. The greedy generators of the
+    group are D's followed by those, since D sorts first and the group a set
+    of elements generates holds D's cosets whole once it holds D. ``order``,
+    ``diagonal_order`` and ``generators`` are read off these. Any other read
+    lists the group first: the closure of D and the lifts, under
+    CLOSURE_CAP, proven closed as above, whose order must be |D| |L| and
+    whose greedy generators must be the ones held.
     """
 
     def __init__(
@@ -197,6 +203,9 @@ class MonomialGroup:
         elements: Iterable[MonomialMap] | Closure,
         *,
         complete: bool = True,
+        lifts: Sequence[MonomialMap] = (),
+        image_order: int = 1,
+        image_generators: Sequence[MonomialMap] = (),
     ):
         """``elements`` are MonomialMaps, or a Closure whose elements are
         taken as keys."""
@@ -209,30 +218,55 @@ class MonomialGroup:
         else:
             closure = Closure(field, n)
             keys = set(map(closure.key, elements))
-        points = self._points = closure.points
-        self._index = closure.index
-        vertex = [v for v, _ in points]
-        raw_key = [field._sort_key(c) for _, c in points]
-        keys = sorted(
-            keys,
-            key=lambda k: (
-                tuple(map(vertex.__getitem__, k)),
-                tuple(map(raw_key.__getitem__, k)),
-            ),
+        listing = _listing(field, n, closure, keys, complete)
+        if not lifts:
+            self._points, self._index, self._keys, self._generator_keys = listing
+            return
+        points, _, diagonal, generators = listing
+        self.diagonal_order = len(diagonal)
+        self.order = len(diagonal) * image_order
+        self.generators = tuple(_boxed(field, points, key) for key in generators) + tuple(
+            image_generators
         )
-        self._keys = tuple(keys)
-        generators = ()
-        if complete:
-            # the closure lies inside the finite set and contains all of it,
-            # so the set is closed under products and hence a group
-            within = set(keys)
-            proof = Closure(field, n, index=self._index, within=within)
-            if tuple(range(n)) not in within or not all(map(proof._add, keys)):
-                raise UnclosedGroupError("element set is not closed under the group laws")
-            generators = proof.generators
-        self._generator_keys = tuple(generators)
+        self._unlisted = (closure, lifts)
 
-    @property
+    def _list(self) -> None:
+        """List a group held without its elements, and check the listing
+        against what was held."""
+        closure, lifts = self._unlisted
+        for g in lifts:
+            closure.add(g)
+        listing = _listing(self.field, self.n, closure, closure.elements, True)
+        self._points, self._index, self._keys, self._generator_keys = listing
+        if len(self._keys) != self.order:
+            raise RuntimeError(f"listed {len(self._keys)} elements of a group of order {self.order}")
+        if tuple(map(self._box, self._generator_keys)) != self.generators:
+            raise RuntimeError("the listed group has other greedy generators than its chain")
+
+    # a group held without its elements lists them on the first read of one
+    # of these
+
+    @lazy
+    def _points(self) -> list:
+        self._list()
+        return self._points
+
+    @lazy
+    def _index(self) -> dict:
+        self._list()
+        return self._index
+
+    @lazy
+    def _keys(self) -> tuple:
+        self._list()
+        return self._keys
+
+    @lazy
+    def _generator_keys(self) -> tuple:
+        self._list()
+        return self._generator_keys
+
+    @lazy
     def order(self) -> int:
         return len(self._keys)
 
@@ -260,10 +294,7 @@ class MonomialGroup:
         )
 
     def _box(self, key: tuple) -> MonomialMap:
-        points = self._points
-        return MonomialMap(
-            sigma_of(points, key), [Scalar(self.field, points[i][1]) for i in key]
-        )
+        return _boxed(self.field, self._points, key)
 
     def _product(self, a: tuple, b: tuple) -> tuple:
         """The key of a*b; Omega holds every image, being the orbit of the
@@ -281,6 +312,37 @@ class MonomialGroup:
                 break
             count += 1
         return count
+
+
+def _boxed(field: Field, points: list, key: tuple) -> MonomialMap:
+    return MonomialMap(sigma_of(points, key), [Scalar(field, points[i][1]) for i in key])
+
+
+def _listing(field: Field, n: int, closure: "Closure", keys, complete: bool) -> tuple:
+    """Omega and its index, the keys in element order, and for a complete
+    set the keys of its greedy generators. The closure lies inside the
+    finite set and contains all of it, so the set is closed under products
+    and hence a group."""
+    points = closure.points
+    vertex = [v for v, _ in points]
+    raw_key = [field._sort_key(c) for _, c in points]
+    keys = tuple(
+        sorted(
+            keys,
+            key=lambda k: (
+                tuple(map(vertex.__getitem__, k)),
+                tuple(map(raw_key.__getitem__, k)),
+            ),
+        )
+    )
+    generators = ()
+    if complete:
+        within = set(keys)
+        proof = Closure(field, n, index=closure.index, within=within)
+        if tuple(range(n)) not in within or not all(map(proof._add, keys)):
+            raise UnclosedGroupError("element set is not closed under the group laws")
+        generators = tuple(proof.generators)
+    return points, closure.index, keys, generators
 
 
 class Closure:
@@ -528,15 +590,23 @@ def recognize(group: MonomialGroup) -> list[str]:
     return names
 
 
-class QuotientEmbeddingReport(NamedTuple):
-    kernel_order: int
-    diagonal_order: int
-    kernel_equals_diagonal: bool
-    kernel_normal: bool
-    image_order: int
-    image_in_graph_automorphisms: bool
-    image_is_subgroup: bool
-    counts_consistent: bool
+class QuotientEmbeddingReport:
+    """What ``quotient_embedding_check`` found, one attribute per fact."""
+
+    __slots__ = (
+        "kernel_order",
+        "diagonal_order",
+        "kernel_equals_diagonal",
+        "kernel_normal",
+        "image_order",
+        "image_in_graph_automorphisms",
+        "image_is_subgroup",
+        "counts_consistent",
+    )
+
+    def __init__(self, **facts):
+        for name, value in facts.items():
+            setattr(self, name, value)
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -92,15 +91,18 @@ def smith_normal_form(mat: list[list[int]]):
     return a, v
 
 
-class CongruenceSolution(NamedTuple):
+class CongruenceSolution:
     """Solution subgroup of M*x = 0 (mod modulus) inside (Z/modulus)^n_vars,
     described by independent generators with their orders."""
 
-    modulus: int
-    n_vars: int
-    generators: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
-    order: int
+    __slots__ = ("modulus", "n_vars", "generators", "orders", "order")
+
+    def __init__(self, modulus: int, n_vars: int, generators: tuple, orders: tuple, order: int):
+        self.modulus = modulus
+        self.n_vars = n_vars
+        self.generators = generators
+        self.orders = orders
+        self.order = order
 
     def elements(self):
         """Yield every solution vector, deterministically ordered."""

@@ -18,6 +18,7 @@ import enum
 import itertools
 import math
 import operator
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, NamedTuple, Optional
@@ -27,6 +28,7 @@ from .digraph import (
     AutomorphismChain,
     automorphism_chain,
     check_size,
+    greedy_generators,
     inverse,
     pattern_isomorphisms,
 )
@@ -198,12 +200,15 @@ def _solve_components(a: EvolutionAlgebra, sigma: tuple[int, ...], ratio) -> Sol
 # diagonal automorphism subgroup in root-of-unity exponent space
 
 
-class DiagonalLattice(NamedTuple):
+class DiagonalLattice:
     """The diagonal automorphisms d_i = g^(x_i), described by the solution
     subgroup of the congruences 2 x_j = x_i (mod N) at nonzero entries."""
 
-    generator: Scalar
-    exponents: CongruenceSolution
+    __slots__ = ("generator", "exponents")
+
+    def __init__(self, generator: Scalar, exponents: CongruenceSolution):
+        self.generator = generator
+        self.exponents = exponents
 
     @property
     def modulus(self) -> int:
@@ -252,8 +257,8 @@ def diagonal_subgroup(a: EvolutionAlgebra) -> DiagonalLattice:
 class PatternSolve(NamedTuple):
     """What the automorphism search of E(A) reads that depends only on A's
     zero pattern and the field, so every algebra with that pattern can share
-    it. Aut(P) is held as its stabilizer chain, whose order has passed the
-    closure cap, and never as a list of sigma."""
+    it. Aut(P) is held as its stabilizer chain, and never as a list of
+    sigma."""
 
     chain: AutomorphismChain  # automorphism_chain(a.digraph)
     diagonal: tuple[MonomialMap, ...]  # D, sorted
@@ -278,7 +283,6 @@ def _loops_reach_all(rows: tuple[int, ...]) -> bool:
 def _pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     a.require_idempotent()
     chain = automorphism_chain(a.digraph)
-    check_size(chain.order, "pattern automorphisms")
     field = a.field
     # D is trivial by either of two rules, and the first builds no
     # component. A loop at v gives d_v = d_v^2, so d_v = 1, and an edge
@@ -354,8 +358,6 @@ def pattern_run() -> Iterator[None]:
 def pattern_solve(a: EvolutionAlgebra) -> PatternSolve:
     """The pattern automorphisms of A, as a chain, and its diagonal group
     D, from the run's memo inside a run and computed afresh outside one.
-    More than CLOSURE_CAP pattern automorphisms are refused before any is
-    listed or walked.
 
     D is read off the zero pattern: it is the solve of A against itself
     under sigma = id, where every ratio b_kj * a_kj^-1 is one. So each cycle
@@ -377,16 +379,25 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     Aut(E) is an extension of the diagonal group D, the lifts of the
     identity, by the subgroup L of pattern automorphisms that lift, and the
     lifts of each sigma in L form one coset of D. So D, with the pattern
-    automorphisms, comes first from ``pattern_solve``. One walk over the
-    pattern automorphisms, off their chain in lexicographic order, then
-    keeps a closure of D and the lifts found so far, with its image H in L;
-    until a first sigma lifts, H is {id} and no closure is built. A sigma in
-    H is skipped: its lifts are already products in the closure. A sigma
-    without lifts marks its coset H*sigma dead, since h*sigma lifting would
-    make sigma lift, and a sigma in a dead coset is skipped too; while H is
-    {id} that coset is sigma alone, which the walk has passed. Every other
-    sigma is solved once, and its lifts extend the closure. The walk stops
-    as soon as H is all of Aut(P), so K_n over Q ends after n - 1 solves.
+    automorphisms as a chain, comes first from ``pattern_solve``.
+
+    The strong generators of the chain are solved first, up to the first
+    that does not lift or is left open. When every one lifts, L is all of
+    Aut(P), and the group is held as D, the chain and a lift of each strong
+    generator, of order |D| |Aut(P)|, with no element listed
+    (``_lifted_group``).
+
+    Otherwise one walk over the pattern automorphisms, which are refused
+    past CLOSURE_CAP first, goes off their chain in lexicographic order and
+    reuses the solves already made. It keeps a closure of D and the lifts
+    found so far, with its image H in L; until a first sigma lifts, H is
+    {id} and no closure is built. A sigma in H is skipped: its lifts are
+    already products in the closure. A sigma without lifts marks its coset
+    H*sigma dead, since h*sigma lifting would make sigma lift, and a sigma
+    in a dead coset is skipped too; while H is {id} that coset is sigma
+    alone, which the walk has passed. Every other sigma is solved once, and
+    its lifts extend the closure. The walk stops as soon as H is all of
+    Aut(P).
 
     A sigma whose solve leaves a cycle equation open is recorded and the
     walk goes on. At the end it is settled when it lies in the final image
@@ -405,16 +416,26 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
     """
     a.require_idempotent()
     pattern = pattern_solve(a)
-    order = pattern.chain.order
+    chain = pattern.chain
+    solved: dict[tuple[int, ...], SolveOutcome] = {}
+    for s in chain.generators:
+        outcome = solved[s] = _solve_matched(a, a, s)
+        if not outcome.maps:
+            break
+    else:
+        group = _lifted_group(a, pattern, solved)
+        if group is not None:
+            return group
+    check_size(chain.order, "pattern automorphisms")
     closure = None
     image = {tuple(range(a.n))}
     barren: list[tuple[int, ...]] = []
     dead: set[tuple[int, ...]] = set()
     unsettled: list[tuple[int, ...]] = []
-    for s in pattern.chain.walk():
+    for s in chain.walk():
         if s in image or s in dead:
             continue
-        outcome = _solve_matched(a, a, s)
+        outcome = solved.get(s) or _solve_matched(a, a, s)
         if outcome.status is SolveStatus.INDETERMINATE:
             unsettled.append(s)
         elif outcome.maps:
@@ -426,7 +447,7 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
             for g in outcome.maps:
                 closure.add(g)
             image.update(sigma_of(closure.points, p) for p in closure.elements[listed:])
-            if len(image) == order:
+            if len(image) == chain.order:
                 break  # H = Aut(P): every sigma still to come is in H
         else:
             barren.append(s)
@@ -434,10 +455,7 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
                 dead.update(compose(h, s) for h in image)
     if closure is None:
         if not unsettled:
-            memo = RUN_PATTERNS.get()
-            if memo is None:
-                return MonomialGroup(a.field, a.n, pattern.diagonal)
-            return memo.diagonal_group(a.field, a.n, pattern.diagonal)
+            return _diagonal_group(a, pattern.diagonal)
         closure = _closure_of(a, pattern.diagonal)
     complete = True
     if unsettled:
@@ -446,6 +464,43 @@ def automorphism_group(a: EvolutionAlgebra) -> MonomialGroup:
         ruled_out = _double_cosets(seeds, gens)
         complete = all(s in image or s in ruled_out for s in unsettled)
     return MonomialGroup(a.field, a.n, closure, complete=complete)
+
+
+def _diagonal_group(a: EvolutionAlgebra, diagonal: tuple[MonomialMap, ...]) -> MonomialGroup:
+    """The group D: the run's, or afresh outside a run."""
+    memo = RUN_PATTERNS.get()
+    if memo is None:
+        return MonomialGroup(a.field, a.n, diagonal)
+    return memo.diagonal_group(a.field, a.n, diagonal)
+
+
+def _lifted_group(
+    a: EvolutionAlgebra, pattern: PatternSolve, solved: dict
+) -> Optional[MonomialGroup]:
+    """Aut(E) when every strong generator of Aut(P) lifts, so that L is
+    Aut(P): held as D, the chain and the first lift of each strong
+    generator, with no element listed. Its greedy generators are D's and
+    then the least lift of each greedy generator of Aut(P), read off the
+    chain (``greedy_generators``); a sigma not solved yet is solved here.
+    None when such a solve leaves a cycle equation open, and the walk then
+    decides."""
+    chain = pattern.chain
+    if not chain.generators:
+        return _diagonal_group(a, pattern.diagonal)
+    least = []
+    for s in greedy_generators(chain):
+        outcome = solved[s] = solved.get(s) or _solve_matched(a, a, s)
+        if not outcome.maps:
+            return None
+        least.append(outcome.maps[0])
+    return MonomialGroup(
+        a.field,
+        a.n,
+        _closure_of(a, pattern.diagonal),
+        lifts=[solved[s].maps[0] for s in chain.generators],
+        image_order=chain.order,
+        image_generators=least,
+    )
 
 
 def _closure_of(a: EvolutionAlgebra, diagonal: tuple[MonomialMap, ...]) -> Closure:
@@ -483,12 +538,22 @@ class IsoStatus(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-class IsomorphismResult(NamedTuple):
-    status: IsoStatus
-    witness: Optional[MonomialMap] = None
-    certificate: Optional[dict] = None
-    candidates_exhausted: int = 0
-    unsolved: tuple[str, ...] = ()
+class IsomorphismResult:
+    __slots__ = ("status", "witness", "certificate", "candidates_exhausted", "unsolved")
+
+    def __init__(
+        self,
+        status: IsoStatus,
+        witness: Optional[MonomialMap] = None,
+        certificate: Optional[dict] = None,
+        candidates_exhausted: int = 0,
+        unsolved: tuple[str, ...] = (),
+    ):
+        self.status = status
+        self.witness = witness
+        self.certificate = certificate
+        self.candidates_exhausted = candidates_exhausted
+        self.unsolved = unsolved
 
     @property
     def found(self) -> bool:
@@ -543,8 +608,18 @@ def make_certificate(
 def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
     """Search the pattern isomorphisms of the associated digraphs and solve
     for scalings; the first witness comes with a machine-checkable
-    certificate."""
+    certificate.
+
+    A pattern isomorphism sigma carries the entries of A that hold a loop
+    invariant one to one onto B's, so when the two multisets of invariant
+    values differ, every sigma fails the invariant screen of the solve.
+    Then no sigma is walked: the answer is non-isomorphic after all of
+    them, |Iso(P_A, P_B)|, which is 0 or |Aut(P_A)|."""
     _check_pair(a, b)
+    if _invariant_values(a) != _invariant_values(b):
+        none = next(pattern_isomorphisms(a.digraph, b.digraph), None) is None
+        count = 0 if none else automorphism_chain(a.digraph).order
+        return IsomorphismResult(IsoStatus.NOT_ISOMORPHIC, candidates_exhausted=count)
     unsolved: list[str] = []
     count = 0
     for sigma in pattern_isomorphisms(a.digraph, b.digraph):
@@ -569,6 +644,11 @@ def isomorphism(a: EvolutionAlgebra, b: EvolutionAlgebra) -> IsomorphismResult:
             unsolved=tuple(sorted(set(unsolved))),
         )
     return IsomorphismResult(IsoStatus.NOT_ISOMORPHIC, candidates_exhausted=count)
+
+
+def _invariant_values(a: EvolutionAlgebra) -> Counter:
+    """The multiset of A's loop invariant values."""
+    return Counter(value for _, _, value in a.loop_invariants.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .algebra import EvolutionAlgebra
 from .digraph import Digraph, cycles, graph_automorphisms
@@ -51,19 +51,24 @@ SEED_THM41_ISO = 4107
 SEED_THM41_BOUND = 4108
 
 
-class Assertion(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
-    indeterminate: bool = False
+class Assertion:
+    __slots__ = ("name", "ok", "detail", "indeterminate")
+
+    def __init__(self, name: str, ok: bool, detail: str = "", indeterminate: bool = False):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.indeterminate = indeterminate
 
 
-class SuiteResult(NamedTuple):
-    """A suite's assertions, appended by ``check``; each suite passes its
-    own empty list, since a NamedTuple default would be shared."""
+class SuiteResult:
+    """A suite's assertions, appended by ``check``."""
 
-    suite: str
-    assertions: list[Assertion]
+    __slots__ = ("suite", "assertions")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.assertions: list[Assertion] = []
 
     def check(self, name: str, ok: bool, detail: str = "", indeterminate: bool = False):
         self.assertions.append(Assertion(name, bool(ok), detail, indeterminate))
@@ -157,7 +162,7 @@ def random_multicycle_algebra(rng: random.Random):
 
 
 def suite_example31() -> SuiteResult:
-    res = SuiteResult("example31", [])
+    res = SuiteResult("example31")
     for n in (3, 4, 5):
         order = automorphism_group(complete_graph_algebra(n, Q)).order
         res.check(
@@ -203,7 +208,7 @@ def _thm22_sample_ok(alg: EvolutionAlgebra) -> tuple[bool, bool]:
 
 
 def suite_thm22() -> SuiteResult:
-    res = SuiteResult("thm22", [])
+    res = SuiteResult("thm22")
     rng = random.Random(SEED_THM22)
     combos = [(p, n) for p in (3, 5, 7) for n in (2, 3)]
     failures, undecided = [], 0
@@ -256,7 +261,7 @@ def suite_thm22() -> SuiteResult:
 
 
 def suite_thm23() -> SuiteResult:
-    res = SuiteResult("thm23", [])
+    res = SuiteResult("thm23")
     rng = random.Random(SEED_THM23)
     bad = []
     for i in range(30):
@@ -276,7 +281,7 @@ def suite_thm23() -> SuiteResult:
 
 
 def suite_thm31() -> SuiteResult:
-    res = SuiteResult("thm31", [])
+    res = SuiteResult("thm31")
     five_cycle = [
         [0, 1, 0, 0, 1],
         [1, 0, 1, 0, 0],
@@ -319,7 +324,7 @@ def suite_thm31() -> SuiteResult:
 
 
 def suite_thm32() -> SuiteResult:
-    res = SuiteResult("thm32", [])
+    res = SuiteResult("thm32")
     samples = (2, 3, -1)
     for n in (2, 3, 4, 5):
         included, _ = sn_representatives(n, Q, samples)
@@ -358,7 +363,7 @@ def suite_thm32() -> SuiteResult:
 
 
 def suite_thm41() -> SuiteResult:
-    res = SuiteResult("thm41", [])
+    res = SuiteResult("thm41")
     rng_iso = random.Random(SEED_THM41_ISO)
     for n in (2, 3, 4):
         modulus = 2**n - 1

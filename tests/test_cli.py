@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,8 +176,11 @@ class TestAut:
     def test_walk_stops_once_every_pattern_automorphism_lifts(
         self, tmp_path, capsys, monkeypatch
     ):
-        # S7 is generated by the sigma solved at walk positions 1, 2, 6, 24,
-        # 120 and 720; the walk ends there, at 6! + 1 of 5,040 sigma
+        # the six strong generators of S7 are solved and all lift, so the
+        # group is held by its chain and no sigma is walked; its greedy
+        # generators are the same six sigma and reuse their solves. Without
+        # that path the walk solves the sigma at walk positions 1, 2, 6, 24,
+        # 120 and 720, and ends there, at 6! + 1 of 5,040 sigma
         path = k_file(tmp_path / "k7.json", 7, "0")
         counts = {"walked": 0, "solved": 0}
         real_walk, real_solve = digraph.AutomorphismChain.walk, solver._solve_matched
@@ -192,8 +196,13 @@ class TestAut:
 
         monkeypatch.setattr(digraph.AutomorphismChain, "walk", walk)
         monkeypatch.setattr(solver, "_solve_matched", solve)
-        code, report = run_json(capsys, "aut", "--in", path)
-        assert code == 0 and report["recognized"] == ["S7"]
+        code, held, _ = run(capsys, "aut", "--in", path)
+        assert code == 0 and json.loads(held)["recognized"] == ["S7"]
+        assert counts == {"walked": 0, "solved": 6}
+        counts.update(walked=0, solved=0)
+        monkeypatch.setattr(solver, "_lifted_group", lambda *args: None)
+        code, listed, _ = run(capsys, "aut", "--in", path)
+        assert code == 0 and listed == held
         assert counts == {"walked": 721, "solved": 6}
 
     def test_field_override(self, tmp_path, capsys):
@@ -468,8 +477,11 @@ def test_make_refuses_a_huge_dimension_at_once(tmp_path):
 
 @pytest.mark.parametrize("cap", [719, 720])
 def test_listing_cap_trips_at_k6(tmp_path, capsys, monkeypatch, cap):
-    # K6 has 720 pattern automorphisms, and its group 720 elements
+    # K6 has 720 pattern automorphisms, and its group 720 elements. graph-aut
+    # lists them; aut holds S6 by its chain and lists nothing, so the cap
+    # leaves its bytes alone
     path = k_file(tmp_path / "k6.json", 6, "0")
+    _, uncapped, _ = run(capsys, "aut", "--in", path)
     monkeypatch.setattr(digraph, "CLOSURE_CAP", cap)
     pattern = EvolutionAlgebra.load(path).digraph
     if cap < 720:
@@ -477,17 +489,19 @@ def test_listing_cap_trips_at_k6(tmp_path, capsys, monkeypatch, cap):
             graph_automorphisms(pattern)
     else:
         assert len(graph_automorphisms(pattern)) == 720
-    for command in ("graph-aut", "aut"):
-        code, out, err = run(capsys, command, "--in", path)
-        if cap < 720:
-            assert code == 5 and out == ""
-            assert err == "error: pattern automorphisms passed the cap 719\n"
-        else:
-            assert code == 0 and out != ""
+    code, out, err = run(capsys, "graph-aut", "--in", path)
+    if cap < 720:
+        assert code == 5 and out == ""
+        assert err == "error: pattern automorphisms passed the cap 719\n"
+    else:
+        assert code == 0 and out != ""
+    code, out, _ = run(capsys, "aut", "--in", path)
+    assert code == 0 and out == uncapped
 
 
 def test_k10_is_refused_before_the_walk(tmp_path, capsys, monkeypatch):
-    # 10! is read off the chain and refused before its walk yields a sigma
+    # 10! is read off the chain: graph-aut refuses it before its walk
+    # yields a sigma, and aut names S10 by the chain with no sigma walked
     path = k_file(tmp_path / "k10.json", 10, "0")
     yielded = 0
     real = digraph.AutomorphismChain.walk
@@ -499,10 +513,12 @@ def test_k10_is_refused_before_the_walk(tmp_path, capsys, monkeypatch):
             yield sigma
 
     monkeypatch.setattr(digraph.AutomorphismChain, "walk", walk)
-    for command in ("aut", "graph-aut"):
-        code, out, err = run(capsys, command, "--in", path)
-        assert code == 5 and out == ""
-        assert err == "error: pattern automorphisms passed the cap 1000000\n"
+    code, report = run_json(capsys, "aut", "--in", path)
+    assert code == 0 and report["order"] == math.factorial(10)
+    assert report["recognized"] == ["S10"]
+    code, out, err = run(capsys, "graph-aut", "--in", path)
+    assert code == 5 and out == ""
+    assert err == "error: pattern automorphisms passed the cap 1000000\n"
     assert yielded == 0
 
 
@@ -567,9 +583,13 @@ class TestIso:
 
     @pytest.mark.parametrize("cap", [719, 720])
     def test_sigma_walk_is_capped(self, tmp_path, capsys, monkeypatch, cap):
-        # the n = 6 pair is non-isomorphic after all 720 pattern maps
-        a = self.make(capsys, tmp_path, "a.json", "twoparam:n=6,a=1,b=2")
-        b = self.make(capsys, tmp_path, "b.json", "twoparam:n=6,a=1,b=3")
+        # loopless K6 against K6 with one entry 2: non-isomorphic after all
+        # 720 pattern maps, and with no loop invariants to tell them apart
+        # before the walk
+        a = k_file(tmp_path / "a.json", 6, "0")
+        rows = [["0" if k == j else "1" for j in range(6)] for k in range(6)]
+        rows[0][1] = "2"
+        b = write_matrix(tmp_path / "b.json", "Q", rows)
         monkeypatch.setattr(digraph, "CLOSURE_CAP", cap)
         code, out, err = run(capsys, "iso", "--in", a, "--b", b)
         if cap < 720:
