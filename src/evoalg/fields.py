@@ -15,7 +15,8 @@ equality of representations:
 Q(zeta_m) arithmetic runs on these integers: sums over a common denominator,
 products by integer convolution reduced with integer rows, inverses by
 fraction-free elimination, each result ending in one gcd normalisation.
-Fractions are built only to order or print a value, or to read off a rational one.
+Rationals outside a raw value are (num, den) int pairs too: a parsed literal,
+a printed coefficient, a sort key entry and every kth_roots step.
 
 Fields are interned: constructing one twice yields the same object, so
 field equality is identity. ``RationalField()`` is ``CyclotomicField(1)``.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,9 +35,9 @@ PRIME_LIMIT = 2**31
 # the largest bound 2^t - 1 that an algebra within the search dimension cap
 # can ask a cyclotomic field for; Phi_m is built before any entry is read
 CONDUCTOR_CAP = 2**12 - 1
-# the largest decimal exponent a scalar literal may carry: Fraction("1e9999999")
-# expands 10**9999999 before any check; 4300 matches the digit limit that
-# int() puts on a plain literal
+# the largest decimal exponent a scalar literal may carry: "1e9999999" would
+# otherwise expand 10**9999999 before any check; 4300 matches the digit limit
+# that int() puts on a plain literal
 SCALAR_EXPONENT_CAP = 4300
 
 
@@ -81,31 +81,114 @@ def integer_kth_root(x: int, k: int) -> int:
         r = nr
 
 
-def perfect_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
-    """The positive rational r with r**k == q, or None. Requires q > 0."""
-    if q <= 0:
+def perfect_kth_root(q: tuple[int, int], k: int) -> Optional[tuple[int, int]]:
+    """The positive rational (a, b) with (a / b)**k == num / den for q =
+    (num, den) in lowest terms, or None. Requires num, den > 0."""
+    num, den = q
+    if num <= 0 or den <= 0:
         raise ValueError("perfect_kth_root needs q > 0")
-    a = integer_kth_root(q.numerator, k)
-    if a**k != q.numerator:
+    a = integer_kth_root(num, k)
+    if a**k != num:
         return None
-    b = integer_kth_root(q.denominator, k)
-    if b**k != q.denominator:
+    b = integer_kth_root(den, k)
+    if b**k != den:
         return None
-    return Fraction(a, b)
+    return a, b
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """Fraction(text) for a rational literal such as "-3/4", "0.5" or "1e3",
-    refusing a decimal exponent above SCALAR_EXPONENT_CAP in magnitude before
-    Fraction expands it. A malformed exponent raises ValueError, as Fraction
-    would."""
+def _ratio(value) -> Optional[tuple[int, int]]:
+    """The int numerator and denominator of an int, or of a rational that
+    carries them as attributes in lowest terms (as fractions.Fraction
+    does); None for anything else. bool passes, so callers refuse it."""
+    num = getattr(value, "numerator", None)
+    den = getattr(value, "denominator", None)
+    if isinstance(num, int) and isinstance(den, int):
+        return num, den
+    return None
+
+
+# the literal grammar of fractions.Fraction(text) in Python 3.11: a sign, an
+# integer (digits with single underscores between them), then either "/"
+# and a denominator, or an optional fractional part and an optional exponent
+_RATIONAL_RE = re.compile(
+    r"""
+    \s*(?P<sign>[-+]?)
+    (?=\d|\.\d)
+    (?P<num>\d*|\d+(?:_\d+)*)
+    (?:
+        (?:/(?P<den>\d+(?:_\d+)*))?
+    |
+        (?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?
+        (?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?
+    )
+    \s*
+    """,
+    re.VERBOSE,
+)
+
+
+def _parse_fraction(text: str) -> tuple[int, int]:
+    """(num, den) in lowest terms, den >= 1, of a rational literal such as
+    "-3/4", "0.5" or "1e3". A decimal exponent above SCALAR_EXPONENT_CAP in
+    magnitude is refused before it is expanded. A malformed literal raises
+    ValueError, and a zero denominator ZeroDivisionError."""
     _, marker, exponent = text.lower().partition("e")
     if marker:
         digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
         cap = SCALAR_EXPONENT_CAP
         if len(digits) > len(str(cap)) or int(digits or 0) > cap:
             raise ParseError(f"exponent of {text[:40]!r} exceeds {cap} in magnitude")
-    return Fraction(text)
+    mt = _RATIONAL_RE.fullmatch(text)
+    if mt is None:
+        raise ValueError(f"invalid rational literal {text!r}")
+    num, den = int(mt["num"] or "0"), 1
+    if mt["den"]:
+        den = int(mt["den"])
+        if den == 0:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+    else:
+        decimal, exp = mt["decimal"], mt["exp"]
+        if decimal:
+            decimal = decimal.replace("_", "")
+            den = 10 ** len(decimal)
+            num = num * den + int(decimal)
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                num *= 10**exp
+            else:
+                den *= 10**-exp
+    g = math.gcd(num, den)
+    return (-num if mt["sign"] == "-" else num) // g, den // g
+
+
+class _Ratio:
+    """A sort key entry for num / den, den >= 1, that compares exactly with
+    ints and with other ratios by cross-multiplying."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def _cross(self, other) -> tuple[int, int]:
+        """The numerators of self and other over the product of their
+        denominators."""
+        if isinstance(other, _Ratio):
+            return self.num * other.den, other.num * self.den
+        return self.num, other * self.den
+
+    def __eq__(self, other):
+        mine, theirs = self._cross(other)
+        return mine == theirs
+
+    def __lt__(self, other):
+        mine, theirs = self._cross(other)
+        return mine < theirs
+
+    def __gt__(self, other):
+        mine, theirs = self._cross(other)
+        return mine > theirs
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +314,7 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.field is other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
+        if _ratio(other) is not None:
             try:
                 return self.value == self.field.scalar(other).value
             except (ParseError, ValueError):
@@ -304,7 +387,8 @@ class Field(metaclass=_Interned):
         raise NotImplementedError
 
     def scalar(self, value) -> Scalar:
-        """Coerce an int, Fraction, string, or same-field Scalar."""
+        """Coerce an int, a rational such as a fractions.Fraction, a string,
+        or a same-field Scalar."""
         if isinstance(value, Scalar) and value.field is self:
             return value
         return Scalar(self, self.raw(value))
@@ -454,14 +538,18 @@ class PrimeField(Field):
             raise ParseError("bool is not a scalar")
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ParseError(f"denominator of {value} vanishes mod {self.p}")
-            return value.numerator * pow(den, -1, self.p) % self.p
+        ratio = _ratio(value)
+        if ratio is not None:
+            return self._rational(*ratio)
         if isinstance(value, str):
             return self.parse(value).value
         raise ParseError(f"cannot coerce {value!r} into GF({self.p})")
+
+    def _rational(self, num: int, den: int) -> int:
+        """The residue of num / den, given in lowest terms."""
+        if den % self.p == 0:
+            raise ParseError(f"denominator of {num}/{den} vanishes mod {self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -537,7 +625,7 @@ class PrimeField(Field):
     def parse(self, text: str) -> Scalar:
         text = text.strip().replace(" ", "")
         try:
-            return Scalar(self, self._convert(_parse_fraction(text)))
+            return Scalar(self, self._rational(*_parse_fraction(text)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad GF({self.p}) scalar {text!r}") from exc
 
@@ -592,11 +680,16 @@ class CyclotomicField(Field):
     def _convert(self, value):
         if isinstance(value, bool):
             raise ParseError("bool is not a scalar")
-        if isinstance(value, (int, Fraction)):
-            return (value.numerator,) + (0,) * (self.degree - 1) + (value.denominator,)
+        ratio = _ratio(value)
+        if ratio is not None:
+            return self._rational(*ratio)
         if isinstance(value, str):
             return self.parse(value).value
         raise ParseError(f"cannot coerce {value!r} into {self.descriptor()}")
+
+    def _rational(self, num: int, den: int) -> tuple[int, ...]:
+        """The raw value of num / den, given in lowest terms."""
+        return (num,) + (0,) * (self.degree - 1) + (den,)
 
     def _reduce_ints(self, conv: list[int]) -> list[int]:
         """Integer coefficients of z^0 .. z^(2 * degree - 1), reduced modulo
@@ -690,11 +783,11 @@ class CyclotomicField(Field):
 
     def _sort_key(self, a):
         # the coefficients as numbers, compared exactly: ints where the
-        # denominator divides, Fractions otherwise
+        # denominator divides, ratios otherwise
         den = a[-1]
         if den == 1:
             return a[:-1]
-        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in a[:-1])
+        return tuple(x // den if x % den == 0 else _Ratio(x, den) for x in a[:-1])
 
     def _unity_dlog(self, value) -> Optional[int]:
         """The exponent of value in mu_N. Of the rationals only +-1 are roots
@@ -712,9 +805,10 @@ class CyclotomicField(Field):
             self._dlog = table
         return table.get(value)
 
-    def _as_fraction(self, value) -> Optional[Fraction]:
+    def _as_ratio(self, value) -> Optional[tuple[int, int]]:
+        """(num, den) of a rational raw value, else None."""
         if not any(value[1:-1]):
-            return Fraction(value[0], value[-1])
+            return value[0], value[-1]
         return None
 
     def _kth_roots(self, c: Scalar, k: int) -> KthRoots:
@@ -727,16 +821,16 @@ class CyclotomicField(Field):
         big_n = self.unity.order
         equation = f"x^{k} = {c} over {self.descriptor()}"
         z = (c**big_n).value
-        zf = self._as_fraction(z)
-        rational_line = self._as_fraction(c.value) is not None
-        if zf is None or zf <= 0:
+        zf = self._as_ratio(z)
+        rational_line = self._as_ratio(c.value) is not None
+        if zf is None or zf[0] <= 0:
             return KthRoots(False, (), equation)
         w = perfect_kth_root(zf, big_n)
         if w is None:
             if rational_line:
                 raise RuntimeError("rational c**N must be a perfect N-th power")
             return KthRoots(False, (), equation)
-        u = c / self.scalar(w)
+        u = c / Scalar(self, self._rational(*w))
         e = self._unity_dlog(u.value)
         if e is None:
             # c = u*w with u**N = 1 by construction, so u must lie in mu_N
@@ -751,7 +845,7 @@ class CyclotomicField(Field):
             if k % 2 == 1 or self.degree == 1:
                 return KthRoots(True, ())
             return KthRoots(False, (), equation)
-        rs = self.scalar(r)
+        rs = Scalar(self, self._rational(*r))
         roots = [rs * y for y in self._solve_unity_power(k, e)]
         return KthRoots(True, tuple(sorted(roots, key=Scalar.sort_key)))
 
@@ -761,12 +855,14 @@ class CyclotomicField(Field):
         for i, num in enumerate(value[:-1]):
             if not num:
                 continue
-            mag = Fraction(abs(num), den)
+            # |num| / den in lowest terms, without "/1"
+            g = math.gcd(num, den)
+            mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 zpart = "z" if i == 1 else f"z^{i}"
-                body = zpart if mag == 1 else f"{mag}*{zpart}"
+                body = zpart if abs(num) == den else f"{mag}*{zpart}"
             parts.append(("-" if num < 0 else "+", body))
         if not parts:
             return "0"
@@ -779,16 +875,17 @@ class CyclotomicField(Field):
     def parse(self, text: str) -> Scalar:
         if self.m == 1:
             try:
-                return self.scalar(_parse_fraction(text.strip().replace(" ", "")))
+                num, den = _parse_fraction(text.strip().replace(" ", ""))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational {text!r}") from exc
+            return Scalar(self, self._rational(num, den))
         s = text.replace(" ", "")
         if not s:
             raise ParseError("empty scalar string")
         terms = re.findall(r"[+-]?[^+-]+", s)
         if "".join(terms) != s:
             raise ParseError(f"bad scalar {text!r}")
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, tuple[int, ...]] = {}
         for term in terms:
             mt = _TERM_RE.match(term)
             if not mt or (mt.group(2) is None and "z" not in term):
@@ -796,18 +893,19 @@ class CyclotomicField(Field):
             sign = -1 if mt.group(1) == "-" else 1
             # a zero denominator, or a number past Python's int digit limit
             try:
-                coef = Fraction(mt.group(2)) if mt.group(2) else Fraction(1)
+                num, den = _parse_fraction(mt.group(2)) if mt.group(2) else (1, 1)
                 # z^m = 1
                 power = int(mt.group(3)) % self.m if mt.group(3) else 1
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad term {term!r} in {text!r}") from exc
             if "z" not in term:
                 power = 0
-            coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
+            coef = self._rational(sign * num, den)
+            coeffs[power] = self._add(coeffs[power], coef) if power in coeffs else coef
         # each power comes reduced mod Phi_m out of _mul
         value, z = self._convert(0), self.zeta.value
         for power, coef in coeffs.items():
-            term = self._mul(self._pow(z, power), self._convert(coef))
+            term = self._mul(self._pow(z, power), coef)
             value = self._add(value, term)
         return Scalar(self, value)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Callable
 
 from .algebra import EvolutionAlgebra
@@ -24,7 +23,7 @@ from .families import (
     sn_representatives,
     two_param_algebra,
 )
-from .fields import CyclotomicField, Field, PrimeField, RationalField
+from .fields import CyclotomicField, Field, PrimeField, RationalField, Scalar
 from .groups import (
     MonomialMap,
     close_generators,
@@ -107,7 +106,7 @@ def random_idempotent(field: Field, n: int, rng: random.Random) -> EvolutionAlge
     return _nonsingular(field, n, lambda: rng.randrange(field.p))
 
 
-_CYCLO_COEFFS = [1, 2, 3, -1, -2, Fraction(1, 2), Fraction(3, 2), -3]
+_CYCLO_COEFFS = [1, 2, 3, -1, -2, "1/2", "3/2", -3]
 
 
 def random_cyclotomic_idempotent(
@@ -129,11 +128,12 @@ def random_01_nonsingular(n: int, rng: random.Random) -> EvolutionAlgebra:
     return _nonsingular(Q, n, lambda: 1 if rng.random() < 0.5 else 0)
 
 
-def random_orbit_b(n: int, rng: random.Random) -> list[Fraction]:
-    """A rational b-vector built from a random scaling vector, so the scaled
-    cycle algebra is isomorphic to the all-ones one by construction."""
-    choices = [1, 2, 3, -1, -2, Fraction(1, 2), Fraction(1, 4), Fraction(-3, 2)]
-    d = [Fraction(rng.choice(choices)) for _ in range(n)]
+def random_orbit_b(n: int, field: Field, rng: random.Random) -> list[Scalar]:
+    """A rational b-vector over field built from a random rational scaling
+    vector, so the scaled cycle algebra is isomorphic to the all-ones one by
+    construction."""
+    choices = [1, 2, 3, -1, -2, "1/2", "1/4", "-3/2"]
+    d = [field.scalar(rng.choice(choices)) for _ in range(n)]
     return [d[(j + 1) % n] / d[j] ** 2 for j in range(n)]
 
 
@@ -151,9 +151,8 @@ def random_multicycle_algebra(rng: random.Random):
     field = CyclotomicField(conductor)
     rows = [[field.zero] * n for _ in range(n)]
     for j in range(n):
-        rows[sigma[j]][j] = field.scalar(
-            Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
-        )
+        num = rng.choice([1, 2, 3, -1, -2])
+        rows[sigma[j]][j] = field.scalar(num) / rng.choice([1, 2])
     return EvolutionAlgebra(field, rows), lengths
 
 
@@ -344,7 +343,7 @@ def suite_thm32() -> SuiteResult:
         for a, b in ((2, 4), (3, -3), (2, 6)):
             try:
                 src = two_param_algebra(n, a, b, Q)
-                dst = two_param_algebra(n, 1, Fraction(b, a), Q)
+                dst = two_param_algebra(n, 1, Q.scalar(b) / a, Q)
             except SingularMatrixError:
                 continue
             outcome = isomorphism(src, dst)
@@ -387,7 +386,7 @@ def suite_thm41() -> SuiteResult:
         )
         failures = 0
         for _ in range(10):
-            b = random_orbit_b(n, rng_iso)
+            b = random_orbit_b(n, field, rng_iso)
             scaled = cycle_algebra(n, field, b)
             outcome = isomorphism(ones, scaled)
             if not (outcome.found and all(outcome.certificate["checked"].values())):
@@ -417,7 +416,7 @@ def suite_thm41() -> SuiteResult:
 
     out = cycle_normalizer([128, 1, 1], Q)
     wanted = MonomialMap.diagonal(
-        (Q.scalar(Fraction(1, 16)), Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(1, 4)))
+        (Q.parse("1/16"), Q.parse("1/2"), Q.parse("1/4"))
     )
     res.check(
         "b = (128, 1, 1) over Q: scalings (1/16, 1/2, 1/4) solve the recurrence",

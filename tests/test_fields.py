@@ -15,6 +15,7 @@ from evoalg.fields import (
     cyclotomic_polynomial,
     is_prime,
     parse_field,
+    perfect_kth_root,
 )
 
 Q = RationalField()
@@ -291,6 +292,25 @@ def _coefficients(value):
     return tuple(Fraction(x, value[-1]) for x in value[:-1])
 
 
+def _fraction_text(value):
+    """The text of a raw Q(zeta_m) value, built from Fraction coefficients:
+    terms by ascending power joined by " + " and " - ", each a magnitude, or
+    a magnitude times z^i with a magnitude of one left out."""
+    parts = []
+    for i, coef in enumerate(_coefficients(value)):
+        if coef:
+            mag = abs(coef)
+            body = str(mag)
+            if i:
+                zpart = "z" if i == 1 else f"z^{i}"
+                body = zpart if mag == 1 else f"{mag}*{zpart}"
+            parts.append(("-" if coef < 0 else "+", body))
+    if not parts:
+        return "0"
+    (sign, body), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
 class TestIntegerKernels:
     KINDS = ("dense", "sparse", "rational")
 
@@ -422,6 +442,39 @@ class TestCanonicalForm:
         by_key = sorted(values, key=Scalar.sort_key)
         by_fractions = sorted(values, key=lambda v: _coefficients(v.value))
         assert [v.value for v in by_key] == [v.value for v in by_fractions]
+        # one key position holds ints and ratios, each compared with the
+        # other kind and with ratios over other denominators as the
+        # Fractions are
+        keys = [v.sort_key() for v in values[:40]]
+        coefficients = [_coefficients(v.value) for v in values[:40]]
+        assert {type(x) is int for key in keys for x in key} == {True, False}
+        for i in range(field.degree):
+            for key, coef in zip(keys, coefficients):
+                for other, other_coef in zip(keys, coefficients):
+                    x, y, fx, fy = key[i], other[i], coef[i], other_coef[i]
+                    assert (x < y, x > y, x == y) == (fx < fy, fx > fy, fx == fy)
+
+    def test_sort_key_entries_of_mixed_kinds(self):
+        numbers = [Fraction(x, d) for x in range(-9, 10) for d in (1, 2, 3, 6)]
+        entries = [Q.scalar(x).sort_key()[0] for x in numbers]
+        for x, ex in zip(numbers, entries):
+            for y, ey in zip(numbers, entries):
+                assert (ex < ey, ex > ey, ex == ey) == (x < y, x > y, x == y)
+                assert (ex < y.numerator) == (x < y.numerator)
+                assert (y.numerator < ex) == (y.numerator < x)
+        assert sorted(entries) == [e for _, e in sorted(zip(numbers, entries), key=lambda p: p[0])]
+
+    @pytest.mark.parametrize("m", [1] + MS)
+    def test_format_matches_fraction_text(self, m):
+        field = CyclotomicField(m)
+        rng = random.Random(7400 + m)
+        values = self.operands(field, rng, count=60)
+        # coefficients whose magnitude is one, next to others
+        values += [field._mul(v, field._inv(v)) for v in values if not field._is_zero(v)]
+        values += [field._add(v, field._pow(field.zeta.value, k)) for k, v in enumerate(values)]
+        for a in values:
+            assert field.format(a) == _fraction_text(a)
+        assert field.format(field.parse("-4/6").value) == "-2/3"
 
     @pytest.mark.parametrize("m", MS)
     def test_format_round_trips(self, m):
@@ -547,6 +600,44 @@ class TestMultOrder:
         assert len(field._dlog) == 30
         assert field.kth_roots(-z, 3).complete
         assert [x.multiplicative_order() for x in elements] == [1, 15, 5, 3, 30, None]
+
+
+class TestPerfectKthRoot:
+    @pytest.mark.parametrize(
+        "q, k, root",
+        [
+            ((1, 1), 5, (1, 1)),
+            ((8, 27), 3, (2, 3)),
+            ((2**28, 1), 7, (16, 1)),
+            ((1, 2**28), 7, (1, 16)),
+            ((3**40, 7**20), 20, (9, 7)),
+            ((10**4300, 1), 4300, (10, 1)),
+            ((4, 9), 3, None),
+            ((2, 1), 2, None),
+            ((9, 2), 2, None),
+            ((2**28 + 1, 1), 7, None),
+        ],
+    )
+    def test_int_pairs(self, q, k, root):
+        assert perfect_kth_root(q, k) == root
+
+    def test_agrees_with_fraction_powers(self):
+        rng = random.Random(7500)
+        for _ in range(200):
+            k = rng.randint(1, 9)
+            r = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            q = r**k
+            assert perfect_kth_root((q.numerator, q.denominator), k) == (
+                r.numerator, r.denominator)
+            # the prime 61 divides q exactly once, so q is no k-th power for k > 1
+            q *= 61
+            expected = None if k > 1 else (q.numerator, q.denominator)
+            assert perfect_kth_root((q.numerator, q.denominator), k) == expected
+
+    @pytest.mark.parametrize("q", [(0, 1), (-1, 4), (1, 0), (1, -2)])
+    def test_refuses_a_non_positive_pair(self, q):
+        with pytest.raises(ValueError, match="needs q > 0"):
+            perfect_kth_root(q, 2)
 
 
 class TestKthRoots:
