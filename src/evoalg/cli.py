@@ -335,8 +335,8 @@ def _orbit_census(field: PrimeField, n: int, tally) -> int:
     S_n, and the orbits of the maps fixing P on the matrices with pattern P
     (`_torus_classes`); an orbit holds |S_n P| times as many matrices as it
     has with pattern P. A pattern without a transversal holds only singular
-    matrices and is not walked. `tally(entry, weight)` receives each class
-    entry weighted by its orbit size.
+    matrices and is not walked. `tally(entry, weight)` receives the entry of
+    each nonsingular class, weighted by its orbit size.
 
     Self-checks, exact: |orbit| * |Aut(A)| = |M| for every nonsingular class
     (orbit-stabilizer, with |orbit| from the lattice and |Aut| from the
@@ -402,8 +402,6 @@ def cmd_census(args) -> int:
 
     def tally(entry, weight):
         nonlocal nonsingular
-        if entry is None:
-            return
         nonsingular += weight
         aut_order, diag_order = entry
         aut_hist[aut_order] = aut_hist.get(aut_order, 0) + weight

@@ -242,15 +242,8 @@ class AutomorphismChain(NamedTuple):
         return elements
 
     def contains(self, g: tuple[int, ...]) -> bool:
-        """Membership by sifting: at each level (k, reps), g must send k to
-        u(k) for some representative u, and g is replaced by u^-1 * g, which
-        fixes 0, ..., k; g lies in the group when the identity is left."""
-        for k, reps in self.levels:
-            u = next((u for u in reps if u[k] == g[k]), None)
-            if u is None:
-                return False
-            g = compose(inverse(u), g)
-        return g == tuple(range(self.n))
+        """Membership: g lies in the group when it sifts to the identity."""
+        return _sift(self.levels, g) == tuple(range(self.n))
 
 
 def _sorted_products(lookups: list, p: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -272,23 +265,24 @@ def _orbit_reps(k: int, identity: tuple, generators: list) -> dict[int, tuple[in
 
 
 def automorphism_chain(g: Digraph) -> AutomorphismChain:
-    """Aut(g) as a stabilizer chain, from level n-1 down to level 0. At
-    level k, one search of the ``pattern_isomorphisms`` backtrack looks for
-    an automorphism that fixes 0, ..., k-1 and sends k to some v > k outside
-    the orbit of k under the generators found so far. The first one found
-    joins the generators, and the search starts again past its v, so every
-    such v is searched once. Those found at levels k and above then generate
-    G_k: they move k over the whole orbit of k under G_k, and by induction
-    they generate its stabilizer G_(k+1). K_n takes n - 1 searches, each
-    ending at its first leaf."""
+    """Aut(g) as the ``stabilizer_chain`` of strong generators searched
+    from level n-1 down to level 0. At level k, one search of the
+    ``pattern_isomorphisms`` backtrack looks for an automorphism that fixes
+    0, ..., k-1 and sends k to some v > k outside the orbit of k under the
+    generators found so far. The first one found joins the generators, and
+    the search starts again past its v, so every such v is searched once.
+    Those found at levels k and above then generate G_k: they move k over
+    the whole orbit of k under G_k, and by induction they generate its
+    stabilizer G_(k+1). K_n takes n - 1 searches, each ending at its first
+    leaf. A Schreier residue would mean that they are not a strong
+    generating set on the base 0, ..., n-1, and raises RuntimeError."""
     n, identity = g.n, tuple(range(g.n))
     cols = _column_masks(g)
     invariants = _invariants(g, cols)
-    if len(set(invariants)) == n:
-        return AutomorphismChain(n, 1, (), ())  # they tell every vertex apart
-    search = _searcher(g, g, cols, invariants, invariants)
     generators: list[tuple[int, ...]] = []
-    levels = []
+    if len(set(invariants)) == n:
+        return stabilizer_chain(n, generators)  # they tell every vertex apart
+    search = _searcher(g, g, cols, invariants, invariants)
     for k in reversed(range(n)):
         # an automorphism keeps the invariants, so only these can be images
         twins = [w for w in range(k + 1, n) if invariants[w] == invariants[k]]
@@ -304,59 +298,58 @@ def automorphism_chain(g: Digraph) -> AutomorphismChain:
             v = found[k]
             generators.append(found)
             reps = _orbit_reps(k, identity, generators)
-        if len(reps) > 1:
-            levels.append((k, reps))
-    return _chain(n, generators, levels)
-
-
-def _chain(n: int, generators: list, levels: list) -> AutomorphismChain:
-    """The chain of the strong generators and the levels (k, reps), reps
-    a dict by image, listed from level n-1 down."""
-    levels = [(k, tuple(reps[w] for w in sorted(reps))) for k, reps in reversed(levels)]
-    order = math.prod(len(reps) for _, reps in levels)
-    return AutomorphismChain(n, order, tuple(generators), tuple(levels))
+    chain = stabilizer_chain(n, generators)
+    if len(chain.generators) != len(generators):
+        raise RuntimeError("the searched automorphisms are not a strong generating set")
+    return chain
 
 
 def stabilizer_chain(n: int, generators) -> AutomorphismChain:
     """The group the permutations generate, as a chain on the base
     0, ..., n-1: deterministic Schreier-Sims (Seress 2003, Section 4.2).
     From level n-1 down, each level k takes the orbit of k under the strong
-    generators that fix 0, ..., k-1, and sifts each Schreier generator
-    u(s(x))^-1 * s * u(x), which fixes 0, ..., k, through the levels below,
-    which are complete. A residue that is not the identity joins the strong
-    generators, and the work starts again at the first point it moves."""
+    generators that fix 0, ..., k-1, and sifts s * u(x) for each of them s
+    and each x in that orbit: level k turns it into the Schreier generator
+    u(s(x))^-1 * s * u(x), and the levels below, which are complete, sift
+    that. A residue that is not the identity joins the strong generators,
+    and the work starts again at the first point it moves."""
     identity = tuple(range(n))
     strong = [g for g in dict.fromkeys(generators) if g != identity]
-    orbits: dict[int, dict[int, tuple[int, ...]]] = {}
+    # the representatives of each level, by image; a level that no strong
+    # generator reaches holds the identity alone, and needs no sift
+    table = [(identity,)] * n
     k = n - 1
     while k >= 0:
         gens = [s for s in strong if s[:k] == identity[:k]]
-        reps = orbits[k] = _orbit_reps(k, identity, gens)
-        residue = next(
-            filter(None, (_sift(orbits, k, reps, s, u) for u in reps.values() for s in gens)),
-            None,
-        )
+        residue = None
+        if gens:
+            reps = _orbit_reps(k, identity, gens)
+            table[k] = tuple(reps[w] for w in sorted(reps))
+            below = list(zip(range(k, n), table[k:]))
+            residues = (_sift(below, compose(s, u)) for u in reps.values() for s in gens)
+            residue = next((r for r in residues if r != identity), None)
         if residue is None:
             k -= 1
         else:
             strong.append(residue)
             k = next(i for i, v in enumerate(residue) if i != v)
-    levels = [(k, reps) for k, reps in sorted(orbits.items(), reverse=True) if len(reps) > 1]
-    return _chain(n, strong, levels)
+    levels = tuple((k, reps) for k, reps in enumerate(table) if len(reps) > 1)
+    order = math.prod(len(reps) for _, reps in levels)
+    return AutomorphismChain(n, order, tuple(strong), levels)
 
 
-def _sift(orbits: dict, k: int, reps: dict, s: tuple, u: tuple) -> tuple | None:
-    """The Schreier generator of s at u(k) on level k, sifted through the
-    levels below k; None when it sifts to the identity."""
-    g = compose(s, u)
-    g = compose(inverse(reps[g[k]]), g)
-    for j in range(k + 1, len(g)):
-        if g[j] != j:
-            v = orbits[j].get(g[j])
-            if v is None:
+def _sift(levels, g: tuple[int, ...]) -> tuple[int, ...]:
+    """The residue of g sifted through the levels (k, reps): at each level
+    whose point k it moves, g becomes u^-1 * g for the representative u with
+    u(k) = g(k), until a level has no such u. g lies in the group of
+    complete levels exactly when the residue is the identity."""
+    for k, reps in levels:
+        if g[k] != k:
+            u = next((u for u in reps if u[k] == g[k]), None)
+            if u is None:
                 return g
-            g = compose(inverse(v), g)
-    return None
+            g = compose(inverse(u), g)
+    return g
 
 
 def greedy_generators(chain: AutomorphismChain) -> list[tuple[int, ...]]:

@@ -129,15 +129,10 @@ _RATIONAL_RE = re.compile(
 
 def _parse_fraction(text: str) -> tuple[int, int]:
     """(num, den) in lowest terms, den >= 1, of a rational literal such as
-    "-3/4", "0.5" or "1e3". A decimal exponent above SCALAR_EXPONENT_CAP in
-    magnitude is refused before it is expanded. A malformed literal raises
-    ValueError, and a zero denominator ZeroDivisionError."""
-    _, marker, exponent = text.lower().partition("e")
-    if marker:
-        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
-        cap = SCALAR_EXPONENT_CAP
-        if len(digits) > len(str(cap)) or int(digits or 0) > cap:
-            raise ParseError(f"exponent of {text[:40]!r} exceeds {cap} in magnitude")
+    "-3/4", "0.5" or "1e3". A malformed literal raises ValueError, and a
+    zero denominator ZeroDivisionError. A decimal exponent above
+    SCALAR_EXPONENT_CAP in magnitude raises ParseError before it is
+    expanded."""
     mt = _RATIONAL_RE.fullmatch(text)
     if mt is None:
         raise ValueError(f"invalid rational literal {text!r}")
@@ -153,6 +148,9 @@ def _parse_fraction(text: str) -> tuple[int, int]:
             den = 10 ** len(decimal)
             num = num * den + int(decimal)
         if exp:
+            digits, cap = exp.lstrip("+-").replace("_", "").lstrip("0"), SCALAR_EXPONENT_CAP
+            if len(digits) > len(str(cap)) or int(digits or 0) > cap:
+                raise ParseError(f"exponent of {text[:40]!r} exceeds {cap} in magnitude")
             exp = int(exp)
             if exp >= 0:
                 num *= 10**exp
@@ -451,6 +449,18 @@ class Field(metaclass=_Interned):
     # raw-value hooks -------------------------------------------------------
 
     def _convert(self, value):
+        """The raw value of an int, a rational with int attributes or a string."""
+        if isinstance(value, bool):
+            raise ParseError("bool is not a scalar")
+        ratio = _ratio(value)
+        if ratio is not None:
+            return self._rational(*ratio)
+        if isinstance(value, str):
+            return self.parse(value).value
+        raise ParseError(f"cannot coerce {value!r} into {self.descriptor()}")
+
+    def _rational(self, num: int, den: int):
+        """The raw value of num / den, given in lowest terms."""
         raise NotImplementedError
 
     def _add(self, a, b):
@@ -533,18 +543,6 @@ class PrimeField(Field):
             return value % self.p
         return super().raw(value)
 
-    def _convert(self, value):
-        if isinstance(value, bool):
-            raise ParseError("bool is not a scalar")
-        if isinstance(value, int):
-            return value % self.p
-        ratio = _ratio(value)
-        if ratio is not None:
-            return self._rational(*ratio)
-        if isinstance(value, str):
-            return self.parse(value).value
-        raise ParseError(f"cannot coerce {value!r} into GF({self.p})")
-
     def _rational(self, num: int, den: int) -> int:
         """The residue of num / den, given in lowest terms."""
         if den % self.p == 0:
@@ -625,9 +623,12 @@ class PrimeField(Field):
     def parse(self, text: str) -> Scalar:
         text = text.strip().replace(" ", "")
         try:
-            return Scalar(self, self._rational(*_parse_fraction(text)))
+            ratio = _parse_fraction(text)
+        except ParseError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad GF({self.p}) scalar {text!r}") from exc
+        return Scalar(self, self._rational(*ratio))
 
 
 _TERM_RE = re.compile(
@@ -676,16 +677,6 @@ class CyclotomicField(Field):
     @property
     def characteristic(self) -> int:
         return 0
-
-    def _convert(self, value):
-        if isinstance(value, bool):
-            raise ParseError("bool is not a scalar")
-        ratio = _ratio(value)
-        if ratio is not None:
-            return self._rational(*ratio)
-        if isinstance(value, str):
-            return self.parse(value).value
-        raise ParseError(f"cannot coerce {value!r} into {self.descriptor()}")
 
     def _rational(self, num: int, den: int) -> tuple[int, ...]:
         """The raw value of num / den, given in lowest terms."""
@@ -876,6 +867,8 @@ class CyclotomicField(Field):
         if self.m == 1:
             try:
                 num, den = _parse_fraction(text.strip().replace(" ", ""))
+            except ParseError:
+                raise
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational {text!r}") from exc
             return Scalar(self, self._rational(num, den))

@@ -243,28 +243,13 @@ class MonomialGroup:
         if tuple(map(self._box, self._generator_keys)) != self.generators:
             raise RuntimeError("the listed group has other greedy generators than its chain")
 
-    # a group held without its elements lists them on the first read of one
-    # of these
-
-    @lazy
-    def _points(self) -> list:
+    def __getattr__(self, name):
+        """A group held without its elements lists them on the first read
+        of one of its listing attributes."""
+        if name not in ("_points", "_index", "_keys", "_generator_keys"):
+            raise AttributeError(name)
         self._list()
-        return self._points
-
-    @lazy
-    def _index(self) -> dict:
-        self._list()
-        return self._index
-
-    @lazy
-    def _keys(self) -> tuple:
-        self._list()
-        return self._keys
-
-    @lazy
-    def _generator_keys(self) -> tuple:
-        self._list()
-        return self._generator_keys
+        return self.__dict__[name]
 
     @lazy
     def order(self) -> int:

@@ -1,6 +1,8 @@
 """The stabilizer chain of a pattern against the plain listing of its
 automorphisms: the same order, generators that are automorphisms, and a
-walk that yields the listing in its own order."""
+walk that yields the listing in its own order. Its strong generators are
+the ones the backtrack searched, and a searched set that is not a strong
+generating set is refused."""
 
 import itertools
 import math
@@ -8,7 +10,7 @@ import random
 
 import pytest
 
-from evoalg import solver, suites
+from evoalg import digraph, solver, suites
 from evoalg.digraph import (
     Digraph,
     automorphism_chain,
@@ -19,8 +21,31 @@ from evoalg.families import build_family
 from evoalg.fields import RationalField
 
 
+def searched(g: Digraph):
+    """The chain of g, and the automorphisms its backtrack searched: the
+    first leaf of each search."""
+    found = []
+    real = digraph._searcher
+
+    def recording(*args):
+        search = real(*args)
+
+        def recorded(k, candidates):
+            for s in search(k, candidates):
+                found.append(s)
+                yield s
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(digraph, "_searcher", recording)
+        chain = automorphism_chain(g)
+    return chain, found
+
+
 def check_chain(g: Digraph) -> None:
-    chain = automorphism_chain(g)
+    chain, found = searched(g)
+    assert chain.generators == tuple(found)
     listed = list(pattern_isomorphisms(g, g))
     assert chain.order == len(listed) == len(graph_automorphisms(g))
     for s in chain.generators:
@@ -113,8 +138,25 @@ def test_k_n_takes_n_minus_1_generators():
     # order of all permutations
     for n in range(1, 13):
         g = Digraph(n, [((1 << n) - 1) ^ 1 << i for i in range(n)])
-        chain = automorphism_chain(g)
+        chain, found = searched(g)
+        assert chain.generators == tuple(found)
         assert len(chain.generators) == n - 1
         assert chain.order == math.factorial(n)
         if n <= 6:
             assert list(chain.walk()) == list(itertools.permutations(range(n)))
+
+
+def test_a_searched_set_that_is_not_strong_is_refused(monkeypatch):
+    # (1, 0, 2) and (1, 2, 0) generate S3, but none of them fixes 0, so
+    # they do not generate the stabilizer of 0, which holds (0, 2, 1)
+    pending = {0: [(1, 0, 2), (1, 2, 0)]}
+
+    def search(k, candidates):
+        found = pending.get(k)
+        return iter([found.pop(0)] if found else [])
+
+    monkeypatch.setattr(digraph, "_searcher", lambda *args: search)
+    k3 = Digraph(3, [0b110, 0b101, 0b011])
+    with pytest.raises(RuntimeError, match="not a strong generating set"):
+        automorphism_chain(k3)
+    assert pending == {0: []}

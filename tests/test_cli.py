@@ -8,7 +8,7 @@ import time
 import pytest
 
 import evoalg
-from evoalg import algebra, digraph, solver
+from evoalg import algebra, cli, digraph, solver, suites
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.cli import main
 from evoalg.digraph import graph_automorphisms
@@ -561,6 +561,26 @@ class TestIso:
         assert report["status"] == "non-isomorphic"
         assert report["sigma_candidates_exhausted"] == 24
 
+    def test_open_cycle_equation_exits_3_with_its_unsolved_list(self, tmp_path, capsys):
+        # the solve from B's side roots a transversal whose cycle equation
+        # kth_roots leaves open, though A is isomorphic to B
+        a = write_matrix(tmp_path / "a.json", "Q(zeta_3)", [
+            ["0", "-1", "1", "1/2"],
+            ["-3/2", "-1", "2", "3/2"],
+            ["-1/2", "5/2", "-1 + z", "0"],
+            ["0", "2 + z", "1", "-2 + z"],
+        ])
+        b = write_matrix(tmp_path / "b.json", "Q(zeta_3)", [
+            ["-1/2 + 1/2*z", "0", "100/49 + 160/49*z", "1 + z"],
+            ["-1/8", "4 - 2*z", "-4/49 - 26/49*z", "0"],
+            ["-1/4 + 1/2*z", "-3 + 6*z", "6/7 + 4/7*z", "-9/4 - 3/4*z"],
+            ["1/4 + 1/4*z", "2 + 2*z", "12/49 - 20/49*z", "0"],
+        ])
+        code, report = run_json(capsys, "iso", "--in", b, "--b", a)
+        assert code == 3 and report["status"] == "indeterminate"
+        assert report["unsolved"] == ["x^3 = 8/343 - 144/343*z over Q(zeta_3)"]
+        assert "certificate" not in report
+
     def test_first_power_cycle_is_decided(self, tmp_path, capsys):
         # the 1-cycle closes to x^1 = 1 / (2z^3 + z^5), which is no rational
         # times a root of unity; it has the one root c all the same
@@ -666,6 +686,18 @@ class TestVerifyCommand:
             code, report = run_json(capsys, "verify", "--suite", suite)
             assert code == 0
             assert report["failed"] == 0
+
+    @pytest.mark.parametrize("indeterminate, exit_code", [(True, 3), (False, 4)])
+    def test_failed_suite_exit_codes(self, capsys, monkeypatch, indeterminate, exit_code):
+        result = suites.SuiteResult("thm23")
+        result.check("holds", True)
+        result.check("fails", False, "detail", indeterminate=indeterminate)
+        monkeypatch.setattr(cli, "run_suite", lambda name: result)
+        code, out, err = run(capsys, "verify", "--suite", "thm23")
+        report = json.loads(out)
+        assert code == exit_code
+        assert (report["status"], report["passed"], report["failed"]) == ("failed", 1, 1)
+        assert "  [FAIL] fails (detail)" in err
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         path = tmp_path / "report.json"

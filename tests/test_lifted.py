@@ -196,3 +196,39 @@ def test_census_solves_no_more_than_the_walk_alone(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0
     assert calls <= 4159
+
+
+def test_an_open_greedy_solve_leaves_the_group_to_the_walk(monkeypatch):
+    # every strong generator of K4's pattern lifts; a greedy generator that
+    # is not one of them, here the product of the first two, is left open,
+    # so the held group is refused and the walk lists the group itself. The
+    # backtrack finds the greedy generators of a pattern as its strong
+    # generators, so the extra generator and its open solve are patched in
+    alg = build_family("complete:n=4", RationalField())[0]
+    unpatched = automorphism_group(alg)
+    strong = solver.pattern_solve(alg).chain.generators
+    extra = compose(strong[0], strong[1])
+    assert extra not in strong
+    real_greedy, real_solve, real_lifted = (
+        solver.greedy_generators, solver._solve_matched, solver._lifted_group
+    )
+    returned = []
+
+    def solve(a, b, sigma):
+        if sigma == extra:
+            return solver.SolveOutcome(solver.SolveStatus.INDETERMINATE, (), ("open",))
+        return real_solve(a, b, sigma)
+
+    def lifted(*args):
+        returned.append(real_lifted(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(solver, "greedy_generators", lambda chain: real_greedy(chain) + [extra])
+    monkeypatch.setattr(solver, "_solve_matched", solve)
+    monkeypatch.setattr(solver, "_lifted_group", lifted)
+    walked = automorphism_group(alg)
+    assert returned == [None]
+    assert "_unlisted" not in vars(walked)
+    assert walked.elements == unpatched.elements
+    assert [g.to_json() for g in walked.generators] == [g.to_json() for g in unpatched.generators]
+    assert walked.complete == unpatched.complete is True
